@@ -9,19 +9,16 @@
 #include "core/provenance.hh"
 #include "core/report.hh"
 #include "core/runtime.hh"
-#include "persist/store.hh"
 #include "support/faultinject.hh"
-#include "support/flightrec.hh"
 #include "support/json.hh"
 #include "support/metrics.hh"
-#include "support/profile.hh"
 #include "support/strfmt.hh"
-#include "support/trace.hh"
 
 namespace el::core
 {
 
 using ipf::Bucket;
+using trace::Kind;
 
 namespace
 {
@@ -33,17 +30,6 @@ double
 cycleTolerance(double total)
 {
     return 0.5 + 1e-9 * std::fabs(total);
-}
-
-/** The merged counter namespace, mirroring runReportJson(). */
-StatGroup
-mergedStats(Runtime &rt)
-{
-    StatGroup all = rt.translator().stats;
-    all.merge(rt.stats());
-    if (rt.options().persist)
-        all.merge(rt.options().persist->stats);
-    return all;
 }
 
 // ----- provenance legality ----------------------------------------------
@@ -128,13 +114,14 @@ auditProvenance(Runtime &rt, audit::Result &r)
 void
 auditFlight(Runtime &rt, audit::Result &r)
 {
-    const flight::FlightRecorder *fr = rt.flight();
-    if (!fr)
+    const trace::Tracer *box = rt.blackBox();
+    if (!box)
         return;
-    std::map<flight::Kind, uint64_t> counts;
-    for (const flight::Event &e : fr->snapshot())
+    std::vector<trace::Event> events = box->snapshot();
+    std::map<Kind, uint64_t> counts;
+    for (const trace::Event &e : events)
         ++counts[e.kind];
-    const bool complete = fr->dropped() == 0;
+    const bool complete = box->dropped() == 0;
     StatGroup stats = mergedStats(rt);
 
     // Each pairing below records the flight event and bumps the
@@ -142,10 +129,10 @@ auditFlight(Runtime &rt, audit::Result &r)
     // counts match exactly; with an overflowed (drop-oldest) ring the
     // flight can only undercount. A flight count *above* the counter
     // is corruption in every case.
-    auto crossCheck = [&](flight::Kind kind, uint64_t stat_total,
+    auto crossCheck = [&](Kind kind, uint64_t stat_total,
                           const std::string &stat_name) {
-        uint64_t seen = counts.count(kind) ? counts[kind] : 0;
-        const char *kn = flight::kindName(kind);
+        uint64_t seen = counts[kind];
+        const char *kn = trace::kindInfo(kind).box;
         r.check(seen <= stat_total, "flight.cross_count",
                 strfmt("%llu %s flight event(s) exceed %s = %llu",
                        static_cast<unsigned long long>(seen), kn,
@@ -161,24 +148,23 @@ auditFlight(Runtime &rt, audit::Result &r)
                                stat_total)));
     };
 
-    crossCheck(flight::Kind::ColdXlate, stats.get("xlate.cold_blocks"),
+    crossCheck(Kind::ColdXlate, stats.get("xlate.cold_blocks"),
                "xlate.cold_blocks");
-    crossCheck(flight::Kind::CacheFlush,
-               stats.get("recover.cache_flush"), "recover.cache_flush");
-    crossCheck(flight::Kind::SmcInvalidate,
-               stats.get("smc.invalidations"), "smc.invalidations");
-    crossCheck(flight::Kind::HotCommit,
+    crossCheck(Kind::CacheFlush, stats.get("recover.cache_flush"),
+               "recover.cache_flush");
+    crossCheck(Kind::SmcInvalidate, stats.get("smc.invalidations"),
+               "smc.invalidations");
+    crossCheck(Kind::HotCommit,
                stats.get("xlate.hot_blocks") +
                    stats.get("persist.adopted_blocks"),
                "xlate.hot_blocks + persist.adopted_blocks");
-    crossCheck(flight::Kind::GuestFault, stats.get("faults.delivered"),
+    crossCheck(Kind::GuestFault, stats.get("faults.delivered"),
                "faults.delivered");
-    crossCheck(flight::Kind::Divergence,
-               stats.get("sentinel.divergence"), "sentinel.divergence");
+    crossCheck(Kind::Divergence, stats.get("sentinel.divergence"),
+               "sentinel.divergence");
     if (const FaultInjector *fi = rt.faultInjector()) {
-        uint64_t seen = counts.count(flight::Kind::FaultInject)
-                            ? counts[flight::Kind::FaultInject]
-                            : 0;
+        // Guest-lane fires and worker-lane session aborts alike.
+        uint64_t seen = counts[Kind::FaultInject] + counts[Kind::WorkerFault];
         r.check(seen <= fi->totalFires(), "flight.cross_count",
                 strfmt("%llu fault_inject flight event(s) exceed "
                        "injector fires = %llu",
@@ -191,10 +177,10 @@ auditFlight(Runtime &rt, audit::Result &r)
     // within the configured worker count.
     uint32_t max_lane =
         static_cast<uint32_t>(rt.options().translation_threads);
-    for (const flight::Event &e : fr->snapshot())
+    for (const trace::Event &e : events)
         r.check(e.lane <= max_lane, "flight.lane",
                 strfmt("%s event on lane %u with %u worker slot(s)",
-                       flight::kindName(e.kind), e.lane, max_lane));
+                       trace::kindInfo(e.kind).box, e.lane, max_lane));
 }
 
 // ----- schema self-checks -----------------------------------------------

@@ -4,7 +4,7 @@
  *
  * Every design choice the paper calls out is a switch here so the
  * ablation benchmarks (bench/ablation_design_choices) can turn each one
- * off independently: two-phase translation, predication, unrolling,
+ * off independently: two-phase translation, unrolling,
  * EFlags elimination, FXCH elimination, the three FP/MMX/SSE speculation
  * schemes (with the FX!32-style FP-stack-in-memory fallback), load
  * speculation, block chaining, and misalignment avoidance.
@@ -63,12 +63,9 @@ struct Options
     unsigned max_trace_blocks = 8;   //!< Hyper-block size limit.
     unsigned max_trace_insns = 48;
     unsigned unroll_factor = 2;      //!< Loop unrolling multiplier.
-    unsigned predication_max_side = 4; //!< Max insns on an if-converted
-                                       //!< side.
 
     // ----- feature toggles (ablations) ------------------------------
     bool enable_hot_phase = true;
-    bool enable_predication = true;
     bool enable_unroll = true;
     bool enable_eflags_elim = true;
     bool enable_fxch_elim = true;
@@ -122,9 +119,8 @@ struct Options
     FaultConfig fault;
 
     // ----- observability (off by default; zero-cost when off) -------
-    trace::Tracer *trace = nullptr; //!< Lifecycle event sink (not owned).
-                                    //!< Null = every trace site is one
-                                    //!< predictable branch.
+    trace::Tracer *trace = nullptr; //!< Chrome lifecycle capture (not
+                                    //!< owned; support/trace.hh).
     bool collect_block_cycles = false; //!< Per-block cycle accounting in
                                        //!< the machine, for the run
                                        //!< report's per-block rows.
@@ -157,19 +153,15 @@ struct Options
 
     // ----- flight recorder (ON by default; zero simulated cycles) ---
     bool flight_recorder = true;      //!< Always-on black box: the
-                                      //!< runtime owns a FlightRecorder
-                                      //!< + ProvenanceLedger fed by the
-                                      //!< same hook sites as tracing.
-                                      //!< false = the recorder is never
-                                      //!< allocated and every hook is
-                                      //!< one null-check branch (the
-                                      //!< "compiled-out" comparison
-                                      //!< point; results are bit-exact
-                                      //!< either way).
+                                      //!< runtime owns a drop-oldest
+                                      //!< trace::Tracer + ProvenanceLedger
+                                      //!< fed by the same hook as the
+                                      //!< Chrome capture. false = neither
+                                      //!< is allocated (the "compiled-out"
+                                      //!< comparison point; results are
+                                      //!< bit-exact either way).
     uint32_t flight_ring_capacity = 1024; //!< Last-N events kept per
                                       //!< host thread (drop-oldest).
-    uint32_t provenance_events_per_eip = 32; //!< Lifecycle events kept
-                                      //!< per guest entry point.
     metrics::Registry *metrics = nullptr; //!< Telemetry snapshotter (not
                                       //!< owned). Null = off; attached,
                                       //!< the runtime registers its

@@ -3,12 +3,10 @@
 #include <fstream>
 #include <set>
 
+#include "core/report.hh"
 #include "core/runtime.hh"
-#include "persist/store.hh"
 #include "support/json.hh"
-#include "support/profile.hh"
 #include "support/sentinel.hh"
-#include "support/trace.hh"
 
 namespace el::core
 {
@@ -49,18 +47,18 @@ postmortemJson(Runtime &rt, const PostmortemInfo &info)
     if (alive)
         w.kv("cycles", rt.machine().totalCycles());
 
-    // ----- flight: the merged last-N event tail ---------------------
-    if (const flight::FlightRecorder *fr = rt.flight()) {
+    // ----- flight: the black box's merged last-N event tail ----------
+    if (const trace::Tracer *box = rt.blackBox()) {
         w.key("flight");
         w.beginObject();
         w.kv("ring_capacity",
-             static_cast<uint64_t>(fr->ringCapacity()));
-        w.kv("dropped", fr->dropped());
+             static_cast<uint64_t>(box->ringCapacity()));
+        w.kv("dropped", box->dropped());
         w.key("events");
         w.beginArray();
-        for (const flight::Event &e : fr->snapshot()) {
+        for (const trace::Event &e : box->snapshot()) {
             w.beginObject();
-            w.kv("kind", flight::kindName(e.kind));
+            w.kv("kind", trace::kindInfo(e.kind).box);
             w.kv("lane", static_cast<uint64_t>(e.lane));
             w.kv("ts", e.ts);
             w.kv("a", e.a);
@@ -148,30 +146,12 @@ postmortemJson(Runtime &rt, const PostmortemInfo &info)
     }
 
     // ----- stats: the same merged namespace as the run report -------
-    {
-        StatGroup all_stats;
-        if (alive)
-            all_stats = rt.translator().stats;
-        all_stats.merge(rt.stats());
-        if (rt.options().persist)
-            all_stats.merge(rt.options().persist->stats);
-        if (rt.options().trace)
-            all_stats.set(
-                "trace.dropped_events",
-                static_cast<double>(rt.options().trace->dropped()));
-        if (rt.options().profiler)
-            all_stats.set("profile.dropped_samples",
-                          static_cast<double>(
-                              rt.options().profiler->samplesDropped()));
-        if (rt.flight())
-            all_stats.set("flight.dropped_events",
-                          static_cast<double>(rt.flight()->dropped()));
-        w.key("stats");
-        w.beginObject();
-        for (const auto &[name, value] : all_stats.all())
-            w.kv(name, value);
-        w.endObject();
-    }
+    StatGroup all_stats = mergedStats(rt);
+    w.key("stats");
+    w.beginObject();
+    for (const auto &[name, value] : all_stats.all())
+        w.kv(name, value);
+    w.endObject();
 
     // ----- fault injection: seed + which sites actually fired -------
     if (const FaultInjector *fi = rt.faultInjector()) {

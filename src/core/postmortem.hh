@@ -6,7 +6,7 @@
  * When a run ends badly — a guest fault terminates the workload, the
  * divergence sentinel convicts a translation, an injected abort
  * surfaces, or the embedder simply asks for one — the bundle captures
- * everything the flight recorder and provenance ledger know, plus the
+ * everything the black box and the provenance ledger know, plus the
  * sentinel health ledger, the merged counter set, and the active
  * fault-injection configuration. It is written from whatever state the
  * runtime is in (including an InitError runtime whose machine and

@@ -86,12 +86,15 @@ struct ProvEvent
     double ts = 0;            //!< Simulated cycles.
 };
 
+/** Lifecycle events the runtime's ledger keeps per guest entry point. */
+constexpr size_t prov_events_per_eip = 32;
+
 /** The ledger. Owned by the runtime; main-thread only. */
 class ProvenanceLedger
 {
   public:
     /** @p per_eip_capacity Last-N lifecycle events kept per eip. */
-    explicit ProvenanceLedger(size_t per_eip_capacity = 32)
+    explicit ProvenanceLedger(size_t per_eip_capacity = prov_events_per_eip)
         : per_eip_capacity_(per_eip_capacity ? per_eip_capacity : 1)
     {}
 

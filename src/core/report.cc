@@ -116,6 +116,30 @@ attributionOf(Runtime &rt)
     return a;
 }
 
+StatGroup
+mergedStats(Runtime &rt)
+{
+    // Translator and runtime counters are disjoint today; merging keeps
+    // the JSON free of duplicate keys if that ever changes.
+    StatGroup all;
+    if (rt.initOk())
+        all = rt.translator().stats;
+    all.merge(rt.stats());
+    if (rt.options().persist)
+        all.merge(rt.options().persist->stats);
+    if (rt.options().trace)
+        all.set("trace.dropped_events",
+                static_cast<double>(rt.options().trace->dropped()));
+    if (rt.options().profiler)
+        all.set("profile.dropped_samples",
+                static_cast<double>(
+                    rt.options().profiler->samplesDropped()));
+    if (const trace::Tracer *box = rt.blackBox())
+        all.set("flight.dropped_events",
+                static_cast<double>(box->dropped()));
+    return all;
+}
+
 std::string
 runReportJson(Runtime &rt, const std::string &workload,
               const GuestResult *guest,
@@ -179,27 +203,7 @@ runReportJson(Runtime &rt, const std::string &workload,
         w.endObject();
     }
 
-    // One merged counter namespace (translator + runtime counters are
-    // disjoint today; merging keeps the JSON free of duplicate keys if
-    // that ever changes). The artifact store's persist.* counters join
-    // them when a store is attached.
-    StatGroup all_stats = rt.translator().stats;
-    all_stats.merge(rt.stats());
-    if (rt.options().persist)
-        all_stats.merge(rt.options().persist->stats);
-    // Observer overflow counters: a nonzero value flags a report whose
-    // event streams are incomplete (rings overflowed), which is the
-    // first thing to check before trusting a trace or profile.
-    if (rt.options().trace)
-        all_stats.set("trace.dropped_events",
-                      static_cast<double>(rt.options().trace->dropped()));
-    if (rt.options().profiler)
-        all_stats.set("profile.dropped_samples",
-                      static_cast<double>(
-                          rt.options().profiler->samplesDropped()));
-    if (rt.flight())
-        all_stats.set("flight.dropped_events",
-                      static_cast<double>(rt.flight()->dropped()));
+    StatGroup all_stats = mergedStats(rt);
     w.key("stats");
     w.beginObject();
     for (const auto &[name, value] : all_stats.all())

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "support/buildinfo.hh"
+#include "support/stats.hh"
 
 namespace el::prof
 {
@@ -78,6 +79,16 @@ struct Attribution
 
 /** Compute the attribution for a finished (or paused) runtime. */
 Attribution attributionOf(Runtime &rt);
+
+/**
+ * The one counter namespace every artifact reports: translator and
+ * runtime counters (the translator's only once the runtime came up),
+ * the attached store's persist.* counters, and each observer's
+ * overflow count. A nonzero *.dropped_* value flags an incomplete
+ * event stream — the first thing to check before trusting a trace,
+ * profile or flight.
+ */
+StatGroup mergedStats(Runtime &rt);
 
 /**
  * The full run report as a JSON object string: workload name, totals,

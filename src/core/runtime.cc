@@ -16,7 +16,6 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profile.hh"
-#include "support/trace.hh"
 
 namespace el::core
 {
@@ -34,10 +33,9 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
     // The black box exists before anything that can fail: a postmortem
     // of an InitError run still has a (short) flight to dump.
     if (options_.flight_recorder) {
-        flight_ = std::make_unique<flight::FlightRecorder>(
-            options_.flight_ring_capacity);
-        provenance_ = std::make_unique<ProvenanceLedger>(
-            options_.provenance_events_per_eip);
+        box_ = std::make_unique<trace::Tracer>(
+            options_.flight_ring_capacity, trace::View::BlackBox);
+        provenance_ = std::make_unique<ProvenanceLedger>();
     }
     if (!btos_.ok()) {
         el_warn("BTOS handshake failed: %s", btos_.error().c_str());
@@ -59,8 +57,13 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
     }
     translator_ =
         std::make_unique<Translator>(options_, mem_, cache_, rt_base_);
+    obs_.chrome = options_.trace;
+    obs_.box = box_.get();
+    obs_.ledger = provenance_.get();
+    obs_.cache = &cache_;
+    obs_.clock = [this] { return machine_->totalCycles(); };
+    translator_->setObserver(&obs_);
 
-    trace_ = options_.trace;
     // The audit's central closure identity needs the per-block books,
     // so --audit forces block tracking on even when no report asked.
     if (options_.collect_block_cycles || options_.audit)
@@ -118,46 +121,24 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             s->fault_fires = fi ? fi->totalFires() : 0;
         });
     }
-    if (trace_)
-        translator_->setTrace(
-            trace_, [this] { return machine_->totalCycles(); });
-    if (flight_)
-        translator_->setObservers(
-            flight_.get(), provenance_.get(),
-            [this] { return machine_->totalCycles(); });
-    if (trace_ || flight_) {
-        if (FaultInjector *fi = inject_scope_.get()) {
-            // Main-thread fires only; worker-side injection is
-            // recorded by the pipeline session wrapper below with the
-            // session's planned simulated timeline.
-            fi->setFireListener([this, fi](FaultSite site) {
-                double now = machine_->totalCycles();
-                if (trace_)
-                    trace_->instant(
-                        "fault_fire", trace::Cat::Fault, 0, now,
-                        {{"site", static_cast<int64_t>(site)}});
-                if (flight_)
-                    flight_->record(
-                        flight::Kind::FaultInject, 0, now,
-                        static_cast<int64_t>(site),
-                        static_cast<int64_t>(fi->totalFires()));
-            });
-        }
+    FaultInjector *fi = inject_scope_.get();
+    if (fi && obs_.attached()) {
+        // Main-thread fires only; worker-side injection is recorded by
+        // the pipeline session wrapper below with the session's
+        // planned simulated timeline.
+        fi->setFireListener([this, fi](FaultSite site) {
+            obs_.recordNow(trace::Kind::FaultInject,
+                           {static_cast<int64_t>(site),
+                            static_cast<int64_t>(fi->totalFires())});
+        });
     }
-    if (sentinel_ && flight_) {
-        // Health transitions feed the black box: the state machine
-        // record (the quarantineBlock path separately notes the
-        // artifact-level conviction with its precise cause).
+    if (sentinel_ && obs_.attached()) {
+        // Health transitions: the state machine record (the
+        // quarantineBlock path separately notes the artifact-level
+        // conviction with its precise cause).
         sentinel_->setTransitionListener(
             [this](uint32_t eip, sentinel::Health from,
                    sentinel::Health to, bool pinned) {
-                double now = machine_->totalCycles();
-                flight_->record(flight::Kind::SentinelShift, 0, now,
-                                static_cast<int64_t>(eip),
-                                static_cast<int64_t>(from),
-                                static_cast<int64_t>(to));
-                if (!provenance_)
-                    return;
                 ProvState st = ProvState::Suspect;
                 ProvCause cause = ProvCause::None;
                 if (pinned) {
@@ -168,8 +149,10 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
                     st = ProvState::Retranslated;
                     cause = ProvCause::Cooldown;
                 }
-                provenance_->note(eip, st, cause, -1,
-                                  cache_.generation(), now);
+                obs_.recordNow(trace::Kind::SentinelShift,
+                               {eip, static_cast<int64_t>(from),
+                                static_cast<int64_t>(to)},
+                               0, {{st, cause}});
             });
     }
 
@@ -177,7 +160,6 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
         HotPipeline::Config cfg;
         cfg.threads = options_.translation_threads;
         cfg.deterministic = options_.deterministic_adoption;
-        FaultInjector *fi = inject_scope_.get();
         hot_pipeline_ = std::make_unique<HotPipeline>(
             cfg, [this, fi](const HotCandidate &c, HotArtifact *out) {
                 // Runs on a worker thread. The injection stream is
@@ -186,48 +168,24 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
                 FaultStream stream(fi, c.seq);
                 Translator::runHotSession(c.input, options_, &stream,
                                           out);
-                if (trace_) {
-                    // Worker lane events carry the *planned* simulated
-                    // times from the candidate — workers must never
-                    // read the machine's cycle counter (it belongs to
-                    // the main thread), and the plan is what makes the
-                    // trace replayable across thread counts.
-                    uint32_t lane = 1 + c.worker_slot;
-                    if (out->injected_abort)
-                        trace_->instant(
-                            "fault_fire", trace::Cat::Fault, lane,
-                            c.start_cycles,
-                            {{"site",
-                              static_cast<int64_t>(
-                                  FaultSite::HotXlateAbort)},
-                             {"seq", static_cast<int64_t>(c.seq)}});
-                    trace_->span(
-                        "hot_emit", trace::Cat::Hot, lane,
-                        c.start_cycles, c.ready_cycles - c.start_cycles,
-                        {{"eip",
-                          static_cast<int64_t>(c.input.entry_eip)},
-                         {"seq", static_cast<int64_t>(c.seq)},
-                         {"worker",
-                          static_cast<int64_t>(c.worker_slot)},
-                         {"ok", out->ok ? 1 : 0}});
-                }
-                if (flight_) {
-                    // Same planned-time rule as tracing: the worker
-                    // lane's black-box entries must replay bit-exactly
-                    // across thread counts.
-                    uint32_t lane = 1 + c.worker_slot;
-                    if (out->injected_abort)
-                        flight_->record(
-                            flight::Kind::FaultInject, lane,
-                            c.start_cycles,
-                            static_cast<int64_t>(
-                                FaultSite::HotXlateAbort),
-                            static_cast<int64_t>(c.seq));
-                    flight_->record(
-                        flight::Kind::HotSession, lane, c.ready_cycles,
-                        static_cast<int64_t>(c.input.entry_eip),
-                        static_cast<int64_t>(c.seq), out->ok ? 1 : 0);
-                }
+                // Worker-lane events carry the *planned* simulated
+                // times from the candidate — workers must never read
+                // the machine's cycle counter (it belongs to the main
+                // thread), and the plan is what makes the stream
+                // replayable across thread counts.
+                uint32_t lane = 1 + c.worker_slot;
+                int64_t seq = static_cast<int64_t>(c.seq);
+                if (out->injected_abort)
+                    obs_.record({trace::Kind::WorkerFault, lane,
+                                 c.start_cycles, 0,
+                                 static_cast<int64_t>(
+                                     FaultSite::HotXlateAbort),
+                                 seq});
+                obs_.record({trace::Kind::WorkerSession, lane,
+                             c.start_cycles,
+                             c.ready_cycles - c.start_cycles,
+                             c.input.entry_eip, seq, out->ok ? 1 : 0,
+                             c.worker_slot});
             });
     }
 
@@ -254,8 +212,7 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
                        : 0.0;
         });
         m->gauge("flight_dropped", [this] {
-            return flight_ ? static_cast<double>(flight_->dropped())
-                           : 0.0;
+            return box_ ? static_cast<double>(box_->dropped()) : 0.0;
         });
         m->counters("translator", &translator_->stats);
         m->counters("runtime", &stats_);
@@ -405,11 +362,8 @@ Runtime::dispatchEntry(uint32_t eip, bool force_cold, bool fresh_cold)
         return -2;
     }
     ++dispatch_lookups_;
-    if (flight_)
-        flight_->record(flight::Kind::Dispatch, 0,
-                        machine_->totalCycles(),
-                        static_cast<int64_t>(eip),
-                        static_cast<int64_t>(dispatch_lookups_));
+    obs_.recordNow(trace::Kind::Dispatch,
+                   {eip, static_cast<int64_t>(dispatch_lookups_)});
     SpecContext spec = currentSpec();
     BlockInfo *block = force_cold
         ? translator_->dispatchCold(eip, spec, fresh_cold)
@@ -526,11 +480,8 @@ Runtime::recoverGuard(BlockInfo *block, int64_t payload_kind)
     machine_->chargeCycles(Bucket::Overhead,
                            options_.guard_recovery_cost);
     fault_overhead_cycles_ += options_.guard_recovery_cost;
-    if (trace_)
-        trace_->span("guard_recover", trace::Cat::Fault, 0,
-                     machine_->totalCycles(),
-                     options_.guard_recovery_cost,
-                     {{"block", block->id}, {"kind", payload_kind}});
+    obs_.recordNow(trace::Kind::GuardRecover, {block->id, payload_kind},
+                   options_.guard_recovery_cost);
     ipf::Machine &m = *machine_;
     switch (payload_kind) {
       case 0: // TOS mismatch: resolved by block-variant dispatch.
@@ -641,14 +592,9 @@ Runtime::registerHot(int32_t block_id)
                 // its bounded-retry failure path) resolves this block.
     block->heat_registrations++;
     stats_.add("hot.registrations");
-    if (trace_)
-        trace_->instant(
-            "heat_register", trace::Cat::Hot, 0,
-            machine_->totalCycles(),
-            {{"block", block_id},
-             {"eip", static_cast<int64_t>(block->entry_eip)},
-             {"registrations",
-              static_cast<int64_t>(block->heat_registrations)}});
+    obs_.recordNow(trace::Kind::HeatRegister,
+                   {block->entry_eip, block_id,
+                    block->heat_registrations});
     // O(1) dedup: the queued flag replaces the old linear scan over
     // hot_queue_.
     if (!block->hot_queued) {
@@ -679,11 +625,8 @@ Runtime::registerHot(int32_t block_id)
             enqueueHot(cand, spec);
             continue;
         }
-        if (provenance_)
-            provenance_->note(cand->entry_eip, ProvState::HotQueued,
-                              ProvCause::Heat, cand->id,
-                              cache_.generation(),
-                              machine_->totalCycles());
+        obs_.recordNow(trace::Kind::Provenance, {cand->entry_eip}, 0,
+                       {{ProvState::HotQueued, ProvCause::Heat, cand->id}});
         if (!translator_->translateHot(cand->entry_eip, spec) &&
             !cand->invalidated) {
             // Bounded retry: a transient abort leaves the block
@@ -738,20 +681,9 @@ Runtime::enqueueHot(BlockInfo *cand, const SpecContext &spec)
     uint64_t seq = hot_pipeline_->enqueue(std::move(c), now,
                                           session_cost);
     stats_.add("hot.enqueued");
-    if (trace_)
-        trace_->span("hot_snapshot", trace::Cat::Hot, 0, now,
-                     options_.hot_enqueue_cost,
-                     {{"eip", static_cast<int64_t>(cand_eip)},
-                      {"block", cand_id},
-                      {"seq", static_cast<int64_t>(seq)}});
-    if (flight_)
-        flight_->record(flight::Kind::HotEnqueue, 0, now,
-                        static_cast<int64_t>(cand_eip),
-                        static_cast<int64_t>(seq));
-    if (provenance_)
-        provenance_->note(cand_eip, ProvState::HotQueued,
-                          ProvCause::Heat, cand_id, cache_.generation(),
-                          now);
+    obs_.record({trace::Kind::HotEnqueue, 0, now, options_.hot_enqueue_cost,
+                 cand_eip, static_cast<int64_t>(seq), 0, cand_id},
+                {{ProvState::HotQueued, ProvCause::Heat, cand_id}});
 }
 
 void
@@ -773,25 +705,17 @@ Runtime::adoptHotResults()
             double publish_cost = options_.hot_publish_cost_per_insn *
                                   (hot->insn_count + 1);
             translator_->chargeHotStall(publish_cost);
-            if (trace_) {
-                double now = machine_->totalCycles();
-                trace_->span(
-                    "hot_commit", trace::Cat::Hot, 0, now,
-                    publish_cost,
-                    {{"eip", static_cast<int64_t>(hot->entry_eip)},
-                     {"block", hot->id},
-                     {"seq", static_cast<int64_t>(art.seq)},
-                     {"worker",
-                      static_cast<int64_t>(art.worker_slot)}});
-                // How long the finished artifact waited for a block
-                // re-entry boundary after its (planned) completion.
-                double stall = now - art.ready_cycles;
-                trace_->instant(
-                    "adoption_stall", trace::Cat::Hot, 0, now,
-                    {{"seq", static_cast<int64_t>(art.seq)},
-                     {"cycles",
-                      static_cast<int64_t>(stall > 0 ? stall : 0)}});
-            }
+            int64_t seq = static_cast<int64_t>(art.seq);
+            obs_.recordNow(trace::Kind::HotPublish,
+                           {hot->entry_eip, hot->id, seq,
+                            art.worker_slot},
+                           publish_cost);
+            // How long the finished artifact waited for a block
+            // re-entry boundary after its (planned) completion.
+            double stall = obs_.now() - art.ready_cycles;
+            obs_.recordNow(trace::Kind::AdoptionStall,
+                           {seq, static_cast<int64_t>(stall > 0 ? stall
+                                                                : 0)});
         } else if (cold && !cold->invalidated &&
                    cold->hot_state == HotState::Eligible) {
             // Failed or discarded session (a stale-generation discard
@@ -1035,17 +959,7 @@ Runtime::finishRegionCheck(RegionEnd kind, const ia32::State &mstate,
     loadContext(ck_state_);
     if (profiler_)
         profiler_->resync(ck_eip_);
-    if (trace_)
-        trace_->instant("divergence", trace::Cat::Fault, 0,
-                        machine_->totalCycles(),
-                        {{"eip", static_cast<int64_t>(ck_eip_)},
-                         {"end_eip",
-                          static_cast<int64_t>(mstate.eip)}});
-    if (flight_)
-        flight_->record(flight::Kind::Divergence, 0,
-                        machine_->totalCycles(),
-                        static_cast<int64_t>(ck_eip_),
-                        static_cast<int64_t>(mstate.eip));
+    obs_.recordNow(trace::Kind::Divergence, {ck_eip_, mstate.eip});
     return false;
 }
 
@@ -1098,11 +1012,8 @@ Runtime::deliverFault(ia32::State *state, const ia32::Fault &fault,
                       RunResult *result)
 {
     stats_.add("faults.delivered");
-    if (flight_)
-        flight_->record(flight::Kind::GuestFault, 0,
-                        machine_->totalCycles(),
-                        static_cast<int64_t>(fault.kind),
-                        static_cast<int64_t>(fault.eip));
+    obs_.recordNow(trace::Kind::GuestFault,
+                   {fault.eip, static_cast<int64_t>(fault.kind)});
     btlib::ExceptionDisposition disp =
         btos_.deliverException(*state, fault);
     if (disp == btlib::ExceptionDisposition::Terminate) {
@@ -1334,13 +1245,8 @@ Runtime::run(ia32::State &state)
                 cache_.patchToBranchChecked(stop.instr_index, tentry,
                                             gen)) {
                 stats_.add("links.patched");
-                if (trace_)
-                    trace_->instant(
-                        "exit_relink", trace::Cat::Cache, 0,
-                        machine_->totalCycles(),
-                        {{"from_block", instr.meta.block_id},
-                         {"target_eip",
-                          static_cast<int64_t>(target)}});
+                obs_.recordNow(trace::Kind::ExitRelink,
+                               {target, instr.meta.block_id});
             }
             next_eip = target;
             break;

@@ -18,6 +18,7 @@
 
 #include "btlib/btos.hh"
 #include "core/hot_pipeline.hh"
+#include "core/observer.hh"
 #include "core/options.hh"
 #include "core/provenance.hh"
 #include "core/translator.hh"
@@ -26,10 +27,10 @@
 #include "mem/memory.hh"
 #include "support/audit.hh"
 #include "support/faultinject.hh"
-#include "support/flightrec.hh"
 #include "support/ring.hh"
 #include "support/sentinel.hh"
 #include "support/stats.hh"
+#include "support/trace.hh"
 
 namespace el::core
 {
@@ -95,9 +96,8 @@ class Runtime
      */
     const audit::Result &auditFindings() const { return audit_findings_; }
 
-    /** The always-on flight recorder (null when Options disabled it). */
-    flight::FlightRecorder *flight() { return flight_.get(); }
-    const flight::FlightRecorder *flight() const { return flight_.get(); }
+    /** The always-on black box (null when Options disabled it). */
+    const trace::Tracer *blackBox() const { return box_.get(); }
 
     /** The artifact provenance ledger (null when disabled). */
     ProvenanceLedger *provenance() { return provenance_.get(); }
@@ -236,13 +236,13 @@ class Runtime
     uint64_t rt_base_ = 0;
     StatGroup stats_;
     std::deque<int32_t> hot_queue_;
-    trace::Tracer *trace_ = nullptr; //!< From Options; null = off.
     prof::Profiler *profiler_ = nullptr; //!< From Options; null = off.
     // The always-on black box. Owned here (unlike the opt-in observers,
     // which callers attach) and declared before hot_pipeline_ so worker
     // threads are joined before the rings they write to are destroyed.
-    std::unique_ptr<flight::FlightRecorder> flight_;
+    std::unique_ptr<trace::Tracer> box_;
     std::unique_ptr<ProvenanceLedger> provenance_;
+    Observer obs_; //!< The lifecycle hook over all three sinks.
     uint64_t dispatch_lookups_ = 0; //!< dispatchEntry() calls (sampled
                                     //!< by the profiler time series).
     double fault_overhead_cycles_ = 0;

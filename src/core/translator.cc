@@ -3,10 +3,8 @@
 #include "ia32/decoder.hh"
 #include "persist/store.hh"
 #include "support/faultinject.hh"
-#include "support/flightrec.hh"
 #include "support/logging.hh"
 #include "support/sentinel.hh"
-#include "support/trace.hh"
 
 namespace el::core
 {
@@ -15,6 +13,7 @@ using ia32::Insn;
 using ia32::Op;
 using ipf::ExitReason;
 using ipf::IpfOp;
+using trace::Kind;
 
 Translator::Translator(const Options &opts, mem::Memory &memory,
                        ipf::CodeCache &cache, uint64_t rt_base)
@@ -78,14 +77,9 @@ Translator::flushCodeCache()
     pending_cycles_ += options.cache_flush_cost;
     stats.add("recover.cache_flush");
     stats.set("cache.generation", cache_.generation());
-    if (trace_)
-        trace_->span("cache_flush", trace::Cat::Cache, 0, trace_now_(),
-                     options.cache_flush_cost,
-                     {{"generation",
-                       static_cast<int64_t>(cache_.generation())}});
-    if (flight_)
-        flight_->record(flight::Kind::CacheFlush, 0, obsNow(),
-                        static_cast<int64_t>(cache_.generation()));
+    obs_->recordNow(Kind::CacheFlush,
+                    {static_cast<int64_t>(cache_.generation())},
+                    options.cache_flush_cost);
 }
 
 void
@@ -211,11 +205,7 @@ Translator::unlinkBlockExits(BlockInfo *block)
         in.target = -1;
         s.patched = false;
     }
-    if (trace_)
-        trace_->instant("exit_unlink", trace::Cat::Cache, 0, trace_now_(),
-                        {{"block", block->id},
-                         {"eip",
-                          static_cast<int64_t>(block->entry_eip)}});
+    obs_->recordNow(Kind::ExitUnlink, {block->entry_eip, block->id});
 }
 
 void
@@ -237,8 +227,9 @@ Translator::discardHotBlock(BlockInfo *block)
     MisalignHistory &h = misalign_[block->entry_eip];
     h.force_avoid = true;
     stats.add("hot.discarded_for_misalignment");
-    noteProv(block->entry_eip, ProvState::Discarded, ProvCause::Misalign,
-             block->id);
+    obs_->recordNow(Kind::Provenance, {block->entry_eip}, 0,
+                    {{ProvState::Discarded, ProvCause::Misalign,
+                      block->id}});
 }
 
 void
@@ -255,15 +246,12 @@ Translator::quarantineBlock(BlockInfo *block, ProvCause cause)
     // entry so the next save cannot resurrect it in another process.
     if (options.persist) {
         options.persist->dropAt(block->entry_eip);
-        noteProv(block->entry_eip, ProvState::Discarded,
-                 ProvCause::QuarantinePurge, block->id);
+        obs_->recordNow(Kind::Provenance, {block->entry_eip}, 0,
+                        {{ProvState::Discarded, ProvCause::QuarantinePurge,
+                          block->id}});
     }
-    noteProv(block->entry_eip, ProvState::Quarantined, cause, block->id);
-    if (trace_)
-        trace_->instant("quarantine", trace::Cat::Cache, 0, trace_now_(),
-                        {{"block", block->id},
-                         {"eip",
-                          static_cast<int64_t>(block->entry_eip)}});
+    obs_->recordNow(Kind::Quarantine, {block->entry_eip, block->id}, 0,
+                    {{ProvState::Quarantined, cause, block->id}});
 }
 
 bool
@@ -309,22 +297,14 @@ Translator::invalidateRange(uint32_t addr, uint32_t len)
             b.invalidated = true;
             cache_.invalidateEntry(b.cache_entry, ExitReason::Resync,
                                    b.entry_eip);
-            noteProv(b.entry_eip, ProvState::Discarded,
-                     ProvCause::SmcWrite, b.id);
+            obs_->recordNow(Kind::Provenance, {b.entry_eip}, 0,
+                            {{ProvState::Discarded, ProvCause::SmcWrite,
+                              b.id}});
             ++dropped;
         }
     }
     stats.add("smc.invalidations");
-    if (trace_)
-        trace_->instant("smc_invalidate", trace::Cat::Cache, 0,
-                        trace_now_(),
-                        {{"addr", static_cast<int64_t>(addr)},
-                         {"len", static_cast<int64_t>(len)},
-                         {"blocks_dropped", dropped}});
-    if (flight_)
-        flight_->record(flight::Kind::SmcInvalidate, 0, obsNow(),
-                        static_cast<int64_t>(addr),
-                        static_cast<int64_t>(len), dropped);
+    obs_->recordNow(Kind::SmcInvalidate, {addr, len, dropped});
 }
 
 BlockInfo *
@@ -589,10 +569,9 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
             flushCodeCache();
             return translateColdImpl(eip, spec, stage, false);
         }
-        if (prov_) {
-            noteProv(eip, ProvState::Decoded, ProvCause::None, info->id);
-            noteProv(eip, ProvState::Cold, ProvCause::None, info->id);
-        }
+        obs_->recordNow(Kind::Provenance, {eip}, 0,
+                        {{ProvState::Decoded, ProvCause::None, info->id},
+                         {ProvState::Cold, ProvCause::None, info->id}});
         cold_map_[eip].push_back({spec, info});
         blocks_.push_back(std::move(info_holder));
         return info;
@@ -713,21 +692,10 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     double xlate_cost =
         options.cold_xlate_cost_per_insn * (info->insn_count + 1);
     pending_cycles_ += xlate_cost;
-    if (trace_)
-        trace_->span("cold_translate", trace::Cat::Translate, 0,
-                     trace_now_(), xlate_cost,
-                     {{"eip", static_cast<int64_t>(eip)},
-                      {"block", info->id},
-                      {"insns",
-                       static_cast<int64_t>(info->insn_count)}});
-    if (flight_)
-        flight_->record(flight::Kind::ColdXlate, 0, obsNow(),
-                        static_cast<int64_t>(eip), info->id,
-                        static_cast<int64_t>(info->insn_count));
-    if (prov_) {
-        noteProv(eip, ProvState::Decoded, ProvCause::None, info->id);
-        noteProv(eip, ProvState::Cold, ProvCause::None, info->id);
-    }
+    obs_->recordNow(Kind::ColdXlate, {eip, info->id, info->insn_count},
+                    xlate_cost,
+                    {{ProvState::Decoded, ProvCause::None, info->id},
+                     {ProvState::Cold, ProvCause::None, info->id}});
 
     cold_map_[eip].push_back({spec, info});
     blocks_.push_back(std::move(info_holder));
@@ -1043,22 +1011,20 @@ Translator::commitHotArtifact(HotArtifact &art)
         if (BlockInfo *cold = blockById(art.cold_block_id))
             prov_eip = cold->entry_eip;
     auto discard = [&](ProvCause cause) {
-        if (flight_)
-            flight_->record(flight::Kind::HotDiscard, 0, obsNow(),
-                            static_cast<int64_t>(prov_eip),
-                            static_cast<int64_t>(cause));
-        noteProv(prov_eip, ProvState::Discarded, cause,
-                 art.cold_block_id);
+        obs_->recordNow(Kind::HotDiscard,
+                        {prov_eip, static_cast<int64_t>(cause)}, 0,
+                        {{ProvState::Discarded, cause, art.cold_block_id}});
     };
-    if (prov_ && !art.from_store) {
+    if (!art.from_store) {
         // The session itself ran on a worker (or inline); stamp it at
         // its planned completion time so the timeline is identical
         // across translation_threads in deterministic mode.
-        double ts = art.ready_cycles > 0 ? art.ready_cycles : obsNow();
-        prov_->note(prov_eip, ProvState::Session,
-                    art.ok ? ProvCause::SessionOk
-                           : ProvCause::SessionAbort,
-                    art.cold_block_id, cache_.generation(), ts);
+        double ts = art.ready_cycles > 0 ? art.ready_cycles : obs_->now();
+        obs_->record({Kind::Provenance, 0, ts, 0, prov_eip},
+                     {{ProvState::Session,
+                       art.ok ? ProvCause::SessionOk
+                              : ProvCause::SessionAbort,
+                       art.cold_block_id}});
     }
 
     if (!art.ok) {
@@ -1204,18 +1170,16 @@ Translator::commitHotArtifact(HotArtifact &art)
     }
 
     blocks_.push_back(std::move(info_holder));
-    if (flight_)
-        flight_->record(flight::Kind::HotCommit, 0, obsNow(),
-                        static_cast<int64_t>(info->entry_eip), info->id,
-                        static_cast<int64_t>(info->insn_count));
-    noteProv(info->entry_eip,
-             art.from_store ? ProvState::Adopted : ProvState::Published,
-             art.from_store ? ProvCause::StoreHit : ProvCause::SessionOk,
-             info->id);
+    obs_->recordNow(
+        Kind::HotCommit, {info->entry_eip, info->id, info->insn_count}, 0,
+        {{art.from_store ? ProvState::Adopted : ProvState::Published,
+          art.from_store ? ProvCause::StoreHit : ProvCause::SessionOk,
+          info->id}});
     if (record_it) {
         store->record(std::move(rec));
-        noteProv(info->entry_eip, ProvState::Persisted,
-                 ProvCause::StoreRecord, info->id);
+        obs_->recordNow(Kind::Provenance, {info->entry_eip}, 0,
+                        {{ProvState::Persisted, ProvCause::StoreRecord,
+                          info->id}});
     }
     return info;
 }
@@ -1261,13 +1225,10 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
         }
         if (!smc_ok) {
             store->stats.add("persist.smc_rejected");
-            if (flight_)
-                flight_->record(
-                    flight::Kind::PersistReject, 0, obsNow(),
-                    static_cast<int64_t>(eip),
-                    static_cast<int64_t>(ProvCause::SmcMismatch));
-            noteProv(eip, ProvState::Discarded, ProvCause::SmcMismatch,
-                     -1);
+            obs_->recordNow(
+                Kind::PersistReject,
+                {eip, static_cast<int64_t>(ProvCause::SmcMismatch)}, 0,
+                {{ProvState::Discarded, ProvCause::SmcMismatch}});
             continue;
         }
 
@@ -1299,15 +1260,8 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
         // session itself.
         chargeHotStall(options.hot_publish_cost_per_insn *
                        (info->insn_count + 1));
-        if (trace_)
-            trace_->instant("persist_adopt", trace::Cat::Hot, 0,
-                            trace_now_(),
-                            {{"block", info->id},
-                             {"eip", static_cast<int64_t>(eip)}});
-        if (flight_)
-            flight_->record(flight::Kind::PersistAdopt, 0, obsNow(),
-                            static_cast<int64_t>(eip),
-                            static_cast<int64_t>(info->insn_count));
+        obs_->recordNow(Kind::PersistAdopt,
+                        {eip, info->insn_count, 0, info->id});
         if (!match && specMatches(*info, spec))
             match = info;
     }
@@ -1340,10 +1294,9 @@ Translator::translateHot(uint32_t entry_eip, const SpecContext &spec)
     HotArtifact art;
     art.generation = cache_.generation();
     runHotSession(input, options, /*faults=*/nullptr, &art);
-    if (flight_)
-        flight_->record(flight::Kind::HotSession, 0, obsNow(),
-                        static_cast<int64_t>(entry_eip),
-                        static_cast<int64_t>(art.seq), art.ok ? 1 : 0);
+    obs_->recordNow(Kind::HotSession,
+                    {entry_eip, static_cast<int64_t>(art.seq),
+                     art.ok ? 1 : 0});
 
     BlockInfo *info = commitHotArtifact(art);
     if (info && faultInjected(FaultSite::Miscompile)) {
@@ -1359,22 +1312,15 @@ Translator::translateHot(uint32_t entry_eip, const SpecContext &spec)
             options.hot_xlate_cost_per_insn * (info->insn_count + 1);
         pending_cycles_ += cost;
         pending_hot_stall_ += cost;
-        if (trace_) {
-            // Inline session: snapshot/emit/commit all happen on the
-            // guest lane, back to back on the simulated timeline.
-            double t0 = trace_now_();
-            int64_t eip = static_cast<int64_t>(entry_eip);
-            trace_->span("hot_snapshot", trace::Cat::Hot, 0, t0, 0,
-                         {{"eip", eip}, {"block", info->id}});
-            trace_->span("hot_emit", trace::Cat::Hot, 0, t0, cost,
-                         {{"eip", eip}, {"block", info->id}});
-            // ts stays at t0 (not t0+cost): the stall cycles are only
-            // charged to the machine after this service returns, so a
-            // future timestamp could precede the next event on lane 0
-            // and break per-lane monotonicity.
-            trace_->span("hot_commit", trace::Cat::Hot, 0, t0, 0,
-                         {{"eip", eip}, {"block", info->id}});
-        }
+        // Inline session: snapshot/emit/commit all happen on the guest
+        // lane, back to back at now. The commit is not stamped at
+        // now+cost: the stall cycles are only charged to the machine
+        // after this service returns, so a future timestamp could
+        // precede the next event on lane 0 and break per-lane
+        // monotonicity.
+        obs_->recordNow(Kind::InlineSnapshot, {entry_eip, info->id});
+        obs_->recordNow(Kind::InlineEmit, {entry_eip, info->id}, cost);
+        obs_->recordNow(Kind::InlineCommit, {entry_eip, info->id});
     }
     return info;
 }

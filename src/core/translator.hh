@@ -19,6 +19,7 @@
 #include "core/blockinfo.hh"
 #include "core/emit_env.hh"
 #include "core/hot_pipeline.hh"
+#include "core/observer.hh"
 #include "core/options.hh"
 #include "core/provenance.hh"
 #include "core/sched.hh"
@@ -26,16 +27,6 @@
 #include "mem/memory.hh"
 #include "support/faultinject.hh"
 #include "support/stats.hh"
-
-namespace el::trace
-{
-class Tracer;
-} // namespace el::trace
-
-namespace el::flight
-{
-class FlightRecorder;
-} // namespace el::flight
 
 namespace el::core
 {
@@ -224,33 +215,11 @@ class Translator
     StatGroup stats;
 
     /**
-     * Attach a lifecycle tracer. @p now supplies the simulated
-     * timestamp for events the translator records (the Runtime passes
-     * the machine's cycle counter). Main-thread only — the static
-     * session path never touches the tracer.
+     * Attach the run's lifecycle hook (its sinks and simulated clock;
+     * core/observer.hh). The Runtime owns @p obs. Main-thread only —
+     * the static session path never records.
      */
-    void
-    setTrace(trace::Tracer *tracer, std::function<double()> now)
-    {
-        trace_ = tracer;
-        trace_now_ = std::move(now);
-    }
-
-    /**
-     * Attach the always-on black box: the flight recorder and the
-     * artifact provenance ledger, with @p now supplying simulated
-     * timestamps (the Runtime passes the machine's cycle counter).
-     * Main-thread only, like setTrace — static session code never
-     * touches either sink, and neither charges simulated cycles.
-     */
-    void
-    setObservers(flight::FlightRecorder *flight, ProvenanceLedger *prov,
-                 std::function<double()> now)
-    {
-        flight_ = flight;
-        prov_ = prov;
-        obs_now_ = std::move(now);
-    }
+    void setObserver(const Observer *obs) { obs_ = obs; }
 
     /** Simulated translator cycles spent so far (charged by Runtime). */
     double pendingOverheadCycles() const { return pending_cycles_; }
@@ -372,26 +341,7 @@ class Translator
     double pending_cycles_ = 0;
     double pending_hot_stall_ = 0;
     bool injected_abort_ = false;
-
-    trace::Tracer *trace_ = nullptr;  //!< Null = tracing off.
-    std::function<double()> trace_now_; //!< Simulated-time source.
-
-    /** Simulated now for the black-box sinks (0 before attachment). */
-    double obsNow() const { return obs_now_ ? obs_now_() : 0; }
-
-    /** Provenance append; one branch when the ledger is detached. */
-    void
-    noteProv(uint32_t eip, ProvState state, ProvCause cause,
-             int32_t block_id)
-    {
-        if (prov_)
-            prov_->note(eip, state, cause, block_id, cache_.generation(),
-                        obsNow());
-    }
-
-    flight::FlightRecorder *flight_ = nullptr; //!< Null = recorder off.
-    ProvenanceLedger *prov_ = nullptr;         //!< Null = ledger off.
-    std::function<double()> obs_now_;          //!< Simulated-time source.
+    const Observer *obs_ = &detached_observer;
 };
 
 } // namespace el::core

@@ -399,11 +399,9 @@ fingerprintOf(const guest::Image &image, const core::Options &o)
     fnvU64(oh, o.max_trace_blocks);
     fnvU64(oh, o.max_trace_insns);
     fnvU64(oh, o.unroll_factor);
-    fnvU64(oh, o.predication_max_side);
     fnvU64(oh, o.lookup_entries);
     uint64_t toggles = 0;
-    for (bool t : {o.enable_hot_phase, o.enable_predication,
-                   o.enable_unroll, o.enable_eflags_elim,
+    for (bool t : {o.enable_hot_phase, o.enable_unroll, o.enable_eflags_elim,
                    o.enable_fxch_elim, o.enable_fp_stack_spec,
                    o.enable_mmx_alias_spec, o.enable_sse_format_spec,
                    o.enable_misalign_avoidance, o.enable_load_speculation,

@@ -4,12 +4,129 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 
 #include "support/json.hh"
 
 namespace el::trace
 {
+
+namespace
+{
+
+struct Row
+{
+    Kind kind;
+    KindInfo info;
+};
+
+/** A kind only the black box keeps. */
+constexpr KindInfo
+boxOnly(const char *name)
+{
+    KindInfo k;
+    k.box = name;
+    return k;
+}
+
+/** The kind table, in Kind order (checked below). */
+constexpr Row rows[] = {
+    {Kind::Dispatch, boxOnly("dispatch")},
+    {Kind::ColdXlate,
+     {"cold_xlate", "cold_translate", Cat::Translate, 'X', false,
+      {{"eip", 0}, {"block", 1}, {"insns", 2}}}},
+    {Kind::HotEnqueue,
+     {"hot_enqueue", "hot_snapshot", Cat::Hot, 'X', false,
+      {{"eip", 0}, {"block", 3}, {"seq", 1}}}},
+    {Kind::HotSession, boxOnly("hot_session")},
+    {Kind::WorkerSession,
+     {"hot_session", "hot_emit", Cat::Hot, 'X', true,
+      {{"eip", 0}, {"seq", 1}, {"worker", 3}, {"ok", 2}}}},
+    {Kind::HotCommit, boxOnly("hot_commit")},
+    {Kind::HotDiscard, boxOnly("hot_discard")},
+    {Kind::SmcInvalidate,
+     {"smc_invalidate", "smc_invalidate", Cat::Cache, 'i', false,
+      {{"addr", 0}, {"len", 1}, {"blocks_dropped", 2}}}},
+    {Kind::CacheFlush,
+     {"cache_flush", "cache_flush", Cat::Cache, 'X', false,
+      {{"generation", 0}}}},
+    {Kind::PersistAdopt,
+     {"persist_adopt", "persist_adopt", Cat::Hot, 'i', false,
+      {{"block", 3}, {"eip", 0}}}},
+    {Kind::PersistReject, boxOnly("persist_reject")},
+    {Kind::SentinelShift, boxOnly("sentinel_shift")},
+    {Kind::Divergence,
+     {"divergence", "divergence", Cat::Fault, 'i', false,
+      {{"eip", 0}, {"end_eip", 1}}}},
+    {Kind::FaultInject,
+     {"fault_inject", "fault_fire", Cat::Fault, 'i', false, {{"site", 0}}}},
+    {Kind::WorkerFault,
+     {"fault_inject", "fault_fire", Cat::Fault, 'i', false,
+      {{"site", 0}, {"seq", 1}}}},
+    {Kind::GuestFault, boxOnly("guest_fault")},
+    {Kind::HeatRegister,
+     {nullptr, "heat_register", Cat::Hot, 'i', false,
+      {{"block", 1}, {"eip", 0}, {"registrations", 2}}}},
+    {Kind::InlineSnapshot,
+     {nullptr, "hot_snapshot", Cat::Hot, 'X', false,
+      {{"eip", 0}, {"block", 1}}}},
+    {Kind::InlineEmit,
+     {nullptr, "hot_emit", Cat::Hot, 'X', false, {{"eip", 0}, {"block", 1}}}},
+    {Kind::InlineCommit,
+     {nullptr, "hot_commit", Cat::Hot, 'X', false,
+      {{"eip", 0}, {"block", 1}}}},
+    {Kind::HotPublish,
+     {nullptr, "hot_commit", Cat::Hot, 'X', false,
+      {{"eip", 0}, {"block", 1}, {"seq", 2}, {"worker", 3}}}},
+    {Kind::AdoptionStall,
+     {nullptr, "adoption_stall", Cat::Hot, 'i', false,
+      {{"seq", 0}, {"cycles", 1}}}},
+    {Kind::ExitUnlink,
+     {nullptr, "exit_unlink", Cat::Cache, 'i', false,
+      {{"block", 1}, {"eip", 0}}}},
+    {Kind::ExitRelink,
+     {nullptr, "exit_relink", Cat::Cache, 'i', false,
+      {{"from_block", 1}, {"target_eip", 0}}}},
+    {Kind::Quarantine,
+     {nullptr, "quarantine", Cat::Cache, 'i', false,
+      {{"block", 1}, {"eip", 0}}}},
+    {Kind::GuardRecover,
+     {nullptr, "guard_recover", Cat::Fault, 'X', false,
+      {{"block", 0}, {"kind", 1}}}},
+    {Kind::Provenance, {}},
+};
+
+constexpr bool
+rowsInKindOrder()
+{
+    for (size_t i = 0; i < std::size(rows); ++i)
+        if (rows[i].kind != static_cast<Kind>(i))
+            return false;
+    return std::size(rows) == static_cast<size_t>(Kind::NumKinds);
+}
+static_assert(rowsInKindOrder(), "kind table out of step with Kind");
+
+/** A never-reused id for the calling host thread (std::thread::id may
+ *  be recycled once a thread exits). */
+uint64_t
+threadSerial()
+{
+    static std::atomic<uint64_t> next{1};
+    thread_local const uint64_t serial =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return serial;
+}
+
+/** The Chrome sort key's last component: the first exported arg. */
+int64_t
+firstArg(const Event &e)
+{
+    const Arg &a = kindInfo(e.kind).args[0];
+    return a.key ? e.word(a.word) : 0;
+}
+
+} // namespace
 
 const char *
 catName(Cat cat)
@@ -29,6 +146,12 @@ catName(Cat cat)
     return "?";
 }
 
+const KindInfo &
+kindInfo(Kind kind)
+{
+    return rows[static_cast<size_t>(kind)].info;
+}
+
 uint64_t
 Tracer::nextInstanceId()
 {
@@ -39,48 +162,57 @@ Tracer::nextInstanceId()
 Tracer::Ring *
 Tracer::threadRing()
 {
-    // Cache the (tracer, ring) pair per thread: the common case is one
-    // tracer per run, so the lookup is two compares. The instance id
-    // guards against address reuse — a new tracer allocated where a
-    // dead one lived must not resurrect the dead tracer's ring.
-    struct Cache
+    // A small per-thread cache of (tracer, ring) pairs: every step a
+    // run records reaches up to two tracers (the Chrome capture and the
+    // black box), so the hit path is a couple of compares. Keys are
+    // instance ids, never addresses — a new tracer allocated where a
+    // dead one lived must not resurrect the dead tracer's ring. A miss
+    // looks the ring up by thread serial, so each thread owns exactly
+    // one ring per tracer whatever the cache evicted.
+    struct Slot
     {
-        const Tracer *owner = nullptr;
         uint64_t owner_id = 0;
         Ring *ring = nullptr;
     };
-    thread_local Cache cache;
-    if (cache.owner == this && cache.owner_id == instance_id_)
-        return cache.ring;
+    constexpr unsigned slots = 4;
+    thread_local Slot cache[slots];
+    thread_local unsigned victim = 0;
+    for (const Slot &s : cache)
+        if (s.owner_id == instance_id_)
+            return s.ring;
 
-    std::lock_guard<std::mutex> lk(rings_mu_);
-    rings_.push_back(std::make_unique<Ring>(ring_capacity_));
-    cache.owner = this;
-    cache.owner_id = instance_id_;
-    cache.ring = rings_.back().get();
-    return cache.ring;
+    uint64_t me = threadSerial();
+    Ring *ring = nullptr;
+    {
+        std::lock_guard<std::mutex> lk(rings_mu_);
+        for (const auto &r : rings_)
+            if (r->thread == me)
+                ring = r.get();
+        if (!ring) {
+            rings_.push_back(std::make_unique<Ring>(
+                ring_capacity_,
+                view_ == View::Chrome ? RingPolicy::DropNewest
+                                      : RingPolicy::DropOldest,
+                me));
+            ring = rings_.back().get();
+        }
+    }
+    cache[victim++ % slots] = Slot{instance_id_, ring};
+    return ring;
 }
 
 void
-Tracer::record(const char *name, Cat cat, char ph, uint32_t tid,
-               double ts, double dur, std::initializer_list<Arg> args)
+Tracer::record(const Event &e)
 {
+    const KindInfo &info = kindInfo(e.kind);
+    if (!(view_ == View::Chrome ? info.chrome : info.box))
+        return;
+    Event kept = e;
+    if (view_ == View::BlackBox && info.box_at_end)
+        kept.ts += kept.dur; // exact: cycle values are integer doubles
     Ring *ring = threadRing();
     std::lock_guard<std::mutex> lk(ring->mu);
-    Event e;
-    e.name = name;
-    e.cat = cat;
-    e.ph = ph;
-    e.tid = tid;
-    e.ts = ts;
-    e.dur = dur;
-    e.nargs = 0;
-    for (const Arg &a : args) {
-        if (e.nargs >= max_args)
-            break;
-        e.args[e.nargs++] = a;
-    }
-    ring->events.push(e);
+    ring->events.push(kept);
 }
 
 std::vector<Event>
@@ -95,19 +227,30 @@ Tracer::snapshot() const
                        ring->events.end());
         }
     }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const Event &a, const Event &b) {
-                         if (a.ts != b.ts)
-                             return a.ts < b.ts;
-                         if (a.tid != b.tid)
-                             return a.tid < b.tid;
-                         int c = std::strcmp(a.name, b.name);
-                         if (c != 0)
-                             return c < 0;
-                         int64_t av = a.nargs ? a.args[0].value : 0;
-                         int64_t bv = b.nargs ? b.args[0].value : 0;
-                         return av < bv;
-                     });
+    if (view_ == View::Chrome)
+        std::stable_sort(out.begin(), out.end(),
+                         [](const Event &x, const Event &y) {
+                             if (x.ts != y.ts)
+                                 return x.ts < y.ts;
+                             if (x.lane != y.lane)
+                                 return x.lane < y.lane;
+                             int c = std::strcmp(kindInfo(x.kind).chrome,
+                                                 kindInfo(y.kind).chrome);
+                             if (c != 0)
+                                 return c < 0;
+                             return firstArg(x) < firstArg(y);
+                         });
+    else
+        std::stable_sort(out.begin(), out.end(),
+                         [](const Event &x, const Event &y) {
+                             if (x.ts != y.ts)
+                                 return x.ts < y.ts;
+                             if (x.lane != y.lane)
+                                 return x.lane < y.lane;
+                             if (x.kind != y.kind)
+                                 return x.kind < y.kind;
+                             return x.a < y.a;
+                         });
     return out;
 }
 
@@ -131,22 +274,26 @@ Tracer::chromeJson() const
     w.key("traceEvents");
     w.beginArray();
     for (const Event &e : snapshot()) {
+        const KindInfo &k = kindInfo(e.kind);
+        if (!k.chrome)
+            continue; // a black-box-only kind
         w.beginObject();
-        w.kv("name", e.name);
-        w.kv("cat", catName(e.cat));
+        w.kv("name", k.chrome);
+        w.kv("cat", catName(k.cat));
         w.key("ph");
-        w.str(std::string(1, e.ph));
+        w.str(std::string(1, k.ph));
         w.kv("ts", e.ts);
-        if (e.ph == 'X')
+        if (k.ph == 'X')
             w.kv("dur", e.dur);
         w.kv("pid", 1);
-        w.kv("tid", static_cast<uint64_t>(e.tid));
-        if (e.ph == 'i')
+        w.kv("tid", static_cast<uint64_t>(e.lane));
+        if (k.ph == 'i')
             w.kv("s", "t"); // instant scope: thread
         w.key("args");
         w.beginObject();
-        for (unsigned k = 0; k < e.nargs; ++k)
-            w.kv(e.args[k].key, e.args[k].value);
+        for (const Arg &a : k.args)
+            if (a.key)
+                w.kv(a.key, e.word(a.word));
         w.endObject();
         w.endObject();
     }

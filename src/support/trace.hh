@@ -1,25 +1,33 @@
 /**
  * @file
- * Translation-lifecycle event tracer.
+ * The translation-lifecycle event stream.
  *
- * A low-overhead, thread-safe recorder of spans and instant events on
- * the *simulated* timeline: timestamps are simulated cycles, and the
- * "thread" of an event is a logical lane — lane 0 is the guest/runtime
- * thread, lane 1+k is simulated hot-pipeline worker slot k. Because
- * both timestamps and lanes come from the simulation (never from
- * wall-clock or host thread identity), a deterministic run produces a
- * bit-identical trace regardless of real worker scheduling.
+ * Every step BTGeneric takes in a translation's life — a dispatch, a
+ * cold translation, a heat registration, a hot session and its commit
+ * or discard, an SMC invalidation, a cache flush, an injected or guest
+ * fault — is one fixed-width Event: a Kind, a logical lane, a
+ * simulated-cycle timestamp and span length, and four int64 payload
+ * words. No strings are stored; a constant per-kind table (kindInfo())
+ * says what each artifact calls the kind and which words it exports.
  *
- * Recording is per-thread: each host thread appends into its own ring
- * buffer (bounded; overflow drops the newest event and counts it), so
- * pipeline workers never contend with the main thread. Export merges
- * the rings and sorts by (timestamp, lane) into Chrome trace-event JSON
- * loadable in chrome://tracing or https://ui.perfetto.dev.
+ * Two views record the same stream, each a Tracer over per-thread
+ * bounded rings that store only the kinds the view exports:
+ *  - View::Chrome is the opt-in lifecycle capture (Options::trace). Its
+ *    rings drop the *newest* event on overflow, so the front of the run
+ *    stays a faithful prefix, and chromeJson() exports Chrome
+ *    trace-event JSON for chrome://tracing or https://ui.perfetto.dev.
+ *  - View::BlackBox is the always-on flight recorder the runtime owns
+ *    (Options::flight_recorder). Its rings drop the *oldest* event, so
+ *    the tail that explains an abnormal exit survives; postmortem
+ *    bundles export it.
  *
- * The disabled path is a single branch per event at every call site:
- * instrumented code holds a `Tracer *` that is null when tracing is
- * off, and the simulation never charges cycles for tracing, so cycle
- * results are bit-identical with tracing on or off.
+ * Lanes and timestamps come from the simulation, never from wall clock
+ * or host thread identity: lane 0 is the guest/runtime thread, lane 1+k
+ * is hot-pipeline worker slot k, and worker events carry the
+ * candidate's *planned* simulated times. A deterministic run therefore
+ * records a bit-identical stream regardless of real worker scheduling.
+ * Recording charges zero simulated cycles, so cycle results are
+ * bit-identical with either view attached or not.
  */
 
 #ifndef EL_SUPPORT_TRACE_HH
@@ -48,65 +56,142 @@ enum class Cat : uint8_t
 
 const char *catName(Cat cat);
 
-/** One key/value argument attached to an event. */
+/**
+ * What happened. A kind is the *shape* of one recording site, not an
+ * exported name: two sites that share a name but export different
+ * words (the inline and the pipelined hot session, the guest-lane and
+ * the worker-lane fault injection) are separate kinds. Payloads are
+ * words a/b/c/d; a guest entry point always goes in a.
+ *
+ * The black-box kinds come first, in their historical order: the black
+ * box breaks timestamp ties by kind.
+ */
+enum class Kind : uint8_t
+{
+    Dispatch,      //!< Block-map lookup (a=eip, b=lookup #).
+    ColdXlate,     //!< Cold block translated (a=eip, b=block, c=insns).
+    HotEnqueue,    //!< Candidate queued to the pipeline (a=eip, b=seq,
+                   //!< d=block).
+    HotSession,    //!< Inline session ran (a=eip, b=seq, c=ok).
+    WorkerSession, //!< Worker session ran over its planned ts..ts+dur
+                   //!< (a=eip, b=seq, c=ok, d=worker slot).
+    HotCommit,     //!< Hot artifact published (a=eip, b=block, c=insns).
+    HotDiscard,    //!< Hot artifact rejected at commit (a=eip, b=cause).
+    SmcInvalidate, //!< Self-modifying write killed blocks (a=addr,
+                   //!< b=len, c=count).
+    CacheFlush,    //!< Code cache flushed (a=generation).
+    PersistAdopt,  //!< Stored artifact adopted (a=eip, b=insns,
+                   //!< d=block).
+    PersistReject, //!< Stored artifact rejected (a=eip, b=cause).
+    SentinelShift, //!< Health transition (a=eip, b=from, c=to).
+    Divergence,    //!< Shadow-execution mismatch (a=checkpoint eip,
+                   //!< b=boundary eip).
+    FaultInject,   //!< Injected fault fired on the guest lane (a=site,
+                   //!< b=fire #).
+    WorkerFault,   //!< Injected session abort on a worker (a=site,
+                   //!< b=seq).
+    GuestFault,    //!< Guest fault delivered (a=eip, b=fault kind).
+
+    // Chrome-only kinds.
+    HeatRegister,   //!< Use counter fired (a=eip, b=block,
+                    //!< c=registrations).
+    InlineSnapshot, //!< The inline session's three phases, back to
+    InlineEmit,     //!< back on lane 0 (a=eip, b=hot block).
+    InlineCommit,
+    HotPublish,     //!< Pipelined artifact published (a=eip, b=block,
+                    //!< c=seq, d=worker slot).
+    AdoptionStall,  //!< Artifact waited for a boundary (a=seq, b=cycles).
+    ExitUnlink,     //!< Block exits unlinked (a=eip, b=block).
+    ExitRelink,     //!< Exit patched to its target (a=target eip,
+                    //!< b=from block).
+    Quarantine,     //!< Translation blacklisted (a=eip, b=block).
+    GuardRecover,   //!< Speculation guard repaired (a=block, b=guard).
+
+    /** A provenance step no view keeps (a=eip): the ledger is its only
+     *  sink. */
+    Provenance,
+
+    NumKinds
+};
+
+/** One Chrome argument: its key and the payload word it exports. */
 struct Arg
 {
-    const char *key = nullptr; //!< Static string (call sites use literals).
-    int64_t value = 0;
+    const char *key = nullptr; //!< Null ends the list.
+    uint8_t word = 0;          //!< 0..3 = a..d.
 };
 
 constexpr unsigned max_args = 4;
 
-/** One recorded event. Name/category strings must be static. */
-struct Event
+/** How each view exports a kind. */
+struct KindInfo
 {
-    const char *name = nullptr;
+    const char *box = nullptr;    //!< Black-box name; null = not kept.
+    const char *chrome = nullptr; //!< Chrome name; null = not traced.
     Cat cat = Cat::Runtime;
-    char ph = 'i';    //!< 'X' complete span, 'i' instant.
-    uint32_t tid = 0; //!< Logical lane: 0 = guest, 1+k = worker slot k.
-    double ts = 0;    //!< Simulated cycles at event start.
-    double dur = 0;   //!< Span length in simulated cycles ('X' only).
-    Arg args[max_args];
-    uint8_t nargs = 0;
+    char ph = 'i';                //!< 'X' complete span, 'i' instant.
+    bool box_at_end = false;      //!< Black box stamps at ts + dur.
+    Arg args[max_args];           //!< Chrome args, in export order.
 };
 
-/** The tracer. One instance per traced run; see file comment. */
+const KindInfo &kindInfo(Kind kind);
+
+/** One recorded event; see Kind for payload meanings. */
+struct Event
+{
+    Kind kind = Kind::Dispatch;
+    uint32_t lane = 0; //!< 0 = guest thread, 1+k = worker slot k.
+    double ts = 0;     //!< Simulated cycles (planned time on workers).
+    double dur = 0;    //!< Span length in simulated cycles.
+    int64_t a = 0;
+    int64_t b = 0;
+    int64_t c = 0;
+    int64_t d = 0;
+
+    /** Payload word @p i (0..3 = a..d). */
+    int64_t
+    word(unsigned i) const
+    {
+        return i == 0 ? a : i == 1 ? b : i == 2 ? c : d;
+    }
+};
+
+/** Which artifact a Tracer feeds; see the file comment. */
+enum class View : uint8_t
+{
+    Chrome,   //!< Drop-newest prefix, exported as Chrome JSON.
+    BlackBox, //!< Drop-oldest tail, exported in postmortem bundles.
+};
+
+/** The recorder: one instance per view per run. */
 class Tracer
 {
   public:
     /** @p ring_capacity Per-thread ring size in events. */
-    explicit Tracer(size_t ring_capacity = 1 << 16)
-        : ring_capacity_(ring_capacity ? ring_capacity : 1)
+    explicit Tracer(size_t ring_capacity = 1 << 16,
+                    View view = View::Chrome)
+        : ring_capacity_(ring_capacity ? ring_capacity : 1), view_(view)
     {}
 
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
-    /** Record a complete span of @p dur simulated cycles at @p ts. */
-    void
-    span(const char *name, Cat cat, uint32_t tid, double ts, double dur,
-         std::initializer_list<Arg> args = {})
-    {
-        record(name, cat, 'X', tid, ts, dur, args);
-    }
-
-    /** Record an instant event at @p ts. */
-    void
-    instant(const char *name, Cat cat, uint32_t tid, double ts,
-            std::initializer_list<Arg> args = {})
-    {
-        record(name, cat, 'i', tid, ts, 0, args);
-    }
+    /** Record @p e into the calling thread's ring if this view exports
+     *  its kind (the black box re-stamps box_at_end kinds first). */
+    void record(const Event &e);
 
     /**
-     * Merged view of every ring, sorted by (ts, tid, name, first arg) —
-     * a deterministic order for a deterministic event set, independent
-     * of which host thread recorded what when.
+     * Merged view of every ring, in a deterministic order for a
+     * deterministic event set, independent of which host thread
+     * recorded what when: (ts, lane, Chrome name, first arg) for the
+     * Chrome view, (ts, lane, kind, a) for the black box.
      */
     std::vector<Event> snapshot() const;
 
-    /** Events dropped on ring overflow, across all rings. */
+    /** Events lost to ring overflow, across all rings. */
     uint64_t dropped() const;
+
+    size_t ringCapacity() const { return ring_capacity_; }
 
     /** Chrome trace-event JSON (the {"traceEvents": [...]} form). */
     std::string chromeJson() const;
@@ -115,29 +200,25 @@ class Tracer
     bool writeChromeJson(const std::string &path) const;
 
   private:
-    /** One host thread's bounded event buffer. Drop-newest: on
-     *  overflow the earliest part of the run stays intact (see
-     *  support/ring.hh for the shared ring + the profiler's opposite
-     *  choice). */
+    /** One host thread's bounded event buffer. */
     struct Ring
     {
         mutable std::mutex mu; //!< Owner appends; snapshot() reads.
         BoundedRing<Event> events;
+        uint64_t thread = 0;   //!< Serial of the owning host thread.
 
-        explicit Ring(size_t capacity)
-            : events(capacity, RingPolicy::DropNewest)
+        Ring(size_t capacity, RingPolicy policy, uint64_t owner)
+            : events(capacity, policy), thread(owner)
         {}
     };
-
-    void record(const char *name, Cat cat, char ph, uint32_t tid,
-                double ts, double dur, std::initializer_list<Arg> args);
 
     /** The calling thread's ring (created on first use). */
     Ring *threadRing();
 
     size_t ring_capacity_;
+    View view_;
     /** Distinguishes this instance from a dead tracer that occupied the
-     *  same address (the per-thread ring cache keys on both). */
+     *  same address (the per-thread ring cache keys on it). */
     uint64_t instance_id_ = nextInstanceId();
     mutable std::mutex rings_mu_;
     std::vector<std::unique_ptr<Ring>> rings_;

@@ -24,6 +24,8 @@
 
 #include <sys/wait.h>
 
+#include "guest/image.hh"
+#include "ia32/fault.hh"
 #include "support/json.hh"
 
 namespace
@@ -204,11 +206,17 @@ TEST(CliPostmortem, GuestFaultBundleNamesTheFault)
                               ? root.find("flight")->find("events")
                               : nullptr;
     ASSERT_NE(events, nullptr);
-    bool fault_event = false;
+    const Value *fault_event = nullptr;
     for (const Value &e : events->arr)
         if (e.strOr("kind", "") == "guest_fault")
-            fault_event = true;
-    EXPECT_TRUE(fault_event) << "no guest_fault flight event in bundle";
+            fault_event = &e;
+    ASSERT_NE(fault_event, nullptr) << "no guest_fault flight event in bundle";
+    // Like every kind, a = the eip: the faulter's load, after one
+    // 5-byte mov. b = the fault kind.
+    EXPECT_EQ(fault_event->numberOr("a", 0),
+              static_cast<double>(el::guest::Layout::code_base + 5));
+    EXPECT_EQ(fault_event->numberOr("b", 0),
+              static_cast<double>(el::ia32::FaultKind::PageFault));
     const Value *prov = root.find("provenance");
     ASSERT_NE(prov, nullptr);
     EXPECT_TRUE(prov->isArray());

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the observability tentpole: the always-on flight recorder,
- * the artifact provenance ledger, the telemetry snapshotter, and the
- * postmortem bundle.
+ * Tests for the always-on black box (the drop-oldest view of the event
+ * stream), the artifact provenance ledger, the telemetry snapshotter,
+ * and the postmortem bundle.
  *
  * The load-bearing properties:
  *  - recording charges zero simulated cycles: guest results AND cycle
@@ -11,6 +11,8 @@
  *    identical event sequences for every translation_threads setting,
  *    because worker events carry planned simulated times and planned
  *    worker slots, never wall clock;
+ *  - the Chrome capture and the black box are two views of one stream:
+ *    every step both record is counted the same in each;
  *  - a chaos run's postmortem names the injected fault site that
  *    caused the trouble, and the faulting entry point's provenance
  *    chain is present.
@@ -18,17 +20,21 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "btlib/abi.hh"
 #include "core/postmortem.hh"
 #include "core/provenance.hh"
 #include "guest/image.hh"
+#include "guest/workloads.hh"
 #include "harness/exec.hh"
 #include "ia32/assembler.hh"
 #include "support/faultinject.hh"
-#include "support/flightrec.hh"
 #include "support/json.hh"
 #include "support/metrics.hh"
 #include "support/random.hh"
+#include "support/trace.hh"
 
 namespace el
 {
@@ -78,43 +84,71 @@ hotOpts(unsigned threads, bool flight = true)
 
 // ----- recorder unit behavior -------------------------------------------
 
+using trace::Kind;
+
+/** Record @p n events of @p kind at ts = a = 0..n-1 on lane 0. */
+void
+recordSeries(trace::Tracer &t, Kind kind, int n)
+{
+    for (int i = 0; i < n; ++i)
+        t.record({kind, 0, static_cast<double>(i), 0, i});
+}
+
 TEST(FlightRecorder, DropOldestKeepsTheTail)
 {
-    flight::FlightRecorder fr(4);
-    for (int i = 0; i < 10; ++i)
-        fr.record(flight::Kind::Dispatch, 0, i, i);
-    std::vector<flight::Event> ev = fr.snapshot();
+    trace::Tracer box(4, trace::View::BlackBox);
+    recordSeries(box, Kind::Dispatch, 10);
+    std::vector<trace::Event> ev = box.snapshot();
     ASSERT_EQ(ev.size(), 4u);
     // The last four events survive, the first six were evicted.
     EXPECT_EQ(ev.front().a, 6);
     EXPECT_EQ(ev.back().a, 9);
-    EXPECT_EQ(fr.dropped(), 6u);
+    EXPECT_EQ(box.dropped(), 6u);
+}
+
+TEST(EventStream, DropNewestKeepsThePrefix)
+{
+    trace::Tracer chrome(4);
+    recordSeries(chrome, Kind::ColdXlate, 10);
+    // A black-box-only kind never reaches the Chrome rings, so it can
+    // neither occupy a slot nor count as a drop.
+    chrome.record({Kind::Dispatch, 0, 99.0, 0, 99});
+    std::vector<trace::Event> ev = chrome.snapshot();
+    ASSERT_EQ(ev.size(), 4u);
+    // The first four events survive, the last six were refused.
+    EXPECT_EQ(ev.front().a, 0);
+    EXPECT_EQ(ev.back().a, 3);
+    EXPECT_EQ(chrome.dropped(), 6u);
 }
 
 TEST(FlightRecorder, SnapshotMergesSortedByTime)
 {
-    flight::FlightRecorder fr(16);
-    fr.record(flight::Kind::HotCommit, 0, 30.0, 3);
-    fr.record(flight::Kind::Dispatch, 0, 10.0, 1);
-    fr.record(flight::Kind::ColdXlate, 0, 20.0, 2);
-    std::vector<flight::Event> ev = fr.snapshot();
-    ASSERT_EQ(ev.size(), 3u);
-    EXPECT_EQ(ev[0].a, 1);
-    EXPECT_EQ(ev[1].a, 2);
-    EXPECT_EQ(ev[2].a, 3);
+    trace::Tracer box(16, trace::View::BlackBox);
+    box.record({Kind::HotCommit, 0, 30.0, 0, 4});
+    box.record({Kind::Dispatch, 0, 10.0, 0, 1});
+    box.record({Kind::ColdXlate, 0, 20.0, 0, 2});
+    // A worker session planned over 5..25 is stamped at its ready time.
+    box.record({Kind::WorkerSession, 1, 5.0, 20.0, 3});
+    std::vector<trace::Event> ev = box.snapshot();
+    ASSERT_EQ(ev.size(), 4u);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(ev[i].a, i + 1);
+    EXPECT_EQ(ev[2].ts, 25.0);
 }
 
 TEST(FlightRecorder, KindNamesAreStable)
 {
     // The postmortem schema exports these names; renaming one is a
     // consumer-visible break and must be deliberate.
-    EXPECT_STREQ(flight::kindName(flight::Kind::Dispatch), "dispatch");
-    EXPECT_STREQ(flight::kindName(flight::Kind::HotCommit),
-                 "hot_commit");
-    EXPECT_STREQ(flight::kindName(flight::Kind::FaultInject),
-                 "fault_inject");
-    EXPECT_STREQ(flight::kindName(flight::Kind::SentinelShift),
-                 "sentinel_shift");
+    auto box = [](Kind k) { return trace::kindInfo(k).box; };
+    EXPECT_STREQ(box(Kind::Dispatch), "dispatch");
+    EXPECT_STREQ(box(Kind::HotCommit), "hot_commit");
+    EXPECT_STREQ(box(Kind::FaultInject), "fault_inject");
+    EXPECT_STREQ(box(Kind::SentinelShift), "sentinel_shift");
+    // Guest-lane and worker-lane shapes of one step share their name.
+    EXPECT_STREQ(box(Kind::WorkerFault), "fault_inject");
+    EXPECT_STREQ(box(Kind::HotSession), "hot_session");
+    EXPECT_STREQ(box(Kind::WorkerSession), "hot_session");
 }
 
 TEST(ProvenanceLedger, TimelineIsBoundedPerEip)
@@ -152,9 +186,9 @@ TEST(FlightRecorder, RecorderOnOffIsBitExactIncludingCycles)
         // The acceptance bar: zero simulated-cycle delta.
         EXPECT_DOUBLE_EQ(on.outcome.cycles, off.outcome.cycles)
             << "threads " << threads;
-        EXPECT_NE(on.runtime->flight(), nullptr);
-        EXPECT_EQ(off.runtime->flight(), nullptr);
-        EXPECT_GT(on.runtime->flight()->snapshot().size(), 0u);
+        EXPECT_NE(on.runtime->blackBox(), nullptr);
+        EXPECT_EQ(off.runtime->blackBox(), nullptr);
+        EXPECT_GT(on.runtime->blackBox()->snapshot().size(), 0u);
     }
 }
 
@@ -162,14 +196,14 @@ TEST(FlightRecorder, RecorderOnOffIsBitExactIncludingCycles)
 
 /** The merged flight of one run, reduced to a comparable string. */
 std::string
-flightFingerprint(const flight::FlightRecorder &fr)
+flightFingerprint(const trace::Tracer &box)
 {
     std::string out;
-    for (const flight::Event &e : fr.snapshot()) {
+    for (const trace::Event &e : box.snapshot()) {
         char buf[160];
         std::snprintf(buf, sizeof(buf), "%s lane=%u ts=%.0f %lld %lld "
                       "%lld\n",
-                      flight::kindName(e.kind), e.lane, e.ts,
+                      trace::kindInfo(e.kind).box, e.lane, e.ts,
                       static_cast<long long>(e.a),
                       static_cast<long long>(e.b),
                       static_cast<long long>(e.c));
@@ -188,15 +222,98 @@ TEST(FlightRecorder, MergedOrderIsDeterministicAcrossThreadCounts)
             img, btlib::OsAbi::Linux, hotOpts(threads));
         ASSERT_TRUE(a.outcome.exited);
         ASSERT_TRUE(b.outcome.exited);
-        ASSERT_NE(a.runtime->flight(), nullptr);
-        ASSERT_NE(b.runtime->flight(), nullptr);
+        ASSERT_NE(a.runtime->blackBox(), nullptr);
+        ASSERT_NE(b.runtime->blackBox(), nullptr);
         // Identical runs must replay to identical merged flights:
         // worker events carry planned times and planned slots, so host
         // scheduling cannot reorder or relabel anything.
-        EXPECT_EQ(flightFingerprint(*a.runtime->flight()),
-                  flightFingerprint(*b.runtime->flight()))
+        EXPECT_EQ(flightFingerprint(*a.runtime->blackBox()),
+                  flightFingerprint(*b.runtime->blackBox()))
             << "threads " << threads;
     }
+}
+
+// ----- one stream, two views --------------------------------------------
+
+/** How many events a view kept, by the name @p view exports. */
+std::map<std::string, uint64_t>
+countByName(const trace::Tracer &t, trace::View view)
+{
+    std::map<std::string, uint64_t> n;
+    for (const trace::Event &e : t.snapshot()) {
+        const trace::KindInfo &k = trace::kindInfo(e.kind);
+        ++n[view == trace::View::Chrome ? k.chrome : k.box];
+    }
+    return n;
+}
+
+/**
+ * Run @p w with a Chrome capture and a black box big enough that
+ * neither ring drops, and require every step both views record to
+ * appear equally often in each. Returns the Chrome counts.
+ */
+std::map<std::string, uint64_t>
+expectOneStream(const guest::Workload &w, core::Options o)
+{
+    trace::Tracer chrome;
+    o.trace = &chrome;
+    o.flight_ring_capacity = 1 << 16;
+    harness::TranslatedRun r =
+        harness::runTranslated(w.image, w.params.abi, o);
+    EXPECT_TRUE(r.outcome.exited);
+    const trace::Tracer *box = r.runtime->blackBox();
+    EXPECT_NE(box, nullptr);
+    if (!box)
+        return {};
+    EXPECT_EQ(chrome.dropped(), 0u);
+    EXPECT_EQ(box->dropped(), 0u);
+
+    std::map<std::string, uint64_t> in_chrome =
+        countByName(chrome, trace::View::Chrome);
+    std::map<std::string, uint64_t> in_box =
+        countByName(*box, trace::View::BlackBox);
+    const struct
+    {
+        const char *chrome;
+        const char *box;
+    } steps[] = {{"cold_translate", "cold_xlate"},
+                 {"hot_emit", "hot_session"},
+                 {"smc_invalidate", "smc_invalidate"},
+                 {"cache_flush", "cache_flush"},
+                 {"fault_fire", "fault_inject"}};
+    for (const auto &s : steps)
+        EXPECT_EQ(in_chrome[s.chrome], in_box[s.box])
+            << w.name << " threads " << o.translation_threads << ": "
+            << s.chrome << " vs " << s.box;
+    return in_chrome;
+}
+
+TEST(EventStream, BothViewsCountTheSameSteps)
+{
+    guest::WorkloadParams gp;
+    gp.outer_iters = 60;
+    gp.size = 24000;
+    guest::Workload gzip = guest::buildStream("gzip", gp);
+    for (unsigned threads : {0u, 4u}) {
+        core::Options o = hotOpts(threads);
+        o.fault.site(FaultSite::HotXlateAbort, 512);
+        o.fault.seed = 7;
+        std::map<std::string, uint64_t> n = expectOneStream(gzip, o);
+        EXPECT_GT(n["cold_translate"], 0u);
+        EXPECT_GT(n["hot_emit"], 0u);
+        EXPECT_GT(n["fault_fire"], 0u) << "threads " << threads;
+    }
+
+    guest::WorkloadParams bp;
+    bp.outer_iters = 12;
+    bp.size = 4000;
+    bp.code_copies = 12;
+    guest::Workload bigcode = guest::buildBigCode("bigcode", bp);
+    core::Options o = hotOpts(0);
+    o.code_cache_capacity = 1024;
+    o.cache_headroom = 512;
+    std::map<std::string, uint64_t> n = expectOneStream(bigcode, o);
+    EXPECT_GT(n["cache_flush"], 0u);
 }
 
 // ----- provenance through a real run ------------------------------------

@@ -49,15 +49,24 @@ gzipWorkload()
     return guest::buildStream("gzip", p);
 }
 
-/** Stable text encoding of one event (everything the trace records). */
+/** The Chrome name of @p e. */
+const char *
+nameOf(const trace::Event &e)
+{
+    return trace::kindInfo(e.kind).chrome;
+}
+
+/** Stable text encoding of one event (everything the trace exports). */
 std::string
 encode(const trace::Event &e)
 {
-    std::string s = strfmt("%s|%c|%u|%.17g|%.17g", e.name, e.ph, e.tid,
-                           e.ts, e.dur);
-    for (unsigned i = 0; i < e.nargs; ++i)
-        s += strfmt("|%s=%lld", e.args[i].key,
-                    static_cast<long long>(e.args[i].value));
+    const trace::KindInfo &k = trace::kindInfo(e.kind);
+    std::string s =
+        strfmt("%s|%c|%u|%.17g|%.17g", k.chrome, k.ph, e.lane, e.ts, e.dur);
+    for (const trace::Arg &a : k.args)
+        if (a.key)
+            s += strfmt("|%s=%lld", a.key,
+                        static_cast<long long>(e.word(a.word)));
     return s;
 }
 
@@ -70,13 +79,16 @@ encodeAll(const trace::Tracer &t)
     return s;
 }
 
-const trace::Arg *
-argOf(const trace::Event &e, const char *key)
+/** The exported Chrome arg @p key of @p e into @p out; false if absent. */
+bool
+argOf(const trace::Event &e, const char *key, int64_t *out)
 {
-    for (unsigned i = 0; i < e.nargs; ++i)
-        if (std::strcmp(e.args[i].key, key) == 0)
-            return &e.args[i];
-    return nullptr;
+    for (const trace::Arg &a : trace::kindInfo(e.kind).args)
+        if (a.key && std::strcmp(a.key, key) == 0) {
+            *out = e.word(a.word);
+            return true;
+        }
+    return false;
 }
 
 /** The (name, eip) pairs of all events named @p name. */
@@ -85,12 +97,11 @@ eipSetOf(const trace::Tracer &t, const char *name)
 {
     std::multiset<std::string> out;
     for (const trace::Event &e : t.snapshot()) {
-        if (std::strcmp(e.name, name) != 0)
+        if (std::strcmp(nameOf(e), name) != 0)
             continue;
-        const trace::Arg *eip = argOf(e, "eip");
-        out.insert(strfmt("%s@%llx", e.name,
-                          eip ? static_cast<long long>(eip->value)
-                              : -1LL));
+        int64_t eip = -1;
+        argOf(e, "eip", &eip);
+        out.insert(strfmt("%s@%llx", name, static_cast<long long>(eip)));
     }
     return out;
 }
@@ -256,8 +267,8 @@ TEST(Trace, GzipHotSessionsLandOnWorkerLanes)
     ASSERT_TRUE(r.outcome.exited);
     std::set<uint32_t> lanes;
     for (const trace::Event &e : t.snapshot())
-        if (std::strcmp(e.name, "hot_emit") == 0)
-            lanes.insert(e.tid);
+        if (std::strcmp(nameOf(e), "hot_emit") == 0)
+            lanes.insert(e.lane);
     EXPECT_FALSE(lanes.empty());
     for (uint32_t tid : lanes)
         EXPECT_NE(tid, 0u); // sessions run on worker lanes, not lane 0
@@ -280,7 +291,7 @@ TEST(Trace, BoundedCachePressureEmitsFlushEvents)
     ASSERT_TRUE(r.outcome.exited);
     unsigned flushes = 0;
     for (const trace::Event &e : t.snapshot())
-        if (std::strcmp(e.name, "cache_flush") == 0)
+        if (std::strcmp(nameOf(e), "cache_flush") == 0)
             ++flushes;
     EXPECT_GE(flushes, 1u);
     std::string error;
@@ -300,11 +311,10 @@ TEST(Trace, InjectedFaultsAreTraced)
     ASSERT_TRUE(r.outcome.exited);
     unsigned fires = 0;
     for (const trace::Event &e : t.snapshot())
-        if (std::strcmp(e.name, "fault_fire") == 0) {
-            const trace::Arg *site = argOf(e, "site");
-            ASSERT_NE(site, nullptr);
-            EXPECT_EQ(site->value,
-                      static_cast<int64_t>(FaultSite::HotXlateAbort));
+        if (std::strcmp(nameOf(e), "fault_fire") == 0) {
+            int64_t site = -1;
+            ASSERT_TRUE(argOf(e, "site", &site));
+            EXPECT_EQ(site, static_cast<int64_t>(FaultSite::HotXlateAbort));
             ++fires;
         }
     EXPECT_GE(fires, 1u);
