@@ -7,7 +7,7 @@
  * capacity downward on an integer kernel and reports the slowdown, the
  * number of flush generations taken and the retranslation volume — the
  * knee of the curve shows how much cache the workload actually needs
- * before recovery overhead (Options::cache_flush_cost + retranslation)
+ * before recovery overhead (core::cache_flush_cost + retranslation)
  * starts to dominate.
  */
 

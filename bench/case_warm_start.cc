@@ -44,12 +44,12 @@ baseOpts()
 
 /** Simulated cycles spent making translations (both phases). */
 double
-translationCycles(core::Runtime &rt, const core::Options &o)
+translationCycles(core::Runtime &rt)
 {
     const StatGroup &st = rt.stats();
     const StatGroup &xl = rt.translator().stats;
     return static_cast<double>(st.get("hot.stall_cycles")) +
-           o.cold_xlate_cost_per_insn *
+           core::cold_xlate_cost_per_insn *
                static_cast<double>(xl.get("xlate.cold_insns"));
 }
 
@@ -71,7 +71,7 @@ measure(const guest::Workload &w, core::Options o,
         harness::runTranslated(w.image, w.params.abi, o);
     Leg leg;
     leg.cycles = run.outcome.cycles;
-    leg.xlate_cycles = translationCycles(*run.runtime, o);
+    leg.xlate_cycles = translationCycles(*run.runtime);
     double hits = store ? static_cast<double>(
                               store->stats.get("persist.hits"))
                         : 0;

@@ -50,7 +50,7 @@ main(int argc, char **argv)
     }
 
     core::Options opts; // defaults: the cost model used for translation
-    double cold_cost = opts.cold_xlate_cost_per_insn;
+    double cold_cost = core::cold_xlate_cost_per_insn;
     double hot_cost = opts.hot_xlate_cost_per_insn;
 
     Table t({"claim", "ours", "paper"});

@@ -874,7 +874,6 @@ EmitEnv::emitSplitStore(int16_t addr, int16_t val, unsigned size,
 int16_t
 EmitEnv::emitLoad(int16_t addr, unsigned size)
 {
-    ++loads_emitted;
     uint32_t access_idx = access_count++;
     if (size == 1 || policy_ == MisalignPolicy::Plain) {
         int16_t v = newGr();
@@ -931,7 +930,6 @@ EmitEnv::emitLoad(int16_t addr, unsigned size)
 void
 EmitEnv::emitStore(int16_t addr, int16_t val, unsigned size)
 {
-    ++stores_emitted;
     uint32_t access_idx = access_count++;
     if (size == 1 || policy_ == MisalignPolicy::Plain) {
         Il il = mk(IpfOp::St);
@@ -1036,7 +1034,6 @@ EmitEnv::emitMisalignCounter(int16_t p_mis, int16_t addr, unsigned size,
 int16_t
 EmitEnv::emitLoadF(int16_t addr, unsigned fsize)
 {
-    ++loads_emitted;
     ++access_count;
     int16_t v = newFr();
     unsigned bytes = fsize == 9 ? 8 : fsize;
@@ -1067,7 +1064,6 @@ EmitEnv::emitLoadF(int16_t addr, unsigned fsize)
 void
 EmitEnv::emitStoreF(int16_t addr, int16_t fval, unsigned fsize)
 {
-    ++stores_emitted;
     ++access_count;
     unsigned bytes = fsize == 9 ? 8 : fsize;
     bool avoid = (policy_ == MisalignPolicy::CountAndAvoid ||

@@ -173,10 +173,6 @@ class EmitEnv
     /** The current lazy recipe (captured into recovery maps). */
     FlagRecipe flagRecipe() const;
 
-    /** Declare flag homes current for @p mask without emitting code
-     *  (used by templates that wrote homes with predicated moves). */
-    void clearLazyDirty(uint32_t mask) { lazy_.dirty &= ~mask; }
-
     // ----- addresses & memory -----------------------------------------
     /** Effective address (32-bit wrapped), with CSE under the hot policy. */
     int16_t effAddr(const ia32::MemRef &mem);
@@ -221,7 +217,6 @@ class EmitEnv
     void fpInit();
     /** EMMS: statically mark every slot empty (TOS unchanged). */
     void fpEmms();
-    bool fpUsed() const { return fp_used_; }
     /** In-memory FP-stack mode (the FX!32 ablation). */
     bool fpMemoryMode() const { return !options.enable_fp_stack_spec; }
     int16_t fpMemLoadSt(uint8_t sti);
@@ -232,7 +227,6 @@ class EmitEnv
     /** Mark that this block executes MMX (or FP) instructions. */
     void touchMmx();
     void touchFp();
-    bool mmxUsed() const { return mmx_used_; }
 
     /** GR home of MMX register i (domain handling is block-level). */
     int16_t mmxGr(uint8_t i) { touchMmx(); return ipf::grForMmx(i); }
@@ -243,8 +237,6 @@ class EmitEnv
     void xmmRequire(uint8_t i, rt::XmmRep rep);
     /** Declare that register i was fully rewritten in rep. */
     void xmmDefine(uint8_t i, rt::XmmRep rep);
-    bool xmmUsed() const { return xmm_used_mask_ != 0; }
-    uint8_t xmmUsedMask() const { return xmm_used_mask_; }
     uint32_t xmmEntryFormats() const { return xmm_entry_formats_; }
     uint32_t xmmExitFormats() const;
 
@@ -319,11 +311,6 @@ class EmitEnv
     uint32_t access_count = 0;
     uint32_t fxch_eliminated = 0;
     uint32_t fxch_emitted = 0;
-    uint32_t loads_emitted = 0;
-    uint32_t stores_emitted = 0;
-
-    /** Current region counter (for the scheduler). */
-    int32_t currentRegion() const { return region_; }
 
     /** TOS delta accumulated so far (for recovery and the tail). */
     int8_t tosDelta() const;
@@ -333,9 +320,6 @@ class EmitEnv
     /** The IA-32 instruction currently being translated. */
     const ia32::Insn *cur_insn = nullptr;
 
-    /** Commit id currently tagged onto emitted ILs (hot, faulting). */
-    int32_t currentCommitId() const { return cur_commit_id_; }
-
   private:
     int16_t flagHomeFor(ia32::Flag flag) const;
     void emitStaticGuestFault(ia32::FaultKind kind);
@@ -343,7 +327,6 @@ class EmitEnv
     int16_t fpMemSlotAddr(int16_t tos, uint8_t sti);
     void materializeOne(ia32::Flag flag);
     int16_t predFromLazySub(ia32::Cond cond);
-    int16_t predTrue(int16_t p) { return p; }
 
     void emitMisalignCounter(int16_t p_mis, int16_t addr, unsigned size,
                              uint32_t access_idx);
@@ -378,7 +361,6 @@ class EmitEnv
     bool mmx_used_ = false;
 
     // XMM format tracking.
-    uint8_t xmm_used_mask_ = 0;
     rt::XmmRep xmm_rep_[8];
     uint32_t xmm_entry_formats_;
 

@@ -185,8 +185,6 @@ class HotPipeline
      */
     void quiesce();
 
-    unsigned threads() const { return pool_.size(); }
-
   private:
     void workerLoop();
 

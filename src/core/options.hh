@@ -2,12 +2,20 @@
  * @file
  * Translator configuration.
  *
- * Every design choice the paper calls out is a switch here so the
- * ablation benchmarks (bench/ablation_design_choices) can turn each one
- * off independently: two-phase translation, unrolling,
- * EFlags elimination, FXCH elimination, the three FP/MMX/SSE speculation
- * schemes (with the FX!32-style FP-stack-in-memory fallback), load
- * speculation, block chaining, and misalignment avoidance.
+ * `Options` holds what a caller sets: the two-phase thresholds, the
+ * worker count, the cache bound, and every design choice the paper
+ * calls out as a switch, so the ablation benchmarks
+ * (bench/ablation_design_choices) can turn each one off independently:
+ * two-phase translation, unrolling, EFlags elimination, FXCH
+ * elimination, the three FP/MMX/SSE speculation schemes (with the
+ * FX!32-style FP-stack-in-memory fallback), load speculation, block
+ * chaining, address CSE and misalignment avoidance. Observers attach
+ * through its pointers.
+ *
+ * The named constants below are the values nothing tunes: code-shape
+ * limits and the simulated cost model. The store fingerprint
+ * (persist::fingerprintOf) still hashes the code-shape limits, so a
+ * change to one of them invalidates every saved artifact.
  */
 
 #ifndef EL_CORE_OPTIONS_HH
@@ -47,6 +55,40 @@ namespace el::core
 
 class Checkpointer;
 
+// ----- two-phase translation limits ---------------------------------
+constexpr uint32_t second_registration = 2; //!< A block registering this
+                                            //!< many times forces a
+                                            //!< session (tight loops
+                                            //!< don't wait).
+constexpr unsigned analysis_window = 8;  //!< Neighbouring blocks analysed
+                                         //!< during cold translation
+                                         //!< (1-20).
+constexpr unsigned max_trace_blocks = 8; //!< Hyper-block size limit.
+constexpr unsigned max_trace_insns = 48;
+constexpr unsigned unroll_factor = 2;    //!< Loop unrolling multiplier.
+
+// ----- simulated translator costs (charged to Overhead) --------------
+constexpr double cold_xlate_cost_per_insn = 60.0;
+constexpr double runtime_entry_cost = 60.0;  //!< Per exit into BTGeneric.
+constexpr double guard_recovery_cost = 300.0; //!< FP/SSE guard repair.
+constexpr double hot_enqueue_cost = 200.0;   //!< Guest stall per candidate
+                                             //!< snapshot + enqueue.
+constexpr double hot_publish_cost_per_insn = 10.0; //!< Guest stall per
+                                             //!< IA-32 insn when adopting
+                                             //!< a finished hot
+                                             //!< translation.
+constexpr double cache_flush_cost = 20000.0; //!< Overhead cycles per flush.
+
+// ----- robustness ------------------------------------------------------
+constexpr uint32_t btos_alloc_retries = 8;   //!< Attempts for the
+                                             //!< runtime-area allocation
+                                             //!< before InitError.
+constexpr uint32_t interp_fallback_insns = 32; //!< Instructions
+                                             //!< interpreted when
+                                             //!< translation aborts.
+constexpr uint64_t audit_period = 1000000;   //!< Simulated cycles between
+                                             //!< in-run closure audits.
+
 /** Tunables and feature toggles of the translator. */
 struct Options
 {
@@ -55,14 +97,6 @@ struct Options
                                      //!< the block as hot candidate.
     uint32_t hot_batch = 4;          //!< Candidates buffered before an
                                      //!< optimization session starts.
-    uint32_t second_registration = 2;//!< A block registering this many
-                                     //!< times forces a session (tight
-                                     //!< loops don't wait).
-    unsigned analysis_window = 8;    //!< Neighbouring blocks analysed
-                                     //!< during cold translation (1-20).
-    unsigned max_trace_blocks = 8;   //!< Hyper-block size limit.
-    unsigned max_trace_insns = 48;
-    unsigned unroll_factor = 2;      //!< Loop unrolling multiplier.
 
     // ----- feature toggles (ablations) ------------------------------
     bool enable_hot_phase = true;
@@ -78,11 +112,8 @@ struct Options
     bool enable_chaining = true;
     bool enable_addr_cse = true;
 
-    // ----- simulated translator costs (charged to Overhead) --------
-    double cold_xlate_cost_per_insn = 60.0;
+    // ----- simulated translator cost (charged to Overhead) ---------
     double hot_xlate_cost_per_insn = 1200.0; //!< ~20x cold (section 2).
-    double runtime_entry_cost = 60.0;        //!< Per exit into BTGeneric.
-    double guard_recovery_cost = 300.0;      //!< FP/SSE guard repair.
 
     // ----- asynchronous hot-translation pipeline --------------------
     uint32_t translation_threads = 0; //!< Hot-session worker threads;
@@ -92,15 +123,9 @@ struct Options
                                       //!< block re-entry boundaries, in
                                       //!< enqueue order, on a simulated
                                       //!< worker timeline (replayable).
-    double hot_enqueue_cost = 200.0;  //!< Guest stall per candidate
-                                      //!< snapshot + enqueue.
-    double hot_publish_cost_per_insn = 10.0; //!< Guest stall per IA-32
-                                      //!< insn when adopting a finished
-                                      //!< hot translation.
 
     // ----- limits ---------------------------------------------------
     uint64_t max_run_cycles = 400ULL * 1000 * 1000;
-    uint32_t lookup_entries = 1024;  //!< Indirect-branch table entries.
 
     // ----- robustness / graceful degradation ------------------------
     uint64_t code_cache_capacity = 0; //!< Max cached IPF instructions;
@@ -109,11 +134,6 @@ struct Options
                                       //!< fewer slots than this remain.
     uint32_t hot_retry_limit = 3;     //!< Failed hot sessions before a
                                       //!< block is pinned cold forever.
-    uint32_t btos_alloc_retries = 8;  //!< Attempts for the runtime-area
-                                      //!< allocation before InitError.
-    uint32_t interp_fallback_insns = 32; //!< Instructions interpreted
-                                         //!< when translation aborts.
-    double cache_flush_cost = 20000.0;   //!< Overhead cycles per flush.
 
     // ----- fault injection (chaos testing; off by default) ----------
     FaultConfig fault;
@@ -172,16 +192,15 @@ struct Options
 
     // ----- accounting audit (off by default; zero simulated cycles) -
     bool audit = false;               //!< Run the machine-closure audit
-                                      //!< (core/audit.hh) periodically
-                                      //!< at adoption boundaries; the
+                                      //!< (core/audit.hh) every
+                                      //!< audit_period cycles at
+                                      //!< adoption boundaries; the
                                       //!< embedder (el_run --audit)
                                       //!< additionally runs the full
                                       //!< audit after quiesce. Implies
                                       //!< collect_block_cycles — the
                                       //!< closure identity needs the
                                       //!< per-block books.
-    uint64_t audit_period = 1000000;  //!< Simulated cycles between
-                                      //!< in-run closure audits.
 };
 
 } // namespace el::core

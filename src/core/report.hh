@@ -85,8 +85,8 @@ Attribution attributionOf(Runtime &rt);
  * runtime counters (the translator's only once the runtime came up),
  * the attached store's persist.* counters, and each observer's
  * overflow count. A nonzero *.dropped_* value flags an incomplete
- * event stream — the first thing to check before trusting a trace,
- * profile or flight.
+ * event stream — the first thing to check before trusting a trace or
+ * flight.
  */
 StatGroup mergedStats(Runtime &rt);
 
@@ -112,8 +112,8 @@ bool writeRunReport(Runtime &rt, const std::string &workload,
  * per-block execution counts with IA-32 disassembly and — when
  * Options::collect_block_cycles was set — the joined per-translation
  * IPF cycle/instruction costs, per-site conditional edge counters,
- * per-site indirect-target distributions, the sampled time series, and
- * the profiler's own health counters.
+ * per-site indirect-target distributions, and the profiler's own health
+ * counters. (Its time series lives in the metrics stream.)
  */
 std::string profileJson(Runtime &rt, const prof::Profiler &prof,
                         const std::string &workload,

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "core/audit.hh"
 #include "core/checkpoint.hh"
@@ -24,6 +25,54 @@ using ia32::FaultKind;
 using ipf::Bucket;
 using ipf::ExitReason;
 using ipf::StopKind;
+
+namespace
+{
+
+/** The two 64-bit halves of XMM register @p i, read from where
+ *  representation @p rep keeps them: the GR pair for integer data, FR
+ *  values for packed doubles, FR raw bits for packed singles. */
+std::pair<uint64_t, uint64_t>
+readXmm(ipf::Machine &m, unsigned i, rt::XmmRep rep)
+{
+    if (rep == rt::XmmInt)
+        return {m.gr(ipf::grForXmm(i, 0)), m.gr(ipf::grForXmm(i, 1))};
+    if (rep == rt::XmmPd) {
+        double d0 =
+            static_cast<double>(m.fr(ipf::frForXmm(i, 0)).valView());
+        double d1 =
+            static_cast<double>(m.fr(ipf::frForXmm(i, 1)).valView());
+        uint64_t lo, hi;
+        std::memcpy(&lo, &d0, 8);
+        std::memcpy(&hi, &d1, 8);
+        return {lo, hi};
+    }
+    return {m.fr(ipf::frForXmm(i, 0)).bitsView(),
+            m.fr(ipf::frForXmm(i, 1)).bitsView()};
+}
+
+/** Install @p lo / @p hi as XMM register @p i in representation
+ *  @p rep (the inverse of readXmm). */
+void
+writeXmm(ipf::Machine &m, unsigned i, rt::XmmRep rep, uint64_t lo,
+         uint64_t hi)
+{
+    if (rep == rt::XmmInt) {
+        m.setGr(ipf::grForXmm(i, 0), lo);
+        m.setGr(ipf::grForXmm(i, 1), hi);
+    } else if (rep == rt::XmmPd) {
+        double d0, d1;
+        std::memcpy(&d0, &lo, 8);
+        std::memcpy(&d1, &hi, 8);
+        m.fr(ipf::frForXmm(i, 0)).setVal(d0);
+        m.fr(ipf::frForXmm(i, 1)).setVal(d1);
+    } else {
+        m.fr(ipf::frForXmm(i, 0)).setBits(lo);
+        m.fr(ipf::frForXmm(i, 1)).setBits(hi);
+    }
+}
+
+} // namespace
 
 Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
                  Options options)
@@ -49,7 +98,7 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
         if (rt_base_ != 0)
             break;
         stats_.add("recover.btos_alloc_fail");
-        if (attempt + 1 >= options_.btos_alloc_retries) {
+        if (attempt + 1 >= btos_alloc_retries) {
             el_warn("BTLib failed to allocate the runtime area "
                     "(%u attempts)", attempt + 1);
             return;
@@ -109,16 +158,6 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
                 break;
             }
             return info;
-        });
-        profiler_->setSampleGather([this](prof::Sample *s) {
-            s->dispatch_lookups = dispatch_lookups_;
-            s->cache_occupancy =
-                static_cast<uint64_t>(cache_.nextIndex());
-            s->hot_queue_depth = hot_queue_.size();
-            s->worker_inflight =
-                hot_pipeline_ ? hot_pipeline_->inFlight() : 0;
-            const FaultInjector *fi = inject_scope_.get();
-            s->fault_fires = fi ? fi->totalFires() : 0;
         });
     }
     FaultInjector *fi = inject_scope_.get();
@@ -214,6 +253,14 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
         m->gauge("flight_dropped", [this] {
             return box_ ? static_cast<double>(box_->dropped()) : 0.0;
         });
+        if (profiler_)
+            m->gauge("profile_events", [this] {
+                return static_cast<double>(profiler_->eventCount());
+            });
+        if (fi)
+            m->gauge("fault_fires", [fi] {
+                return static_cast<double>(fi->totalFires());
+            });
         m->counters("translator", &translator_->stats);
         m->counters("runtime", &stats_);
         if (options_.persist)
@@ -320,23 +367,8 @@ Runtime::storeContext(ia32::State *state, uint32_t eip)
     }
 
     for (unsigned i = 0; i < 8; ++i) {
-        rt::XmmRep rep = static_cast<rt::XmmRep>(
-            (spec.xmm_format >> rt::formatShift(i)) & 0xf);
-        uint64_t lo, hi;
-        if (rep == rt::XmmInt) {
-            lo = m.gr(ipf::grForXmm(i, 0));
-            hi = m.gr(ipf::grForXmm(i, 1));
-        } else if (rep == rt::XmmPd) {
-            double d0 = static_cast<double>(
-                m.fr(ipf::frForXmm(i, 0)).valView());
-            double d1 = static_cast<double>(
-                m.fr(ipf::frForXmm(i, 1)).valView());
-            std::memcpy(&lo, &d0, 8);
-            std::memcpy(&hi, &d1, 8);
-        } else {
-            lo = m.fr(ipf::frForXmm(i, 0)).bitsView();
-            hi = m.fr(ipf::frForXmm(i, 1)).bitsView();
-        }
+        auto [lo, hi] = readXmm(m, i, static_cast<rt::XmmRep>(
+            (spec.xmm_format >> rt::formatShift(i)) & 0xf));
         state->xmm[i].setU64(0, lo);
         state->xmm[i].setU64(1, hi);
     }
@@ -452,23 +484,8 @@ Runtime::reconstructHot(const BlockInfo &block, const ipf::Instr &instr,
     }
     // XMM representations at the fault point.
     for (unsigned i = 0; i < 8; ++i) {
-        rt::XmmRep rep = static_cast<rt::XmmRep>(
-            (map.xmm_formats >> rt::formatShift(i)) & 0xf);
-        uint64_t lo, hi;
-        if (rep == rt::XmmInt) {
-            lo = machine_->gr(ipf::grForXmm(i, 0));
-            hi = machine_->gr(ipf::grForXmm(i, 1));
-        } else if (rep == rt::XmmPd) {
-            double d0 = static_cast<double>(
-                machine_->fr(ipf::frForXmm(i, 0)).valView());
-            double d1 = static_cast<double>(
-                machine_->fr(ipf::frForXmm(i, 1)).valView());
-            std::memcpy(&lo, &d0, 8);
-            std::memcpy(&hi, &d1, 8);
-        } else {
-            lo = machine_->fr(ipf::frForXmm(i, 0)).bitsView();
-            hi = machine_->fr(ipf::frForXmm(i, 1)).bitsView();
-        }
+        auto [lo, hi] = readXmm(*machine_, i, static_cast<rt::XmmRep>(
+            (map.xmm_formats >> rt::formatShift(i)) & 0xf));
         state->xmm[i].setU64(0, lo);
         state->xmm[i].setU64(1, hi);
     }
@@ -477,11 +494,10 @@ Runtime::reconstructHot(const BlockInfo &block, const ipf::Instr &instr,
 void
 Runtime::recoverGuard(BlockInfo *block, int64_t payload_kind)
 {
-    machine_->chargeCycles(Bucket::Overhead,
-                           options_.guard_recovery_cost);
-    fault_overhead_cycles_ += options_.guard_recovery_cost;
+    machine_->chargeCycles(Bucket::Overhead, guard_recovery_cost);
+    fault_overhead_cycles_ += guard_recovery_cost;
     obs_.recordNow(trace::Kind::GuardRecover, {block->id, payload_kind},
-                   options_.guard_recovery_cost);
+                   guard_recovery_cost);
     ipf::Machine &m = *machine_;
     switch (payload_kind) {
       case 0: // TOS mismatch: resolved by block-variant dispatch.
@@ -523,36 +539,8 @@ Runtime::recoverGuard(BlockInfo *block, int64_t payload_kind)
                 (block->guard.xmm_expect >> rt::formatShift(i)) & 0xf);
             if (cur == want)
                 continue;
-            // Extract raw bytes in the current representation...
-            uint64_t lo, hi;
-            if (cur == rt::XmmInt) {
-                lo = m.gr(ipf::grForXmm(i, 0));
-                hi = m.gr(ipf::grForXmm(i, 1));
-            } else if (cur == rt::XmmPd) {
-                double d0 = static_cast<double>(
-                    m.fr(ipf::frForXmm(i, 0)).valView());
-                double d1 = static_cast<double>(
-                    m.fr(ipf::frForXmm(i, 1)).valView());
-                std::memcpy(&lo, &d0, 8);
-                std::memcpy(&hi, &d1, 8);
-            } else {
-                lo = m.fr(ipf::frForXmm(i, 0)).bitsView();
-                hi = m.fr(ipf::frForXmm(i, 1)).bitsView();
-            }
-            // ...and install them in the wanted representation.
-            if (want == rt::XmmInt) {
-                m.setGr(ipf::grForXmm(i, 0), lo);
-                m.setGr(ipf::grForXmm(i, 1), hi);
-            } else if (want == rt::XmmPd) {
-                double d0, d1;
-                std::memcpy(&d0, &lo, 8);
-                std::memcpy(&d1, &hi, 8);
-                m.fr(ipf::frForXmm(i, 0)).setVal(d0);
-                m.fr(ipf::frForXmm(i, 1)).setVal(d1);
-            } else {
-                m.fr(ipf::frForXmm(i, 0)).setBits(lo);
-                m.fr(ipf::frForXmm(i, 1)).setBits(hi);
-            }
+            auto [lo, hi] = readXmm(m, i, cur);
+            writeXmm(m, i, want, lo, hi);
             word = (word & ~mask) |
                    (static_cast<uint32_t>(want) << rt::formatShift(i));
         }
@@ -604,7 +592,7 @@ Runtime::registerHot(int32_t block_id)
 
     bool session =
         hot_queue_.size() >= options_.hot_batch ||
-        block->heat_registrations >= options_.second_registration;
+        block->heat_registrations >= second_registration;
     if (!session)
         return;
 
@@ -659,7 +647,7 @@ Runtime::enqueueHot(BlockInfo *cand, const SpecContext &spec)
     double session_cost = translator_->hotSessionCost(c.input);
     // The guest only stalls for the snapshot + enqueue; the session
     // itself runs on a worker. This is the stall the pipeline removes.
-    translator_->chargeHotStall(options_.hot_enqueue_cost);
+    translator_->chargeHotStall(hot_enqueue_cost);
 
     // Silence the use counter while the session is in flight: it exits
     // at the block head on every execution past the threshold, so an
@@ -681,7 +669,7 @@ Runtime::enqueueHot(BlockInfo *cand, const SpecContext &spec)
     uint64_t seq = hot_pipeline_->enqueue(std::move(c), now,
                                           session_cost);
     stats_.add("hot.enqueued");
-    obs_.record({trace::Kind::HotEnqueue, 0, now, options_.hot_enqueue_cost,
+    obs_.record({trace::Kind::HotEnqueue, 0, now, hot_enqueue_cost,
                  cand_eip, static_cast<int64_t>(seq), 0, cand_id},
                 {{ProvState::HotQueued, ProvCause::Heat, cand_id}});
 }
@@ -702,7 +690,7 @@ Runtime::adoptHotResults()
             stats_.add("hot.adopted");
             // Publication (relocation + linking) is the only part the
             // guest waits for.
-            double publish_cost = options_.hot_publish_cost_per_insn *
+            double publish_cost = hot_publish_cost_per_insn *
                                   (hot->insn_count + 1);
             translator_->chargeHotStall(publish_cost);
             int64_t seq = static_cast<int64_t>(art.seq);
@@ -739,7 +727,7 @@ Runtime::interpretFallback(ia32::State *state, RunResult *result,
     // never notices, then hand back to translated execution.
     storeContext(state, *next_eip);
     ia32::Interpreter interp(*state, mem_);
-    for (uint32_t n = 0; n < options_.interp_fallback_insns; ++n) {
+    for (uint32_t n = 0; n < interp_fallback_insns; ++n) {
         ia32::StepResult step = interp.step();
         stats_.add("recover.interp_steps");
         if (step.kind == ia32::StepKind::Ok)
@@ -1096,14 +1084,9 @@ Runtime::run(ia32::State &state)
         }
         if (options_.audit && machine_->totalCycles() >= next_audit_) {
             audit_findings_.merge(auditClosure(*this));
-            uint64_t period = options_.audit_period
-                                  ? options_.audit_period
-                                  : 1000000;
             while (next_audit_ <= machine_->totalCycles())
-                next_audit_ += static_cast<double>(period);
+                next_audit_ += static_cast<double>(audit_period);
         }
-        if (profiler_)
-            profiler_->maybeSample(machine_->totalCycles());
         if (options_.metrics)
             options_.metrics->maybeEmit(machine_->totalCycles());
         if (options_.persist && options_.persist->journalDirty()) {
@@ -1150,8 +1133,7 @@ Runtime::run(ia32::State &state)
         ipf::StopInfo stop = machine_->run(
             entry, remaining < 1 ? 1
                                  : static_cast<uint64_t>(remaining));
-        machine_->chargeCycles(Bucket::Overhead,
-                               options_.runtime_entry_cost);
+        machine_->chargeCycles(Bucket::Overhead, runtime_entry_cost);
 
         if (stop.kind == StopKind::CycleLimit) {
             if (ck_armed_)

@@ -74,12 +74,12 @@ Translator::flushCodeCache()
         mem_.writePriv(rt_base_ + static_cast<uint64_t>(off), 8, 0);
     profile_next_ = rt::profile_base;
 
-    pending_cycles_ += options.cache_flush_cost;
+    pending_cycles_ += cache_flush_cost;
     stats.add("recover.cache_flush");
     stats.set("cache.generation", cache_.generation());
     obs_->recordNow(Kind::CacheFlush,
                     {static_cast<int64_t>(cache_.generation())},
-                    options.cache_flush_cost);
+                    cache_flush_cost);
 }
 
 void
@@ -330,8 +330,7 @@ Translator::regenerateForMisalignment(uint32_t eip,
 
 void
 Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
-                         BlockInfo *info, bool trace_mode,
-                         int32_t loop_target_il)
+                         BlockInfo *info, bool trace_mode)
 {
     const Insn *last = bb.insns.empty() ? nullptr : &bb.insns.back();
     bool has_branch = last && ia32::endsBlock(*last);
@@ -447,7 +446,6 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
                             ia32::FaultKind::InvalidOpcode));
         return;
     }
-    (void)loop_target_il;
 }
 
 bool
@@ -537,7 +535,7 @@ BlockInfo *
 Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
                               MisalignStage stage, bool allow_flush_retry)
 {
-    Region region = discoverRegion(mem_, eip, options.analysis_window);
+    Region region = discoverRegion(mem_, eip, analysis_window);
     computeFlagsLiveness(region);
     const BasicBlock *bb = region.find(eip);
     if (!bb || (bb->insns.empty() && !bb->ends_stop))
@@ -552,7 +550,6 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     info->insn_count = static_cast<uint32_t>(bb->insns.size());
 
     EmitEnv env(options, Phase::Cold, info->id, spec);
-    (void)env;
 
     if (bb->insns.empty()) {
         // Nothing decodable at the entry itself: a precise guest fault.
@@ -641,7 +638,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
             attempt.endInsn();
         }
         if (!ended)
-            emitBlockEnd(attempt, view, info, false, -1);
+            emitBlockEnd(attempt, view, info, false);
 
         // Head: SMC guard, speculation guards, use-counter.
         attempt.beginHead();
@@ -690,7 +687,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     stats.add("xlate.cold_insns", info->insn_count);
     stats.add("fxch.emitted", fxch_emitted);
     double xlate_cost =
-        options.cold_xlate_cost_per_insn * (info->insn_count + 1);
+        cold_xlate_cost_per_insn * (info->insn_count + 1);
     pending_cycles_ += xlate_cost;
     obs_->recordNow(Kind::ColdXlate, {eip, info->id, info->insn_count},
                     xlate_cost,
@@ -711,8 +708,8 @@ Translator::selectTrace(const Region &region, uint32_t eip, bool *loops)
     const BasicBlock *cur = region.find(eip);
     unsigned insns = 0;
 
-    while (cur && trace.size() < options.max_trace_blocks &&
-           insns + cur->insns.size() <= options.max_trace_insns) {
+    while (cur && trace.size() < max_trace_blocks &&
+           insns + cur->insns.size() <= max_trace_insns) {
         trace.push_back(cur);
         visited[cur->start] = true;
         insns += static_cast<unsigned>(cur->insns.size());
@@ -770,8 +767,8 @@ Translator::prepareHotInput(uint32_t entry_eip, const SpecContext &spec,
     // unrolled").
     unsigned copies = 1;
     if (loops && options.enable_unroll &&
-        trace_insns * options.unroll_factor <= options.max_trace_insns) {
-        copies = options.unroll_factor;
+        trace_insns * unroll_factor <= max_trace_insns) {
+        copies = unroll_factor;
         stats.add("hot.loops_unrolled");
     }
 
@@ -919,7 +916,7 @@ Translator::runHotSession(const HotSessionInput &in,
                              insn.op == Op::CallInd ||
                              insn.op == Op::Ret)
                         out->stats.add("prof.hot_indirect_probes");
-                    emitBlockEnd(env, bb, info, true, -1);
+                    emitBlockEnd(env, bb, info, true);
                     tail_done = true;
                     break;
                 }
@@ -1258,7 +1255,7 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
         // Adoption stalls the guest like a pipelined publish would; it
         // is hot-translation latency the store removed, minus the
         // session itself.
-        chargeHotStall(options.hot_publish_cost_per_insn *
+        chargeHotStall(hot_publish_cost_per_insn *
                        (info->insn_count + 1));
         obs_->recordNow(Kind::PersistAdopt,
                         {eip, info->insn_count, 0, info->id});

@@ -221,8 +221,8 @@ class Translator
      */
     void setObserver(const Observer *obs) { obs_ = obs; }
 
-    /** Simulated translator cycles spent so far (charged by Runtime). */
-    double pendingOverheadCycles() const { return pending_cycles_; }
+    /** Simulated translator cycles spent so far; the Runtime charges
+     *  and clears them. */
     double
     takePendingOverheadCycles()
     {
@@ -283,8 +283,7 @@ class Translator
     /** Translate the final control transfer of a block/trace. Pure
      *  function of its arguments (safe on pipeline workers). */
     static void emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
-                             BlockInfo *info, bool trace_mode,
-                             int32_t loop_target_il);
+                             BlockInfo *info, bool trace_mode);
 
     /** Scheduling counters produced by finishInto (merged into the
      *  shared StatGroup on the main thread only). */

@@ -23,14 +23,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/report.hh"
-#include "guest/workloads.hh"
+#include "harness/cli.hh"
 #include "harness/exec.hh"
 #include "persist/store.hh"
 #include "support/logging.hh"
@@ -67,32 +66,6 @@ usage()
         "                         var is the fallback)\n");
 }
 
-std::vector<guest::Workload>
-allWorkloads()
-{
-    std::vector<guest::Workload> all = guest::specIntSuite();
-    for (auto &w : guest::specFpSuite())
-        all.push_back(std::move(w));
-    for (auto &w : guest::sysmarkSuite())
-        all.push_back(std::move(w));
-    for (auto &w : guest::adversarialSuite())
-        all.push_back(std::move(w));
-    return all;
-}
-
-bool
-parseFaultSite(const std::string &name, FaultSite *out)
-{
-    for (size_t s = 0; s < num_fault_sites; ++s) {
-        FaultSite site = static_cast<FaultSite>(s);
-        if (name == faultSiteName(site)) {
-            *out = site;
-            return true;
-        }
-    }
-    return false;
-}
-
 } // namespace
 
 int
@@ -108,6 +81,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        bool ok = true; // false: a value that does not parse
         auto value = [&](const char *prefix) -> const char * {
             size_t n = std::strlen(prefix);
             if (arg.compare(0, n, prefix) != 0 || arg.size() == n)
@@ -121,24 +95,13 @@ main(int argc, char **argv)
         } else if (arg == "--list") {
             list = true;
         } else if (const char *v = value("--heat-threshold=")) {
-            heat_threshold = static_cast<uint32_t>(std::atoi(v));
+            ok = harness::parseNumber(v, &heat_threshold);
         } else if (const char *v = value("--threads=")) {
-            threads = static_cast<uint32_t>(std::atoi(v));
+            ok = harness::parseNumber(v, &threads);
         } else if (const char *v = value("--fault=")) {
-            std::string spec = v;
-            size_t colon = spec.rfind(':');
-            FaultSite site;
-            if (colon == std::string::npos ||
-                !parseFaultSite(spec.substr(0, colon), &site)) {
-                std::fprintf(stderr, "el_aot: bad --fault spec '%s'\n",
-                             v);
-                return exit_usage;
-            }
-            fault.site(site,
-                       static_cast<uint16_t>(
-                           std::atoi(spec.c_str() + colon + 1)));
+            ok = harness::parseFaultSpec(v, &fault);
         } else if (const char *v = value("--fault-seed=")) {
-            fault.seed = static_cast<uint64_t>(std::atoll(v));
+            ok = harness::parseNumber(v, &fault.seed);
         } else if (const char *v = value("--log-level=")) {
             int level = parseLogLevel(v);
             if (level < 0) {
@@ -157,9 +120,14 @@ main(int argc, char **argv)
             usage();
             return exit_usage;
         }
+        if (!ok) {
+            std::fprintf(stderr, "el_aot: bad value in '%s'\n",
+                         arg.c_str());
+            return exit_usage;
+        }
     }
 
-    std::vector<guest::Workload> suite = allWorkloads();
+    std::vector<guest::Workload> suite = harness::allWorkloads();
     if (list) {
         for (const guest::Workload &w : suite)
             std::printf("%s\n", w.name.c_str());

@@ -1,7 +1,8 @@
 /**
  * @file
  * `el_prof`: renders the execution-profile JSON written by
- * `el_run --profile-out`.
+ * `el_run --profile-out`, the metrics stream written by
+ * `el_run --metrics-out`, and the provenance in a postmortem bundle.
  *
  * Views:
  *   (default)      flat summary — hottest blocks, hottest conditional
@@ -9,24 +10,22 @@
  *                  the profiler's health counters
  *   --annotate[=N] the top-N blocks with their IA-32 disassembly and
  *                  the joined per-translation IPF cycle costs
- *   --csv[=file]   the sampled time series as CSV (stdout by default)
+ *   --csv[=file]   an el-metrics NDJSON stream's gauges as CSV, one
+ *                  row per snapshot (stdout by default)
  *   --check        schema validation (used by CI on the uploaded
  *                  artifact); exits 0 when the file is a well-formed
- *                  profile with no dropped telemetry, 3 when it is
- *                  well-formed but lossy (ring overflow dropped
- *                  samples; --allow-drops downgrades this back to 0),
- *                  2 otherwise
+ *                  profile, 2 otherwise
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -44,10 +43,11 @@ usage()
         "  --top=<n>        rows per table (default 10)\n"
         "  --annotate[=<n>] annotated listing of the <n> hottest\n"
         "                   blocks (default 5)\n"
-        "  --csv[=<file>]   dump the time series as CSV\n"
-        "  --check          validate the schema and exit (0 = ok,\n"
-        "                   3 = valid but telemetry was dropped)\n"
-        "  --allow-drops    with --check, accept dropped telemetry\n"
+        "  --csv[=<file>]   read a metrics stream (el_run\n"
+        "                   --metrics-out) instead of a profile and\n"
+        "                   write its gauges as CSV, one row per\n"
+        "                   snapshot\n"
+        "  --check          validate the schema and exit (0 = ok)\n"
         "  --provenance[=<eip>|all]\n"
         "                   read a postmortem bundle (el_run\n"
         "                   --dump-on-exit) instead of a profile and\n"
@@ -232,37 +232,63 @@ printAnnotated(const Value &root, size_t top)
     }
 }
 
+/**
+ * Render the gauges of an el-metrics NDJSON stream as CSV: a "cycle"
+ * column, then one column per gauge name seen in any snapshot, one row
+ * per snapshot. Returns the process exit code.
+ */
 int
-dumpCsv(const Value &root, const std::string &path)
+dumpCsv(const std::string &text, const std::string &in_path,
+        const std::string &out_path)
 {
-    static const char *cols[] = {
-        "cycle",           "dispatch_lookups", "cache_occupancy",
-        "hot_queue_depth", "worker_inflight",  "fault_fires",
-        "profile_events"};
+    std::vector<Value> snaps;
+    std::vector<std::string> cols;
+    std::istringstream lines(text);
+    std::string line;
+    for (size_t n = 1; std::getline(lines, line); ++n) {
+        if (line.empty())
+            continue;
+        Value v;
+        std::string error;
+        if (!el::json::Parser::parse(line, &v, &error) ||
+            v.strOr("kind", "") != "el-metrics" || !v.find("gauges")) {
+            std::fprintf(stderr,
+                         "el_prof: %s:%zu: not an el-metrics snapshot "
+                         "(write one with el_run --metrics-out)\n",
+                         in_path.c_str(), n);
+            return 2;
+        }
+        for (const auto &[name, g] : v.find("gauges")->obj)
+            if (std::find(cols.begin(), cols.end(), name) == cols.end())
+                cols.push_back(name);
+        snaps.push_back(std::move(v));
+    }
 
     std::ostringstream out;
-    for (size_t c = 0; c < std::size(cols); ++c)
-        out << (c ? "," : "") << cols[c];
+    out << "cycle";
+    for (const std::string &c : cols)
+        out << "," << c;
     out << "\n";
-
-    const Value *samples = root.find("samples");
-    const Value *series = samples ? samples->find("series") : nullptr;
-    if (series && series->isArray())
-        for (const Value &s : series->arr) {
-            for (size_t c = 0; c < std::size(cols); ++c)
-                out << (c ? "," : "")
-                    << el::json::number(s.numberOr(cols[c], 0));
-            out << "\n";
+    for (const Value &v : snaps) {
+        out << el::json::number(v.numberOr("cycle", 0));
+        const Value *gauges = v.find("gauges");
+        for (const std::string &c : cols) {
+            out << ",";
+            if (const Value *g = gauges->find(c))
+                out << el::json::number(g->num);
         }
+        out << "\n";
+    }
 
-    if (path.empty()) {
+    if (out_path.empty()) {
         std::fputs(out.str().c_str(), stdout);
         return 0;
     }
-    std::ofstream f(path, std::ios::binary);
+    std::ofstream f(out_path, std::ios::binary);
     f << out.str();
     if (!f) {
-        std::fprintf(stderr, "el_prof: cannot write %s\n", path.c_str());
+        std::fprintf(stderr, "el_prof: cannot write %s\n",
+                     out_path.c_str());
         return 2;
     }
     return 0;
@@ -294,13 +320,12 @@ printProvenance(const Value &root, const std::string &path,
     }
 
     bool all = filter == "all";
-    bool has_eip = false;
+    bool has_eip = !filter.empty() && !all;
     unsigned long long want_eip = 0;
-    if (!filter.empty() && !all) {
-        want_eip = std::strtoull(filter.c_str(), nullptr,
-                                 filter.compare(0, 2, "0x") == 0 ? 16
-                                                                 : 0);
-        has_eip = true;
+    if (has_eip && !el::harness::parseNumber(filter.c_str(), &want_eip)) {
+        std::fprintf(stderr, "el_prof: bad --provenance value '%s'\n",
+                     filter.c_str());
+        return 1;
     }
 
     const Value *exit_obj = root.find("exit");
@@ -393,19 +418,6 @@ checkSchema(const Value &root, std::string *error)
             counted != s.numberOr("execs", 0))
             return fail("indirect target counts do not sum to execs");
     }
-    const Value *samples = root.find("samples");
-    if (!samples || !samples->isObject())
-        return fail("missing samples object");
-    const Value *series = samples->find("series");
-    if (!series || !series->isArray())
-        return fail("missing samples.series array");
-    double prev = -1;
-    for (const Value &s : series->arr) {
-        double cycle = s.numberOr("cycle", -1);
-        if (cycle <= prev)
-            return fail("samples.series cycles not increasing");
-        prev = cycle;
-    }
     return true;
 }
 
@@ -417,22 +429,22 @@ main(int argc, char **argv)
     std::string path, csv_path, prov_filter;
     size_t top = 10, annotate = 0;
     bool csv = false, check = false, provenance = false;
-    bool allow_drops = false;
 
     el::initLogLevelFromEnv(); // Explicit --log-level overrides.
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        bool ok = true; // false: a value that does not parse
         if (arg == "--help") {
             usage();
             return 0;
         } else if (arg.compare(0, 6, "--top=") == 0 && arg.size() > 6) {
-            top = static_cast<size_t>(std::atoll(arg.c_str() + 6));
+            ok = el::harness::parseNumber(arg.c_str() + 6, &top);
         } else if (arg == "--annotate") {
             annotate = 5;
         } else if (arg.compare(0, 11, "--annotate=") == 0 &&
                    arg.size() > 11) {
-            annotate = static_cast<size_t>(std::atoll(arg.c_str() + 11));
+            ok = el::harness::parseNumber(arg.c_str() + 11, &annotate);
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg.compare(0, 6, "--csv=") == 0 && arg.size() > 6) {
@@ -440,8 +452,6 @@ main(int argc, char **argv)
             csv_path = arg.c_str() + 6;
         } else if (arg == "--check") {
             check = true;
-        } else if (arg == "--allow-drops") {
-            allow_drops = true;
         } else if (arg == "--provenance") {
             provenance = true;
         } else if (arg.compare(0, 13, "--provenance=") == 0 &&
@@ -470,6 +480,11 @@ main(int argc, char **argv)
             usage();
             return 1;
         }
+        if (!ok) {
+            std::fprintf(stderr, "el_prof: bad value in '%s'\n",
+                         arg.c_str());
+            return 1;
+        }
     }
     if (path.empty()) {
         usage();
@@ -483,6 +498,8 @@ main(int argc, char **argv)
     }
     std::ostringstream ss;
     ss << f.rdbuf();
+    if (csv)
+        return dumpCsv(ss.str(), path, csv_path);
 
     Value root;
     std::string error;
@@ -499,30 +516,11 @@ main(int argc, char **argv)
         return 2;
     }
     if (check) {
-        // A lossy profile is schema-valid but its per-block numbers
-        // under-count; CI gates on that separately from malformedness
-        // so a run that merely needs a bigger sample ring doesn't read
-        // as a corrupted artifact.
-        double drops = 0;
-        for (const auto &[name, v] : root.find("counters")->obj)
-            if (v.isNumber() && name.find("dropped") != std::string::npos)
-                drops += v.num;
-        if (drops > 0 && !allow_drops) {
-            std::fprintf(stderr,
-                         "el_prof: %s: valid el-profile but %.0f "
-                         "telemetry records were dropped (rerun with a "
-                         "larger ring, or pass --allow-drops)\n",
-                         path.c_str(), drops);
-            return 3;
-        }
-        std::printf("%s: valid el-profile (%s, %.0f events%s)\n",
+        std::printf("%s: valid el-profile (%s, %.0f events)\n",
                     path.c_str(), root.strOr("workload", "?").c_str(),
-                    root.find("counters")->numberOr("prof.events", 0),
-                    drops > 0 ? ", drops allowed" : "");
+                    root.find("counters")->numberOr("prof.events", 0));
         return 0;
     }
-    if (csv)
-        return dumpCsv(root, csv_path);
 
     std::printf("profile: %s  workload=%s  cycles=%.0f\n\n",
                 path.c_str(), root.strOr("workload", "?").c_str(),

@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +28,7 @@
 #include "core/report.hh"
 #include "guest/workloads.hh"
 #include "ia32/assembler.hh"
+#include "harness/cli.hh"
 #include "harness/exec.hh"
 #include "persist/store.hh"
 #include "support/buildinfo.hh"
@@ -112,16 +112,11 @@ usage()
         "  --report-json=<file>   write the machine-readable run report\n"
         "  --profile-out=<file>   write the execution profile JSON\n"
         "                         (render it with el_prof)\n"
-        "  --profile-period=<n>   profile sample period, simulated\n"
-        "                         cycles (default 50000)\n"
-        "  --profile-topk=<n>     indirect-target table size per site\n"
-        "                         (default 8)\n"
-        "  --profile-ring=<n>     time-series ring capacity (default\n"
-        "                         512; oldest samples dropped)\n"
         "  --validate-trace=<f>   validate a trace file and exit\n"
         "  --metrics-out=<file>   write live telemetry snapshots as\n"
         "                         NDJSON (one el-metrics object per\n"
-        "                         sampling period)\n"
+        "                         sampling period; el_prof --csv\n"
+        "                         renders its gauges)\n"
         "  --metrics-period=<n>   snapshot period, simulated cycles\n"
         "                         (default 50000)\n"
         "  --postmortem-out=<f>   postmortem bundle path (default\n"
@@ -139,8 +134,6 @@ usage()
         "                         violations exit 40 (default on in\n"
         "                         Debug builds)\n"
         "  --no-audit             disable the accounting audit\n"
-        "  --audit-period=<n>     simulated cycles between in-run\n"
-        "                         closure audits (default 1000000)\n"
         "  --no-flight            disable the always-on flight\n"
         "                         recorder + provenance ledger (A/B\n"
         "                         overhead comparisons)\n"
@@ -173,33 +166,6 @@ buildFaulter()
     w.image.addCode(guest::Layout::code_base, as.finish());
     w.image.addData(guest::Layout::data_base, 0x1000);
     return w;
-}
-
-std::vector<guest::Workload>
-allWorkloads()
-{
-    std::vector<guest::Workload> all = guest::specIntSuite();
-    for (auto &w : guest::specFpSuite())
-        all.push_back(std::move(w));
-    for (auto &w : guest::sysmarkSuite())
-        all.push_back(std::move(w));
-    for (auto &w : guest::adversarialSuite())
-        all.push_back(std::move(w));
-    all.push_back(buildFaulter());
-    return all;
-}
-
-bool
-parseFaultSite(const std::string &name, FaultSite *out)
-{
-    for (size_t s = 0; s < num_fault_sites; ++s) {
-        FaultSite site = static_cast<FaultSite>(s);
-        if (name == faultSiteName(site)) {
-            *out = site;
-            return true;
-        }
-    }
-    return false;
 }
 
 int
@@ -237,7 +203,6 @@ main(int argc, char **argv)
     bool dump_on_exit = false;
     core::Options options;
     options.audit = EL_AUDIT_DEFAULT != 0;
-    prof::Config prof_cfg;
     sentinel::Config sentinel_cfg;
     bool list = false;
 
@@ -245,6 +210,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        bool ok = true; // false: a value that does not parse
         // An empty value after '=' counts as no match, so "--flag="
         // falls through to the unknown-argument diagnostic below.
         auto value = [&](const char *prefix) -> const char * {
@@ -258,64 +224,41 @@ main(int argc, char **argv)
         } else if (arg == "--list") {
             list = true;
         } else if (const char *v = value("--threads=")) {
-            options.translation_threads =
-                static_cast<uint32_t>(std::atoi(v));
+            ok = harness::parseNumber(v, &options.translation_threads);
         } else if (arg == "--deterministic") {
             options.deterministic_adoption = true;
         } else if (const char *v = value("--heat-threshold=")) {
-            options.heat_threshold =
-                static_cast<uint32_t>(std::atoi(v));
+            ok = harness::parseNumber(v, &options.heat_threshold);
         } else if (const char *v = value("--hot-batch=")) {
-            options.hot_batch = static_cast<uint32_t>(std::atoi(v));
+            ok = harness::parseNumber(v, &options.hot_batch);
         } else if (const char *v = value("--cache-capacity=")) {
-            options.code_cache_capacity =
-                static_cast<uint64_t>(std::atoll(v));
+            ok = harness::parseNumber(v, &options.code_cache_capacity);
         } else if (const char *v = value("--cache-dir=")) {
             cache_dir = v;
         } else if (const char *v = value("--checkpoint-dir=")) {
             checkpoint_dir = v;
         } else if (const char *v = value("--checkpoint-period=")) {
-            checkpoint_period = static_cast<uint64_t>(std::atoll(v));
+            ok = harness::parseNumber(v, &checkpoint_period);
         } else if (arg == "--resume") {
             resume = true;
         } else if (const char *v = value("--fault=")) {
-            std::string spec = v;
-            size_t colon = spec.rfind(':');
-            FaultSite site;
-            if (colon == std::string::npos ||
-                !parseFaultSite(spec.substr(0, colon), &site)) {
-                std::fprintf(stderr, "el_run: bad --fault spec '%s'\n",
-                             v);
-                return exit_usage;
-            }
-            options.fault.site(
-                site, static_cast<uint16_t>(
-                          std::atoi(spec.c_str() + colon + 1)));
+            ok = harness::parseFaultSpec(v, &options.fault);
         } else if (const char *v = value("--fault-seed=")) {
-            options.fault.seed = static_cast<uint64_t>(std::atoll(v));
+            ok = harness::parseNumber(v, &options.fault.seed);
         } else if (const char *v = value("--selfcheck=")) {
-            sentinel_cfg.selfcheck_rate =
-                static_cast<uint32_t>(std::atoi(v));
+            ok = harness::parseNumber(v, &sentinel_cfg.selfcheck_rate);
         } else if (const char *v = value("--trace-out=")) {
             trace_out = v;
         } else if (const char *v = value("--report-json=")) {
             report_json = v;
         } else if (const char *v = value("--profile-out=")) {
             profile_out = v;
-        } else if (const char *v = value("--profile-period=")) {
-            prof_cfg.sample_period =
-                static_cast<uint64_t>(std::atoll(v));
-        } else if (const char *v = value("--profile-topk=")) {
-            prof_cfg.topk = static_cast<uint32_t>(std::atoi(v));
-        } else if (const char *v = value("--profile-ring=")) {
-            prof_cfg.ring_capacity =
-                static_cast<size_t>(std::atoll(v));
         } else if (const char *v = value("--validate-trace=")) {
             return validateTraceFile(v);
         } else if (const char *v = value("--metrics-out=")) {
             metrics_out = v;
         } else if (const char *v = value("--metrics-period=")) {
-            metrics_period = static_cast<uint64_t>(std::atoll(v));
+            ok = harness::parseNumber(v, &metrics_period);
         } else if (const char *v = value("--postmortem-out=")) {
             postmortem_out = v;
         } else if (arg == "--dump-on-exit") {
@@ -324,13 +267,10 @@ main(int argc, char **argv)
             options.audit = true;
         } else if (arg == "--no-audit") {
             options.audit = false;
-        } else if (const char *v = value("--audit-period=")) {
-            options.audit_period = static_cast<uint64_t>(std::atoll(v));
         } else if (arg == "--no-flight") {
             options.flight_recorder = false;
         } else if (const char *v = value("--flight-ring=")) {
-            options.flight_ring_capacity =
-                static_cast<uint32_t>(std::atoi(v));
+            ok = harness::parseNumber(v, &options.flight_ring_capacity);
         } else if (const char *v = value("--log-level=")) {
             int level = parseLogLevel(v);
             if (level < 0) {
@@ -349,9 +289,15 @@ main(int argc, char **argv)
             usage();
             return exit_usage;
         }
+        if (!ok) {
+            std::fprintf(stderr, "el_run: bad value in '%s'\n",
+                         arg.c_str());
+            return exit_usage;
+        }
     }
 
-    std::vector<guest::Workload> suite = allWorkloads();
+    std::vector<guest::Workload> suite = harness::allWorkloads();
+    suite.push_back(buildFaulter());
     if (list) {
         for (const guest::Workload &w : suite)
             std::printf("%-12s (%s, %s)\n", w.name.c_str(),
@@ -379,7 +325,7 @@ main(int argc, char **argv)
         options.trace = &tracer;
     if (!report_json.empty())
         options.collect_block_cycles = true;
-    prof::Profiler profiler(prof_cfg);
+    prof::Profiler profiler;
     if (!profile_out.empty()) {
         options.profiler = &profiler;
         // The annotated per-block view joins IPF translation costs.
@@ -511,11 +457,9 @@ main(int argc, char **argv)
                          profile_out.c_str());
             return exit_io;
         }
-        std::printf("profile: %s (%llu events, %zu samples)\n",
-                    profile_out.c_str(),
+        std::printf("profile: %s (%llu events)\n", profile_out.c_str(),
                     static_cast<unsigned long long>(
-                        profiler.eventCount()),
-                    profiler.samples().size());
+                        profiler.eventCount()));
     }
 
     core::Attribution attr = core::attributionOf(*run.runtime);

@@ -88,14 +88,4 @@ CodeCache::patchToBranchChecked(int64_t idx, int64_t target,
     return true;
 }
 
-uint64_t
-CodeCache::countBucket(Bucket bucket) const
-{
-    uint64_t n = 0;
-    for (const Instr &i : code_)
-        if (i.meta.bucket == bucket)
-            ++n;
-    return n;
-}
-
 } // namespace el::ipf

@@ -395,11 +395,10 @@ fingerprintOf(const guest::Image &image, const core::Options &o)
     // el_run.
     uint64_t oh = fnv_offset;
     fnvU64(oh, format_version);
-    fnvU64(oh, o.analysis_window);
-    fnvU64(oh, o.max_trace_blocks);
-    fnvU64(oh, o.max_trace_insns);
-    fnvU64(oh, o.unroll_factor);
-    fnvU64(oh, o.lookup_entries);
+    fnvU64(oh, core::analysis_window);
+    fnvU64(oh, core::max_trace_blocks);
+    fnvU64(oh, core::max_trace_insns);
+    fnvU64(oh, core::unroll_factor);
     uint64_t toggles = 0;
     for (bool t : {o.enable_hot_phase, o.enable_unroll, o.enable_eflags_elim,
                    o.enable_fxch_elim, o.enable_fp_stack_spec,

@@ -4,12 +4,12 @@
  * histograms, periodically exported as newline-delimited JSON.
  *
  * The runtime's health is already counted — in per-subsystem
- * `StatGroup`s, in the profiler's rings, in the persist store — but
- * only as an end-of-run report. The `Registry` unifies those sources
- * behind names and emits one self-contained JSON object per sampling
- * period of the *simulated* clock ("el-metrics" v1, one object per
- * line), the live-health interface a future `el_serve` exposes per
- * hosted guest.
+ * `StatGroup`s, in the profiler, in the persist store — but only as
+ * an end-of-run report. The `Registry` unifies those sources behind
+ * names and emits one self-contained JSON object per sampling period
+ * of the *simulated* clock ("el-metrics" v1, one object per line). It
+ * is the run's only periodic sampler; `el_prof --csv` renders a stream
+ * as a table.
  *
  * Sources are registered as non-owned pointers/closures and read lazily
  * at emit time, so registration costs nothing on the execution path.
@@ -66,7 +66,6 @@ class Registry
 
     /** Simulated cycles between snapshots (0 disables maybeEmit). */
     void setPeriod(uint64_t cycles) { period_ = cycles; }
-    uint64_t period() const { return period_; }
 
     /** Stamp every snapshot line with a build/schema provenance
      *  header. Optional: embedders without one emit unstamped lines. */

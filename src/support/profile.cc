@@ -3,6 +3,18 @@
 namespace el::prof
 {
 
+namespace
+{
+
+/** Targets tracked per indirect site (space-saving top-K). */
+constexpr unsigned topk = 8;
+/** Chain-walk bound, in blocks per event. */
+constexpr unsigned max_walk = 64;
+/** Canonical block decode cap, in instructions. */
+constexpr unsigned max_block_insns = 128;
+
+} // namespace
+
 const GuestBlock *
 Profiler::resolveBlock(uint32_t entry)
 {
@@ -15,7 +27,7 @@ Profiler::resolveBlock(uint32_t entry)
     GuestBlock b;
     b.entry = entry;
     uint32_t ip = entry;
-    for (unsigned n = 0; n < cfg_.max_block_insns; ++n) {
+    for (unsigned n = 0; n < max_block_insns; ++n) {
         InsnInfo info = resolver_(ip);
         ++b.insns;
         if (info.kind != InsnKind::Plain) {
@@ -50,7 +62,7 @@ Profiler::walkTo(const std::function<bool(const GuestBlock &)> &matches)
     }
     uint32_t ip = cursor_;
     std::vector<uint32_t> visited;
-    for (unsigned i = 0; i <= cfg_.max_walk; ++i) {
+    for (unsigned i = 0; i <= max_walk; ++i) {
         const GuestBlock *b = resolveBlock(ip);
         if (!b)
             break;
@@ -160,7 +172,7 @@ Profiler::indirectEvent(uint32_t site_ip, uint32_t target, bool hit)
         }
     }
     if (!found) {
-        if (s.targets.size() < cfg_.topk) {
+        if (s.targets.size() < topk) {
             s.targets.push_back({target, 1});
         } else {
             size_t min_i = 0;
@@ -224,24 +236,6 @@ Profiler::invalidateCode(uint32_t addr, uint32_t len)
     cursor_valid_ = false;
 }
 
-void
-Profiler::maybeSample(double now)
-{
-    if (now < 0)
-        return;
-    uint64_t n = static_cast<uint64_t>(now);
-    while (n >= next_sample_due_) {
-        Sample s;
-        s.cycle = next_sample_due_;
-        if (gather_)
-            gather_(&s);
-        s.profile_events = events_;
-        samples_.push(s);
-        ++samples_taken_;
-        next_sample_due_ += cfg_.sample_period;
-    }
-}
-
 StatGroup
 Profiler::counters() const
 {
@@ -258,8 +252,6 @@ Profiler::counters() const
     g.set("prof.cond_sites", cond_sites_.size());
     g.set("prof.indirect_sites", indirect_sites_.size());
     g.set("prof.topk_evictions", evictions_);
-    g.set("prof.samples", samples_taken_);
-    g.set("prof.samples_dropped", samples_.dropped());
     return g;
 }
 

@@ -240,7 +240,7 @@ TEST(ChaosDirected, BtosAllocExhaustionIsInitError)
     core::Runtime rt(mem, os->vtable(), o);
     EXPECT_FALSE(rt.initOk());
     EXPECT_EQ(rt.stats().get("recover.btos_alloc_fail"),
-              static_cast<uint64_t>(o.btos_alloc_retries));
+              static_cast<uint64_t>(core::btos_alloc_retries));
 
     ia32::State state;
     core::RunResult res = rt.run(state);

@@ -99,6 +99,10 @@ TEST(CliExitCodes, UsageErrorIsOne)
     EXPECT_EQ(runCli("--workload="), 1);
     EXPECT_EQ(runCli("--workload=no_such_personality"), 1);
     EXPECT_EQ(runCli("--workload=jit_rewriter --log-level=verbose"), 1);
+    // Numeric flags parse strictly: no sign, no trailing junk.
+    EXPECT_EQ(runCli("--workload=jit_rewriter --threads=-1"), 1);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --threads=abc"), 1);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --heat-threshold=4x"), 1);
 }
 
 TEST(CliExitCodes, IoErrorIsTwo)

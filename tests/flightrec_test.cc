@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the always-on black box (the drop-oldest view of the event
- * stream), the artifact provenance ledger, the telemetry snapshotter,
- * and the postmortem bundle.
+ * stream), the artifact provenance ledger, the telemetry snapshotter
+ * (the run's one periodic sampler), and the postmortem bundle.
  *
  * The load-bearing properties:
  *  - recording charges zero simulated cycles: guest results AND cycle
@@ -33,6 +33,7 @@
 #include "support/faultinject.hh"
 #include "support/json.hh"
 #include "support/metrics.hh"
+#include "support/profile.hh"
 #include "support/random.hh"
 #include "support/trace.hh"
 
@@ -393,6 +394,52 @@ TEST(Metrics, MaybeEmitHonorsThePeriod)
     // No output file open: maybeEmit must be a no-op, not a crash.
     reg.maybeEmit(1000);
     EXPECT_EQ(reg.snapshots(), 0u);
+}
+
+TEST(Metrics, RuntimeGaugesFollowTheirSources)
+{
+    // The registry is the run's only sampler: the profiler's event
+    // count and the injector's fire count are gauges there, present
+    // exactly when their source is attached.
+    guest::Image img = hotLoopProgram();
+    for (bool sources : {true, false}) {
+        metrics::Registry reg;
+        prof::Profiler profiler;
+        core::Options o = hotOpts(0);
+        o.metrics = &reg;
+        if (sources) {
+            o.profiler = &profiler;
+            o.fault.seed = 7;
+            o.fault.site(FaultSite::HotXlateAbort, 1024);
+        }
+        harness::TranslatedRun tr =
+            harness::runTranslated(img, btlib::OsAbi::Linux, o);
+        ASSERT_TRUE(tr.outcome.exited);
+
+        json::Value root;
+        std::string error;
+        ASSERT_TRUE(json::Parser::parse(
+            reg.snapshotJson(tr.outcome.cycles), &root, &error))
+            << error;
+        const json::Value *gauges = root.find("gauges");
+        ASSERT_NE(gauges, nullptr);
+        EXPECT_NE(gauges->find("dispatch_lookups"), nullptr);
+        if (!sources) {
+            EXPECT_EQ(gauges->find("profile_events"), nullptr);
+            EXPECT_EQ(gauges->find("fault_fires"), nullptr);
+            continue;
+        }
+        ASSERT_NE(gauges->find("profile_events"), nullptr);
+        ASSERT_NE(gauges->find("fault_fires"), nullptr);
+        EXPECT_GT(profiler.eventCount(), 0u);
+        EXPECT_EQ(gauges->numberOr("profile_events", -1),
+                  static_cast<double>(profiler.eventCount()));
+        const FaultInjector *fi = tr.runtime->faultInjector();
+        ASSERT_NE(fi, nullptr);
+        EXPECT_GT(fi->totalFires(), 0u);
+        EXPECT_EQ(gauges->numberOr("fault_fires", -1),
+                  static_cast<double>(fi->totalFires()));
+    }
 }
 
 // ----- postmortem bundles -----------------------------------------------

@@ -139,7 +139,7 @@ TEST(PersistFingerprint, SensitiveToImageAndEmissionOptions)
 
     // An emission-relevant toggle changes the options hash...
     core::Options reshaped = opts;
-    reshaped.max_trace_blocks = opts.max_trace_blocks + 1;
+    reshaped.enable_unroll = !opts.enable_unroll;
     EXPECT_NE(base.opts_hash,
               persist::fingerprintOf(w.image, reshaped).opts_hash);
 

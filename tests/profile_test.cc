@@ -4,8 +4,8 @@
  * be bit-identical across translation-thread counts, attaching the
  * profiler (and the tracer alongside it) must never perturb simulated
  * cycles, the indirect value profiles must cross-validate against the
- * runtime's own fast-lookup statistics, the sampler ring must bound its
- * memory, and the profile JSON must parse with the documented schema.
+ * runtime's own fast-lookup statistics, and the profile JSON must parse
+ * with the documented schema.
  */
 
 #include <gtest/gtest.h>
@@ -70,9 +70,9 @@ parserWorkload()
  * Stable text encoding of every architectural counter the profiler
  * guarantees across thread counts: block executions, conditional
  * taken/fall edges, and the full indirect value profiles. The
- * via_link/via_dispatch diagnostics and the sampled gauges are
- * deliberately excluded — they reflect translation phase and adoption
- * timing, which legitimately differ.
+ * via_link/via_dispatch diagnostics are deliberately excluded — they
+ * reflect translation phase and adoption timing, which legitimately
+ * differ.
  */
 std::string
 profSignature(const prof::Profiler &p)
@@ -206,28 +206,6 @@ TEST(Profile, IndirectProfileCrossValidatesAgainstStats)
     EXPECT_GE(dominant_share, hit_rate);
 }
 
-// ----- sampler -----------------------------------------------------------
-
-TEST(Profile, SamplerRingBoundsMemoryAndDropsOldest)
-{
-    guest::Workload w = gzipWorkload();
-    prof::Config cfg;
-    cfg.sample_period = 1000;
-    cfg.ring_capacity = 4;
-    prof::Profiler p(cfg);
-    harness::TranslatedRun r = harness::runTranslated(
-        w.image, w.params.abi, profOpts(0, &p));
-    ASSERT_TRUE(r.outcome.exited);
-    EXPECT_LE(p.samples().size(), 4u);
-    EXPECT_GT(p.samplesDropped(), 0u);
-    uint64_t prev = 0;
-    for (const prof::Sample &s : p.samples()) {
-        EXPECT_GT(s.cycle, prev); // period boundaries, increasing
-        EXPECT_EQ(s.cycle % cfg.sample_period, 0u);
-        prev = s.cycle;
-    }
-}
-
 // ----- export ------------------------------------------------------------
 
 TEST(Profile, ProfileJsonParsesWithSchema)
@@ -271,13 +249,6 @@ TEST(Profile, ProfileJsonParsesWithSchema)
         EXPECT_TRUE(arr->isArray()) << key;
         EXPECT_FALSE(arr->arr.empty()) << key;
     }
-
-    const json::Value *samples = v.find("samples");
-    ASSERT_NE(samples, nullptr);
-    const json::Value *series = samples->find("series");
-    ASSERT_NE(series, nullptr);
-    EXPECT_TRUE(series->isArray());
-    EXPECT_FALSE(series->arr.empty());
 
     const json::Value *counters = v.find("counters");
     ASSERT_NE(counters, nullptr);
