@@ -295,7 +295,7 @@ auditClosure(Runtime &rt)
     if (m.trackBlockCycles()) {
         double block_cycles = 0;
         double block_insns = 0;
-        for (const auto &[id, cost] : m.blockCosts()) {
+        for (const ipf::BlockCost &cost : m.blockCosts()) {
             block_cycles += cost.cycles;
             block_insns += cost.insns;
         }

@@ -24,31 +24,10 @@
 namespace el::core
 {
 
-/** Operand register classes. */
-enum class RegClass : uint8_t
-{
-    None,
-    Gr,
-    Fr,
-    Pr,
-    Br,
-};
-
 /** First virtual id of each class (ids below are physical). */
 constexpr int16_t vgr_base = static_cast<int16_t>(ipf::num_grs);   // 128
 constexpr int16_t vfr_base = static_cast<int16_t>(ipf::num_frs);   // 64
 constexpr int16_t vpr_base = static_cast<int16_t>(ipf::num_prs);   // 64
-
-/** Operand roles an IL instruction can have. */
-struct OperandClasses
-{
-    RegClass dst = RegClass::None;
-    RegClass dst2 = RegClass::None; //!< Second predicate of cmp/tbit.
-    RegClass src[3] = {RegClass::None, RegClass::None, RegClass::None};
-};
-
-/** Classify the operands of an IPF opcode. */
-OperandClasses operandClasses(ipf::IpfOp op);
 
 /** One IL instruction. */
 struct Il

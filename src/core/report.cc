@@ -209,7 +209,12 @@ runReportJson(Runtime &rt, const std::string &workload,
     if (m.trackBlockCycles()) {
         w.key("blocks");
         w.beginArray();
-        for (const auto &[id, cost] : m.blockCosts()) {
+        const std::vector<ipf::BlockCost> &books = m.blockCosts();
+        for (size_t k = 0; k < books.size(); ++k) {
+            const ipf::BlockCost &cost = books[k];
+            if (cost.insns == 0)
+                continue;
+            int32_t id = static_cast<int32_t>(k) - 1;
             w.beginObject();
             w.kv("id", id);
             const BlockInfo *bi = rt.translator().blockById(id);
@@ -292,7 +297,7 @@ profileJson(Runtime &rt, const prof::Profiler &prof,
     std::map<uint32_t, std::vector<const BlockInfo *>> xlate_at;
     if (m.trackBlockCycles()) {
         for (const auto &bi : rt.translator().allBlocks())
-            if (bi && m.blockCosts().count(bi->id))
+            if (bi && m.blockCost(bi->id))
                 xlate_at[bi->entry_eip].push_back(bi.get());
     }
 
@@ -327,8 +332,7 @@ profileJson(Runtime &rt, const prof::Profiler &prof,
             w.key("xlate");
             w.beginArray();
             for (const BlockInfo *bi : xl->second) {
-                const ipf::BlockCost &cost =
-                    m.blockCosts().at(bi->id);
+                const ipf::BlockCost &cost = *m.blockCost(bi->id);
                 w.beginObject();
                 w.kv("id", bi->id);
                 w.kv("kind",

@@ -1,6 +1,7 @@
 #include "core/sched.hh"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -11,6 +12,7 @@ namespace el::core
 {
 
 using ipf::IpfOp;
+using ipf::RegClass;
 using ipf::Slot;
 
 namespace
@@ -33,7 +35,7 @@ struct Ref
 unsigned
 reads(const Il &il, Ref out[5])
 {
-    OperandClasses c = operandClasses(il.ins.op);
+    const ipf::OpInfo &c = ipf::opInfo(il.ins.op);
     unsigned n = 0;
     const int16_t srcs[3] = {il.src1, il.src2, il.src3};
     for (unsigned k = 0; k < 3; ++k) {
@@ -53,7 +55,7 @@ reads(const Il &il, Ref out[5])
 unsigned
 writes(const Il &il, Ref out[3])
 {
-    OperandClasses c = operandClasses(il.ins.op);
+    const ipf::OpInfo &c = ipf::opInfo(il.ins.op);
     unsigned n = 0;
     if (c.dst != RegClass::None && il.dst >= 0 &&
         !(c.dst == RegClass::Gr && il.dst == ipf::gr_zero)) {
@@ -114,7 +116,7 @@ latencyOf(const Il &il)
       case IpfOp::Fpdiv:
         return 24;
       default:
-        return il.ins.slotKind() == Slot::F ? 4 : 1;
+        return ipf::opInfo(il.ins.op).slot == Slot::F ? 4 : 1;
     }
 }
 
@@ -137,24 +139,22 @@ isVirtual(const Ref &r)
 /** Slot capacity bookkeeping for one issue group. */
 struct GroupState
 {
-    unsigned m = 0, i = 0, f = 0, b = 0, a = 0, total = 0;
+    std::array<unsigned, static_cast<size_t>(Slot::NumSlots)> used{};
+    unsigned total = 0; //!< issue slots (movl takes two)
     std::set<Ref> written;
     std::set<Ref> read;
 
     bool
     fits(const Il &il) const
     {
-        Slot s = il.ins.slotKind();
-        unsigned nm = m + (s == Slot::M);
-        unsigned ni = i + (s == Slot::I) +
-                      (il.ins.op == IpfOp::Movl ? 1 : 0);
-        unsigned nf = f + (s == Slot::F);
-        unsigned nb = b + (s == Slot::B);
-        unsigned na = a + (s == Slot::A);
-        unsigned nt = total + 1 + (il.ins.op == IpfOp::Movl ? 1 : 0);
-        if (nm > 2 || ni > 2 || nf > 2 || nb > 3 || nt > 6)
+        const ipf::OpInfo &info = ipf::opInfo(il.ins.op);
+        auto n = used;
+        n[static_cast<size_t>(info.slot)] += info.width;
+        auto at = [&](Slot s) { return n[static_cast<size_t>(s)]; };
+        if (at(Slot::M) > 2 || at(Slot::I) > 2 || at(Slot::F) > 2 ||
+            at(Slot::B) > 3 || total + info.width > 6)
             return false;
-        if (nm + ni + na > 4)
+        if (at(Slot::M) + at(Slot::I) + at(Slot::A) > 4)
             return false;
         // No intra-group RAW: sources must not be written in this group.
         Ref rs[5];
@@ -163,7 +163,7 @@ struct GroupState
             if (written.count(rs[k])) {
                 // Exception: a branch may consume a predicate computed
                 // in the same group.
-                if (!(rs[k].cls == RegClass::Pr && s == Slot::B))
+                if (!(rs[k].cls == RegClass::Pr && info.slot == Slot::B))
                     return false;
             }
         }
@@ -182,13 +182,9 @@ struct GroupState
     void
     add(const Il &il)
     {
-        Slot s = il.ins.slotKind();
-        m += (s == Slot::M);
-        i += (s == Slot::I) + (il.ins.op == IpfOp::Movl ? 1 : 0);
-        f += (s == Slot::F);
-        b += (s == Slot::B);
-        a += (s == Slot::A);
-        total += 1 + (il.ins.op == IpfOp::Movl ? 1 : 0);
+        const ipf::OpInfo &info = ipf::opInfo(il.ins.op);
+        used[static_cast<size_t>(info.slot)] += info.width;
+        total += info.width;
         Ref ws[3];
         unsigned nw = writes(il, ws);
         for (unsigned k = 0; k < nw; ++k)
@@ -202,7 +198,8 @@ struct GroupState
     void
     clear()
     {
-        m = i = f = b = a = total = 0;
+        used.fill(0);
+        total = 0;
         written.clear();
         read.clear();
     }
@@ -417,16 +414,7 @@ schedule(std::vector<Il> ils, ipf::CodeCache &cache,
             is_window_start[il.target_il] = 1;
 
     auto is_barrier = [](const Il &il) {
-        switch (il.ins.op) {
-          case IpfOp::Br:
-          case IpfOp::BrCall:
-          case IpfOp::BrRet:
-          case IpfOp::BrInd:
-          case IpfOp::Exit:
-            return true;
-          default:
-            return false;
-        }
+        return ipf::opInfo(il.ins.op).slot == Slot::B;
     };
 
     // For branch targets: the final order position where each window
@@ -676,7 +664,7 @@ schedule(std::vector<Il> ils, ipf::CodeCache &cache,
             close_group(cache.nextIndex());
 
         // Rename operands.
-        OperandClasses c = operandClasses(il.ins.op);
+        const ipf::OpInfo &c = ipf::opInfo(il.ins.op);
         auto do_resolve = [&](RegClass cls, int16_t id, bool is_def,
                               uint8_t *field) {
             if (cls == RegClass::None || id < 0) {

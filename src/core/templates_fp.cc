@@ -355,7 +355,6 @@ tplX87(EmitEnv &env, const Insn &insn)
             Il il = env.mk(op);
             il.dst = r;
             il.src1 = a;
-            il.src2 = a;
             env.emit(il);
             env.fpMemStoreSt(0, r);
         } else {
@@ -363,7 +362,6 @@ tplX87(EmitEnv &env, const Insn &insn)
             Il il = env.mk(op);
             il.dst = a;
             il.src1 = a;
-            il.src2 = a;
             env.emit(il);
         }
         return true;
@@ -782,7 +780,6 @@ tplSse(EmitEnv &env, const Insn &insn)
             Il il = env.mk(IpfOp::Fsqrt);
             il.dst = r;
             il.src1 = b;
-            il.src2 = b;
             il.ins.prec = FpPrec::Single;
             env.emit(il);
         } else {

@@ -84,9 +84,10 @@ packBundles(const CodeCache &code, int64_t begin, int64_t end)
 
         std::vector<Slot> kinds;
         for (int64_t k = g_start; k < g_end; ++k) {
-            kinds.push_back(code.at(k).slotKind());
-            if (code.at(k).op == IpfOp::Movl)
-                kinds.push_back(Slot::I); // the X half of the L+X pair
+            const OpInfo &info = opInfo(code.at(k).op);
+            kinds.push_back(info.slot);
+            if (info.width == 2)
+                kinds.push_back(Slot::I); // the X half of movl's L+X pair
         }
         size_t at = 0;
         while (at < kinds.size())

@@ -62,7 +62,6 @@ CodeCache::publish(const CodeCache &staging,
     if (generation_ != expected_generation)
         return -1;
     int64_t base = static_cast<int64_t>(code_.size());
-    code_.reserve(code_.size() + staging.code_.size());
     for (Instr i : staging.code_) {
         // Branch/chk targets inside a staged block are staging-relative
         // (the staging cache starts at index 0); rebase them. Exit

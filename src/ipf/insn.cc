@@ -6,169 +6,139 @@
 namespace el::ipf
 {
 
-Slot
-Instr::slotKind() const
+namespace
 {
-    switch (op) {
-      case IpfOp::Add:
-      case IpfOp::Sub:
-      case IpfOp::AddImm:
-      case IpfOp::And:
-      case IpfOp::Or:
-      case IpfOp::Xor:
-      case IpfOp::Andcm:
-      case IpfOp::Shladd:
-      case IpfOp::Cmp:
-      case IpfOp::CmpImm:
-      case IpfOp::Mov:
-      case IpfOp::Padd:
-      case IpfOp::Psub:
-        return Slot::A;
-      case IpfOp::Shl:
-      case IpfOp::ShlImm:
-      case IpfOp::Shr:
-      case IpfOp::ShrU:
-      case IpfOp::ShrImm:
-      case IpfOp::ShrUImm:
-      case IpfOp::Sxt:
-      case IpfOp::Zxt:
-      case IpfOp::Tbit:
-      case IpfOp::Dep:
-      case IpfOp::DepZ:
-      case IpfOp::Extr:
-      case IpfOp::ExtrU:
-      case IpfOp::Popcnt:
-      case IpfOp::MovToBr:
-      case IpfOp::MovFromBr:
-      case IpfOp::Pmull:
-      case IpfOp::Pcmp:
-        return Slot::I;
-      case IpfOp::Movl:
-        return Slot::I; // occupies L+X (charged as 2 slots by the timer)
-      case IpfOp::Ld:
-      case IpfOp::St:
-      case IpfOp::ChkS:
-      case IpfOp::Ldf:
-      case IpfOp::Stf:
-      case IpfOp::Getf:
-      case IpfOp::Setf:
-      case IpfOp::Mf:
-        return Slot::M;
-      case IpfOp::Xmul:
-      case IpfOp::XDivS:
-      case IpfOp::XDivU:
-      case IpfOp::XRemS:
-      case IpfOp::XRemU:
-      case IpfOp::Fadd:
-      case IpfOp::Fsub:
-      case IpfOp::Fmpy:
-      case IpfOp::Fma:
-      case IpfOp::Fms:
-      case IpfOp::Fnma:
-      case IpfOp::Fdiv:
-      case IpfOp::Fsqrt:
-      case IpfOp::Fcmp:
-      case IpfOp::Fneg:
-      case IpfOp::Fabs:
-      case IpfOp::FcvtXf:
-      case IpfOp::FcvtFxTrunc:
-      case IpfOp::Fmov:
-      case IpfOp::Fpadd:
-      case IpfOp::Fpsub:
-      case IpfOp::Fpmpy:
-      case IpfOp::Fpdiv:
-      case IpfOp::Fpcvt:
-        return Slot::F;
-      case IpfOp::Br:
-      case IpfOp::BrCall:
-      case IpfOp::BrRet:
-      case IpfOp::BrInd:
-      case IpfOp::Exit:
-        return Slot::B;
-      case IpfOp::Nop:
-        return Slot::A;
-      default:
-        el_panic("slotKind: bad op %u", static_cast<unsigned>(op));
-    }
+
+constexpr size_t num_ops = static_cast<size_t>(IpfOp::NumOps);
+
+/** Build the static opcode table once, at compile time. */
+constexpr std::array<OpInfo, num_ops>
+buildOpTable()
+{
+    constexpr RegClass no = RegClass::None;
+    constexpr RegClass gr = RegClass::Gr;
+    constexpr RegClass fr = RegClass::Fr;
+    constexpr RegClass pr = RegClass::Pr;
+    constexpr RegClass br = RegClass::Br;
+
+    std::array<OpInfo, num_ops> t{};
+    auto set = [&](IpfOp op, OpInfo info) {
+        t[static_cast<size_t>(op)] = info;
+    };
+    // The common shapes: GR dst = op(src1, src2) or op(src1), and FR
+    // dst = op(src1[, src2[, src3]]) on the F unit.
+    auto gr2 = [&](IpfOp op, const char *name, Slot slot) {
+        set(op, {name, slot, 1, gr, no, {gr, gr, no}});
+    };
+    auto gr1 = [&](IpfOp op, const char *name, Slot slot) {
+        set(op, {name, slot, 1, gr, no, {gr, no, no}});
+    };
+    auto fp = [&](IpfOp op, const char *name, unsigned nsrcs) {
+        set(op, {name, Slot::F, 1, fr, no,
+                 {fr, nsrcs > 1 ? fr : no, nsrcs > 2 ? fr : no}});
+    };
+    // name, slot, width, dst, dst2, {src1, src2, src3}
+    set(IpfOp::Invalid, {"(invalid)", Slot::A, 1, no, no, {no, no, no}});
+
+    gr2(IpfOp::Add, "add", Slot::A);
+    gr2(IpfOp::Sub, "sub", Slot::A);
+    gr1(IpfOp::AddImm, "adds", Slot::A);
+    gr2(IpfOp::And, "and", Slot::A);
+    gr2(IpfOp::Or, "or", Slot::A);
+    gr2(IpfOp::Xor, "xor", Slot::A);
+    gr2(IpfOp::Andcm, "andcm", Slot::A);
+    gr2(IpfOp::Shl, "shl", Slot::I);
+    gr1(IpfOp::ShlImm, "shl", Slot::I);
+    gr2(IpfOp::Shr, "shr", Slot::I);
+    gr2(IpfOp::ShrU, "shr.u", Slot::I);
+    gr1(IpfOp::ShrImm, "shr", Slot::I);
+    gr1(IpfOp::ShrUImm, "shr.u", Slot::I);
+    gr2(IpfOp::Shladd, "shladd", Slot::A);
+    gr1(IpfOp::Sxt, "sxt", Slot::I);
+    gr1(IpfOp::Zxt, "zxt", Slot::I);
+    set(IpfOp::Movl, {"movl", Slot::I, 2, gr, no, {no, no, no}});
+    gr1(IpfOp::Mov, "mov", Slot::A);
+    set(IpfOp::MovToBr, {"mov.b", Slot::I, 1, br, no, {gr, no, no}});
+    set(IpfOp::MovFromBr, {"mov.fb", Slot::I, 1, gr, no, {br, no, no}});
+    set(IpfOp::Cmp, {"cmp", Slot::A, 1, pr, pr, {gr, gr, no}});
+    set(IpfOp::CmpImm, {"cmp.i", Slot::A, 1, pr, pr, {no, gr, no}});
+    set(IpfOp::Tbit, {"tbit", Slot::I, 1, pr, pr, {gr, no, no}});
+    gr2(IpfOp::Dep, "dep", Slot::I);
+    gr1(IpfOp::DepZ, "dep.z", Slot::I);
+    gr1(IpfOp::Extr, "extr", Slot::I);
+    gr1(IpfOp::ExtrU, "extr.u", Slot::I);
+    gr1(IpfOp::Popcnt, "popcnt", Slot::I);
+
+    gr2(IpfOp::Padd, "padd", Slot::A);
+    gr2(IpfOp::Psub, "psub", Slot::A);
+    gr2(IpfOp::Pmull, "pmpyshr2", Slot::I);
+    gr2(IpfOp::Pcmp, "pcmp", Slot::I);
+
+    gr1(IpfOp::Ld, "ld", Slot::M);
+    set(IpfOp::St, {"st", Slot::M, 1, no, no, {gr, gr, no}});
+    set(IpfOp::ChkS, {"chk.s", Slot::M, 1, no, no, {gr, no, no}});
+    set(IpfOp::Ldf, {"ldf", Slot::M, 1, fr, no, {gr, no, no}});
+    set(IpfOp::Stf, {"stf", Slot::M, 1, no, no, {gr, fr, no}});
+    set(IpfOp::Getf, {"getf.sig", Slot::M, 1, gr, no, {fr, no, no}});
+    set(IpfOp::Setf, {"setf.sig", Slot::M, 1, fr, no, {gr, no, no}});
+    set(IpfOp::Mf, {"mf", Slot::M, 1, no, no, {no, no, no}});
+
+    fp(IpfOp::Fadd, "fadd", 2);
+    fp(IpfOp::Fsub, "fsub", 2);
+    fp(IpfOp::Fmpy, "fmpy", 2);
+    fp(IpfOp::Fma, "fma", 3);
+    fp(IpfOp::Fms, "fms", 3);
+    fp(IpfOp::Fnma, "fnma", 3);
+    fp(IpfOp::Fdiv, "fdiv*", 2);
+    fp(IpfOp::Fsqrt, "fsqrt*", 1);
+    set(IpfOp::Fcmp, {"fcmp", Slot::F, 1, pr, pr, {fr, fr, no}});
+    fp(IpfOp::Fneg, "fneg", 1);
+    fp(IpfOp::Fabs, "fabs", 1);
+    fp(IpfOp::FcvtXf, "fcvt.xf", 1);
+    fp(IpfOp::FcvtFxTrunc, "fcvt.fx.trunc", 1);
+    fp(IpfOp::Fmov, "fmov", 1);
+    gr2(IpfOp::Xmul, "xmul*", Slot::F);
+    gr2(IpfOp::XDivS, "xdiv.s*", Slot::F);
+    gr2(IpfOp::XDivU, "xdiv.u*", Slot::F);
+    gr2(IpfOp::XRemS, "xrem.s*", Slot::F);
+    gr2(IpfOp::XRemU, "xrem.u*", Slot::F);
+
+    fp(IpfOp::Fpadd, "fpadd", 2);
+    fp(IpfOp::Fpsub, "fpsub", 2);
+    fp(IpfOp::Fpmpy, "fpmpy", 2);
+    fp(IpfOp::Fpdiv, "fpdiv*", 2);
+    fp(IpfOp::Fpcvt, "fpcvt", 1);
+
+    set(IpfOp::Br, {"br", Slot::B, 1, no, no, {no, no, no}});
+    set(IpfOp::BrCall, {"br.call", Slot::B, 1, br, no, {no, no, no}});
+    set(IpfOp::BrRet, {"br.ret", Slot::B, 1, no, no, {br, no, no}});
+    set(IpfOp::BrInd, {"br.ind", Slot::B, 1, no, no, {br, no, no}});
+    // src1 is renamed as a GR for every Exit, but only an IndirectMiss
+    // exit reads it (the machine's timing special-cases this).
+    set(IpfOp::Exit, {"exit", Slot::B, 1, no, no, {gr, no, no}});
+    set(IpfOp::Nop, {"nop", Slot::A, 1, no, no, {no, no, no}});
+    return t;
 }
 
-const char *
-ipfOpName(IpfOp op)
+constexpr bool
+everyOpHasARow(const std::array<OpInfo, num_ops> &t)
 {
-    switch (op) {
-      case IpfOp::Invalid: return "(invalid)";
-      case IpfOp::Add: return "add";
-      case IpfOp::Sub: return "sub";
-      case IpfOp::AddImm: return "adds";
-      case IpfOp::And: return "and";
-      case IpfOp::Or: return "or";
-      case IpfOp::Xor: return "xor";
-      case IpfOp::Andcm: return "andcm";
-      case IpfOp::Shl: return "shl";
-      case IpfOp::ShlImm: return "shl";
-      case IpfOp::Shr: return "shr";
-      case IpfOp::ShrU: return "shr.u";
-      case IpfOp::ShrImm: return "shr";
-      case IpfOp::ShrUImm: return "shr.u";
-      case IpfOp::Shladd: return "shladd";
-      case IpfOp::Sxt: return "sxt";
-      case IpfOp::Zxt: return "zxt";
-      case IpfOp::Movl: return "movl";
-      case IpfOp::Mov: return "mov";
-      case IpfOp::MovToBr: return "mov.b";
-      case IpfOp::MovFromBr: return "mov.fb";
-      case IpfOp::Cmp: return "cmp";
-      case IpfOp::CmpImm: return "cmp.i";
-      case IpfOp::Tbit: return "tbit";
-      case IpfOp::Dep: return "dep";
-      case IpfOp::DepZ: return "dep.z";
-      case IpfOp::Extr: return "extr";
-      case IpfOp::ExtrU: return "extr.u";
-      case IpfOp::Popcnt: return "popcnt";
-      case IpfOp::Padd: return "padd";
-      case IpfOp::Psub: return "psub";
-      case IpfOp::Pmull: return "pmpyshr2";
-      case IpfOp::Pcmp: return "pcmp";
-      case IpfOp::Ld: return "ld";
-      case IpfOp::St: return "st";
-      case IpfOp::ChkS: return "chk.s";
-      case IpfOp::Ldf: return "ldf";
-      case IpfOp::Stf: return "stf";
-      case IpfOp::Getf: return "getf.sig";
-      case IpfOp::Setf: return "setf.sig";
-      case IpfOp::Mf: return "mf";
-      case IpfOp::Xmul: return "xmul*";
-      case IpfOp::XDivS: return "xdiv.s*";
-      case IpfOp::XDivU: return "xdiv.u*";
-      case IpfOp::XRemS: return "xrem.s*";
-      case IpfOp::XRemU: return "xrem.u*";
-      case IpfOp::Fadd: return "fadd";
-      case IpfOp::Fsub: return "fsub";
-      case IpfOp::Fmpy: return "fmpy";
-      case IpfOp::Fma: return "fma";
-      case IpfOp::Fms: return "fms";
-      case IpfOp::Fnma: return "fnma";
-      case IpfOp::Fdiv: return "fdiv*";
-      case IpfOp::Fsqrt: return "fsqrt*";
-      case IpfOp::Fcmp: return "fcmp";
-      case IpfOp::Fneg: return "fneg";
-      case IpfOp::Fabs: return "fabs";
-      case IpfOp::FcvtXf: return "fcvt.xf";
-      case IpfOp::FcvtFxTrunc: return "fcvt.fx.trunc";
-      case IpfOp::Fmov: return "fmov";
-      case IpfOp::Fpadd: return "fpadd";
-      case IpfOp::Fpsub: return "fpsub";
-      case IpfOp::Fpmpy: return "fpmpy";
-      case IpfOp::Fpdiv: return "fpdiv*";
-      case IpfOp::Fpcvt: return "fpcvt";
-      case IpfOp::Br: return "br";
-      case IpfOp::BrCall: return "br.call";
-      case IpfOp::BrRet: return "br.ret";
-      case IpfOp::BrInd: return "br.ind";
-      case IpfOp::Exit: return "exit";
-      case IpfOp::Nop: return "nop";
-      default: return "?";
-    }
+    for (const OpInfo &row : t)
+        if (row.name == nullptr || row.width == 0)
+            return false;
+    return true;
+}
+
+} // namespace
+
+constexpr std::array<OpInfo, num_ops> op_table = buildOpTable();
+static_assert(everyOpHasARow(op_table),
+              "op_table needs one row for every IpfOp below NumOps");
+
+void
+badOp(IpfOp op)
+{
+    el_panic("bad IPF op %u", static_cast<unsigned>(op));
 }
 
 const char *
@@ -184,102 +154,13 @@ bucketName(Bucket bucket)
     }
 }
 
-bool
-writesGr(const Instr &i)
-{
-    switch (i.op) {
-      case IpfOp::Add:
-      case IpfOp::Sub:
-      case IpfOp::AddImm:
-      case IpfOp::And:
-      case IpfOp::Or:
-      case IpfOp::Xor:
-      case IpfOp::Andcm:
-      case IpfOp::Shl:
-      case IpfOp::ShlImm:
-      case IpfOp::Shr:
-      case IpfOp::ShrU:
-      case IpfOp::ShrImm:
-      case IpfOp::ShrUImm:
-      case IpfOp::Shladd:
-      case IpfOp::Sxt:
-      case IpfOp::Zxt:
-      case IpfOp::Movl:
-      case IpfOp::Mov:
-      case IpfOp::MovFromBr:
-      case IpfOp::Dep:
-      case IpfOp::DepZ:
-      case IpfOp::Extr:
-      case IpfOp::ExtrU:
-      case IpfOp::Popcnt:
-      case IpfOp::Padd:
-      case IpfOp::Psub:
-      case IpfOp::Pmull:
-      case IpfOp::Pcmp:
-      case IpfOp::Ld:
-      case IpfOp::Getf:
-      case IpfOp::Xmul:
-      case IpfOp::XDivS:
-      case IpfOp::XDivU:
-      case IpfOp::XRemS:
-      case IpfOp::XRemU:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-writesFr(const Instr &i)
-{
-    switch (i.op) {
-      case IpfOp::Ldf:
-      case IpfOp::Setf:
-      case IpfOp::Fadd:
-      case IpfOp::Fsub:
-      case IpfOp::Fmpy:
-      case IpfOp::Fma:
-      case IpfOp::Fms:
-      case IpfOp::Fnma:
-      case IpfOp::Fdiv:
-      case IpfOp::Fsqrt:
-      case IpfOp::Fneg:
-      case IpfOp::Fabs:
-      case IpfOp::FcvtXf:
-      case IpfOp::FcvtFxTrunc:
-      case IpfOp::Fmov:
-      case IpfOp::Fpadd:
-      case IpfOp::Fpsub:
-      case IpfOp::Fpmpy:
-      case IpfOp::Fpdiv:
-      case IpfOp::Fpcvt:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-writesPr(const Instr &i)
-{
-    switch (i.op) {
-      case IpfOp::Cmp:
-      case IpfOp::CmpImm:
-      case IpfOp::Tbit:
-      case IpfOp::Fcmp:
-        return true;
-      default:
-        return false;
-    }
-}
-
 std::string
 Instr::toString() const
 {
     std::string s;
     if (qp != 0)
         s += strfmt("(p%u) ", qp);
-    s += ipfOpName(op);
+    s += opInfo(op).name;
     switch (op) {
       case IpfOp::Ld:
       case IpfOp::St:

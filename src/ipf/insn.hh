@@ -23,6 +23,7 @@
 #ifndef EL_IPF_INSN_HH
 #define EL_IPF_INSN_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -37,6 +38,17 @@ enum class Slot : uint8_t
     F, //!< floating point
     B, //!< branch
     A, //!< ALU: can issue on M or I
+    NumSlots,
+};
+
+/** Register class of an operand field. */
+enum class RegClass : uint8_t
+{
+    None,
+    Gr,
+    Fr,
+    Pr,
+    Br,
 };
 
 /** Comparison relations for cmp/fcmp. */
@@ -147,7 +159,7 @@ enum class IpfOp : uint16_t
     Fms,
     Fnma,     //!< dst = -(src1 * src2) + src3
     Fdiv,     //!< pseudo: frcpa + Newton iterations (long latency)
-    Fsqrt,    //!< pseudo: frsqrta + Newton iterations
+    Fsqrt,    //!< dst = sqrt(src1); pseudo: frsqrta + Newton iterations
     Fcmp,     //!< (dst, dst2) = src1 rel src2
     Fneg,     //!< fmerge.ns
     Fabs,     //!< fmerge.s with f0 sign
@@ -176,7 +188,8 @@ enum class IpfOp : uint16_t
     BrCall,   //!< branch and link into br[dst]
     BrRet,    //!< branch to br[src1]
     BrInd,    //!< indirect branch to br[src1]
-    Exit,     //!< leave translated code; `exit_reason` says why
+    Exit,     //!< leave translated code; `exit_reason` says why.
+              //!< An IndirectMiss exit reads the target EIP from src1.
     Nop,
 
     NumOps,
@@ -227,27 +240,47 @@ struct Instr
 
     InstrMeta meta;
 
-    /** Slot type, derived from the opcode. */
-    Slot slotKind() const;
-
     /** Human-readable rendering for traces and tests. */
     std::string toString() const;
 };
 
-/** Printable opcode mnemonic. */
-const char *ipfOpName(IpfOp op);
+/**
+ * Static description of an opcode: everything that is fixed when the
+ * instruction is emitted. The bundle template decides the execution
+ * unit, and the operand fields have a fixed register class per opcode,
+ * so the machine's timing, the scheduler's renaming and dependence
+ * tracking, the bundler and the group verifier all read this one row
+ * instead of re-deriving it.
+ */
+struct OpInfo
+{
+    const char *name;   //!< Mnemonic (toString, traces, profile disasm).
+    Slot slot;          //!< Execution unit.
+    uint8_t width;      //!< Issue slots: 2 for movl's L+X pair, else 1.
+    RegClass dst;       //!< Class of the `dst` field.
+    RegClass dst2;      //!< Class of the `dst2` field (cmp/tbit/fcmp).
+    RegClass src[3];    //!< Classes of `src1`, `src2`, `src3`.
+};
+
+/** The opcode table, one row per IpfOp (built in insn.cc). */
+extern const std::array<OpInfo, static_cast<size_t>(IpfOp::NumOps)>
+    op_table;
+
+/** Panic on an opcode value outside the table. */
+[[noreturn]] void badOp(IpfOp op);
+
+/** The row for @p op; panics on a value outside the table. */
+inline const OpInfo &
+opInfo(IpfOp op)
+{
+    auto k = static_cast<size_t>(op);
+    if (k >= op_table.size()) [[unlikely]]
+        badOp(op);
+    return op_table[k];
+}
 
 /** Printable bucket name. */
 const char *bucketName(Bucket bucket);
-
-/** True if the op writes a general register. */
-bool writesGr(const Instr &i);
-
-/** True if the op writes an FP register. */
-bool writesFr(const Instr &i);
-
-/** True if the op writes predicate registers. */
-bool writesPr(const Instr &i);
 
 } // namespace el::ipf
 

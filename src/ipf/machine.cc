@@ -12,123 +12,21 @@ namespace el::ipf
 namespace
 {
 
-/** Enumerate the general registers an instruction reads. */
-unsigned
-grSources(const Instr &i, uint8_t out[3])
-{
-    unsigned n = 0;
-    auto add = [&](uint8_t r) {
-        if (r != gr_zero)
-            out[n++] = r;
-    };
-    switch (i.op) {
-      case IpfOp::Add:
-      case IpfOp::Sub:
-      case IpfOp::And:
-      case IpfOp::Or:
-      case IpfOp::Xor:
-      case IpfOp::Andcm:
-      case IpfOp::Shl:
-      case IpfOp::Shr:
-      case IpfOp::ShrU:
-      case IpfOp::Cmp:
-      case IpfOp::Dep:
-      case IpfOp::Padd:
-      case IpfOp::Psub:
-      case IpfOp::Pmull:
-      case IpfOp::Pcmp:
-      case IpfOp::St:
-        add(i.src1);
-        add(i.src2);
-        break;
-      case IpfOp::Shladd:
-      case IpfOp::Xmul:
-      case IpfOp::XDivS:
-      case IpfOp::XDivU:
-      case IpfOp::XRemS:
-      case IpfOp::XRemU:
-        add(i.src1);
-        add(i.src2);
-        break;
-      case IpfOp::AddImm:
-      case IpfOp::ShlImm:
-      case IpfOp::ShrImm:
-      case IpfOp::ShrUImm:
-      case IpfOp::Sxt:
-      case IpfOp::Zxt:
-      case IpfOp::Mov:
-      case IpfOp::MovToBr:
-      case IpfOp::Tbit:
-      case IpfOp::DepZ:
-      case IpfOp::Extr:
-      case IpfOp::ExtrU:
-      case IpfOp::Popcnt:
-      case IpfOp::Ld:
-      case IpfOp::ChkS:
-      case IpfOp::Setf:
-        add(i.src1);
-        break;
-      case IpfOp::CmpImm:
-        add(i.src2);
-        break;
-      case IpfOp::Ldf:
-        add(i.src1);
-        break;
-      case IpfOp::Stf:
-        add(i.src1);
-        break;
-      case IpfOp::Exit:
-        if (i.exit_reason == ExitReason::IndirectMiss)
-            add(i.src1);
-        break;
-      default:
-        break;
-    }
-    return n;
-}
+/** No register sources. */
+constexpr RegClass no_srcs[3] = {};
 
-/** Enumerate the FP registers an instruction reads. */
-unsigned
-frSources(const Instr &i, uint8_t out[3])
+/**
+ * Classes of the source fields the machine reads. An Exit's src1 is a
+ * source only on an IndirectMiss exit: invalidateEntry() leaves any
+ * instruction's register fields behind when it turns it into an Exit,
+ * and RegisterHot exits carry their counter register there.
+ */
+const RegClass *
+sourceClasses(const Instr &i, const OpInfo &info)
 {
-    unsigned n = 0;
-    switch (i.op) {
-      case IpfOp::Fadd:
-      case IpfOp::Fsub:
-      case IpfOp::Fmpy:
-      case IpfOp::Fdiv:
-      case IpfOp::Fcmp:
-      case IpfOp::Fpadd:
-      case IpfOp::Fpsub:
-      case IpfOp::Fpmpy:
-      case IpfOp::Fpdiv:
-        out[n++] = i.src1;
-        out[n++] = i.src2;
-        break;
-      case IpfOp::Fma:
-      case IpfOp::Fms:
-      case IpfOp::Fnma:
-        out[n++] = i.src1;
-        out[n++] = i.src2;
-        out[n++] = i.src3;
-        break;
-      case IpfOp::Fsqrt:
-      case IpfOp::Fneg:
-      case IpfOp::Fabs:
-      case IpfOp::FcvtXf:
-      case IpfOp::FcvtFxTrunc:
-      case IpfOp::Fmov:
-      case IpfOp::Fpcvt:
-      case IpfOp::Getf:
-        out[n++] = i.src1;
-        break;
-      case IpfOp::Stf:
-        out[n++] = i.src2;
-        break;
-      default:
-        break;
-    }
-    return n;
+    if (i.op == IpfOp::Exit && i.exit_reason != ExitReason::IndirectMiss)
+        return no_srcs;
+    return info.src;
 }
 
 /** Round a scalar FP result to the instruction's precision. */
@@ -189,24 +87,30 @@ Machine::closeGroup()
     if (!grp_open_)
         return;
     auto ceil_div = [](unsigned a, unsigned b) { return (a + b - 1) / b; };
+    auto used = [&](Slot s) { return grp_slots_[static_cast<size_t>(s)]; };
     unsigned width = 1;
     width = std::max(width, ceil_div(grp_total_, 6));
-    width = std::max(width, ceil_div(grp_f_, 2));
-    width = std::max(width, ceil_div(grp_b_, 3));
-    width = std::max(width, ceil_div(grp_m_, 2));
-    width = std::max(width, ceil_div(grp_i_, 2));
-    width = std::max(width, ceil_div(grp_m_ + grp_i_ + grp_a_, 4));
+    width = std::max(width, ceil_div(used(Slot::F), 2));
+    width = std::max(width, ceil_div(used(Slot::B), 3));
+    width = std::max(width, ceil_div(used(Slot::M), 2));
+    width = std::max(width, ceil_div(used(Slot::I), 2));
+    width = std::max(width, ceil_div(used(Slot::M) + used(Slot::I) +
+                                         used(Slot::A), 4));
     double cost = width + grp_stall_ + grp_extra_;
     cycle_ += cost;
     stats_.cycles[static_cast<size_t>(grp_bucket_)] += cost;
     misalign_cycles_[static_cast<size_t>(grp_bucket_)] += grp_misalign_;
     if (track_blocks_) {
-        BlockCost &bc = block_costs_[grp_block_];
+        size_t k = static_cast<size_t>(grp_block_ + 1);
+        if (k >= block_costs_.size())
+            block_costs_.resize(k + 1);
+        BlockCost &bc = block_costs_[k];
         bc.cycles += cost;
         bc.insns += grp_insns_;
     }
 
-    grp_m_ = grp_i_ = grp_f_ = grp_b_ = grp_a_ = grp_total_ = 0;
+    grp_slots_.fill(0);
+    grp_total_ = 0;
     grp_insns_ = 0;
     grp_stall_ = 0.0;
     grp_extra_ = 0.0;
@@ -226,59 +130,46 @@ Machine::accountInstr(const Instr &i)
         grp_bucket_ = i.meta.bucket;
         grp_block_ = i.meta.block_id;
     }
+    const OpInfo &info = opInfo(i.op);
     ++grp_insns_;
-    switch (i.slotKind()) {
-      case Slot::M:
-        ++grp_m_;
-        break;
-      case Slot::I:
-        ++grp_i_;
-        if (i.op == IpfOp::Movl)
-            ++grp_i_; // movl consumes the L+X pair
-        break;
-      case Slot::F:
-        ++grp_f_;
-        break;
-      case Slot::B:
-        ++grp_b_;
-        break;
-      case Slot::A:
-        ++grp_a_;
-        break;
-    }
-    ++grp_total_;
-    if (i.op == IpfOp::Movl)
-        ++grp_total_;
+    grp_slots_[static_cast<size_t>(info.slot)] += info.width;
+    grp_total_ += info.width;
 
-    uint8_t srcs[3];
-    unsigned n = grSources(i, srcs);
-    for (unsigned k = 0; k < n; ++k)
-        grp_stall_ = std::max(grp_stall_, gr_ready_[srcs[k]] - cycle_);
-    n = frSources(i, srcs);
-    for (unsigned k = 0; k < n; ++k)
-        grp_stall_ = std::max(grp_stall_, fr_ready_[srcs[k]] - cycle_);
+    const RegClass *cls = sourceClasses(i, info);
+    auto stall = [&](RegClass c, uint8_t r) {
+        if (c == RegClass::Gr && r != gr_zero)
+            grp_stall_ = std::max(grp_stall_, gr_ready_[r] - cycle_);
+        else if (c == RegClass::Fr)
+            grp_stall_ = std::max(grp_stall_, fr_ready_[r] - cycle_);
+    };
+    stall(cls[0], i.src1);
+    stall(cls[1], i.src2);
+    stall(cls[2], i.src3);
+    if (cfg_.verify_groups && prs_[i.qp])
+        verifyGroup(i);
+}
 
-    if (cfg_.verify_groups && prs_[i.qp]) {
-        uint8_t gsrcs[3];
-        unsigned gn = grSources(i, gsrcs);
-        for (unsigned k = 0; k < gn; ++k) {
-            el_assert(!grp_gr_writer_[gsrcs[k]],
+void
+Machine::verifyGroup(const Instr &i)
+{
+    const OpInfo &info = opInfo(i.op);
+    const RegClass *cls = sourceClasses(i, info);
+    const uint8_t srcs[3] = {i.src1, i.src2, i.src3};
+    for (unsigned k = 0; k < 3; ++k) {
+        if (cls[k] == RegClass::Gr && srcs[k] != gr_zero)
+            el_assert(!grp_gr_writer_[srcs[k]],
                       "intra-group GR RAW on r%u at cache[%lld] (%s)",
-                      gsrcs[k], static_cast<long long>(ip_),
+                      srcs[k], static_cast<long long>(ip_),
                       i.toString().c_str());
-        }
-        uint8_t fsrcs[3];
-        unsigned fn = frSources(i, fsrcs);
-        for (unsigned k = 0; k < fn; ++k) {
-            el_assert(!grp_fr_writer_[fsrcs[k]],
+        else if (cls[k] == RegClass::Fr)
+            el_assert(!grp_fr_writer_[srcs[k]],
                       "intra-group FR RAW on f%u at cache[%lld]",
-                      fsrcs[k], static_cast<long long>(ip_));
-        }
-        if (writesGr(i) && i.dst != gr_zero)
-            grp_gr_writer_[i.dst] = 1;
-        if (writesFr(i))
-            grp_fr_writer_[i.dst] = 1;
+                      srcs[k], static_cast<long long>(ip_));
     }
+    if (info.dst == RegClass::Gr && i.dst != gr_zero)
+        grp_gr_writer_[i.dst] = 1;
+    if (info.dst == RegClass::Fr)
+        grp_fr_writer_[i.dst] = 1;
 }
 
 void
@@ -881,7 +772,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
               case IpfOp::Fms: fr = fa * fb - fc; break;
               case IpfOp::Fnma: fr = -(fa * fb) + fc; break;
               case IpfOp::Fdiv: fr = fa / fb; lat = cfg_.lat_fdiv; break;
-              case IpfOp::Fsqrt: fr = std::sqrt(fb); lat = cfg_.lat_fdiv;
+              case IpfOp::Fsqrt: fr = std::sqrt(fa); lat = cfg_.lat_fdiv;
                 break;
               default: el_panic("unreachable");
             }
@@ -899,7 +790,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
               case IpfOp::Fms: fr = fa * fb - fc; break;
               case IpfOp::Fnma: fr = -(fa * fb) + fc; break;
               case IpfOp::Fdiv: fr = fa / fb; lat = cfg_.lat_fdiv; break;
-              case IpfOp::Fsqrt: fr = std::sqrt(fb); lat = cfg_.lat_fdiv;
+              case IpfOp::Fsqrt: fr = std::sqrt(fa); lat = cfg_.lat_fdiv;
                 break;
               default: el_panic("unreachable");
             }
@@ -914,7 +805,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
               case IpfOp::Fnma: r = -(a * b) + c; break;
               case IpfOp::Fdiv: r = a / b; lat = cfg_.lat_fdiv; break;
               case IpfOp::Fsqrt:
-                r = sqrtl(b);
+                r = sqrtl(a);
                 lat = cfg_.lat_fdiv;
                 break;
               default: el_panic("unreachable");
@@ -1057,7 +948,7 @@ Machine::execute(const Instr &i, StopInfo *stop)
         return false;
 
       default:
-        el_panic("machine: unimplemented op %s", ipfOpName(i.op));
+        el_panic("machine: unimplemented op %s", opInfo(i.op).name);
     }
 }
 

@@ -30,7 +30,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <map>
+#include <vector>
 
 #include "ipf/code_cache.hh"
 #include "ipf/regs.hh"
@@ -204,16 +204,28 @@ class Machine
 
     /**
      * Enable per-translation-block cycle accounting. Off by default:
-     * the map update in closeGroup() is measurable on hot loops, so the
-     * runtime only turns it on when a run report was requested.
+     * the book update in closeGroup() is measurable on hot loops, so
+     * the runtime only turns it on when a run report was requested.
      */
     void setTrackBlockCycles(bool on) { track_blocks_ = on; }
     bool trackBlockCycles() const { return track_blocks_; }
 
-    /** Per-block costs keyed by translation block id (see InstrMeta). */
-    const std::map<int32_t, BlockCost> &blockCosts() const
+    /**
+     * Per-block costs, indexed by translation block id + 1: block ids
+     * are dense BlockInfo indices, and slot 0 holds runtime-emitted
+     * code outside any block (id -1). A block has an entry iff its
+     * insns > 0, since every closed group retires an instruction.
+     */
+    const std::vector<BlockCost> &blockCosts() const { return block_costs_; }
+
+    /** The cost entry of block @p id, or null when it has none. */
+    const BlockCost *
+    blockCost(int32_t id) const
     {
-        return block_costs_;
+        size_t k = static_cast<size_t>(id + 1);
+        return k < block_costs_.size() && block_costs_[k].insns
+                   ? &block_costs_[k]
+                   : nullptr;
     }
 
     /**
@@ -273,6 +285,9 @@ class Machine
     /** Charge a group's structural cost and source stalls. */
     void accountInstr(const Instr &i);
 
+    /** Panic on an intra-group RAW (MachineConfig::verify_groups). */
+    void verifyGroup(const Instr &i);
+
     /** Report a probe-instruction visit to the attached profiler. */
     void profileObserve(const Instr &i);
 
@@ -295,8 +310,8 @@ class Machine
     std::array<double, num_grs> gr_ready_{};
     std::array<double, num_frs> fr_ready_{};
     // Current-group accumulation.
-    unsigned grp_m_ = 0, grp_i_ = 0, grp_f_ = 0, grp_b_ = 0, grp_a_ = 0;
-    unsigned grp_total_ = 0;
+    std::array<unsigned, static_cast<size_t>(Slot::NumSlots)> grp_slots_{};
+    unsigned grp_total_ = 0;    //!< issue slots used (movl takes two)
     double grp_stall_ = 0.0;
     double grp_extra_ = 0.0; //!< memory/branch penalties inside the group
     double grp_misalign_ = 0.0; //!< misalign share of grp_extra_
@@ -316,7 +331,7 @@ class Machine
     double synthetic_cycles_ = 0.0;
     std::array<double, static_cast<size_t>(Bucket::NumBuckets)>
         misalign_cycles_{};
-    std::map<int32_t, BlockCost> block_costs_;
+    std::vector<BlockCost> block_costs_; //!< see blockCosts()
     uint64_t retired_ = 0;
     uint64_t misaligned_ = 0;
 };

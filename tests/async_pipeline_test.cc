@@ -319,6 +319,28 @@ TEST(CodeCachePublish, RebasesTargetsAndStampsBlockIds)
         EXPECT_EQ(main_cache.at(i).meta.block_id, 42);
 }
 
+TEST(CodeCachePublish, GrowsGeometrically)
+{
+    // Publishing must leave the vector's geometric growth alone: a
+    // cache grown to exactly its size reallocates, and copies every
+    // instruction, on each later publish.
+    ipf::CodeCache cache, staging;
+    ipf::Instr nop;
+    nop.op = ipf::IpfOp::Nop;
+    staging.emit(nop);
+    ASSERT_EQ(cache.publish(staging, cache.generation(), 0), 0);
+    const ipf::Instr *first = &cache.at(0);
+    unsigned moves = 0;
+    for (int32_t k = 1; k < 1000; ++k) {
+        ASSERT_EQ(cache.publish(staging, cache.generation(), k), k);
+        if (&cache.at(0) != first) {
+            first = &cache.at(0);
+            ++moves;
+        }
+    }
+    EXPECT_LE(moves, 32u);
+}
+
 TEST(CodeCachePublish, StaleGenerationRejected)
 {
     ipf::CodeCache main_cache, staging;

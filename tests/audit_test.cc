@@ -104,7 +104,7 @@ TEST(Audit, ClosureIdentityIsExact)
     ASSERT_TRUE(run.outcome.exited);
     ipf::Machine &m = run.runtime->machine();
     double blocks = 0;
-    for (const auto &[id, cost] : m.blockCosts())
+    for (const ipf::BlockCost &cost : m.blockCosts())
         blocks += cost.cycles;
     // Not approximately: closeGroup() mirrors the identical cost into
     // the per-block books, and chargeCycles() is the only other

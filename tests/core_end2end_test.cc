@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "btlib/abi.hh"
 #include "guest/image.hh"
+#include "guest/workloads.hh"
 #include "harness/exec.hh"
 #include "ia32/assembler.hh"
 
@@ -653,6 +656,61 @@ TEST(End2End, EflagsEliminationAblationAgrees)
     emitExitEax(as);
     diffRun(makeImage(as), OsAbi::Linux, no_elim);
 }
+
+// ----- issue-group legality over real traces ----------------------------
+
+/**
+ * Run @p w translated with the machine's group checker on or off and
+ * return the simulated cycles. The checker panics on a read of a
+ * register written earlier in the same issue group, so it exercises
+ * the opcode table's register classes on every retired instruction.
+ */
+double
+translatedCycles(const guest::Workload &w, bool verify_groups)
+{
+    mem::Memory memory;
+    uint32_t esp = guest::load(w.image, memory);
+    std::unique_ptr<btlib::SimOsBase> os =
+        harness::makeOs(w.params.abi, memory);
+    core::Runtime rt(memory, os->vtable(), core::Options{});
+    EXPECT_TRUE(rt.initOk()) << rt.initError();
+    rt.machine().config().verify_groups = verify_groups;
+    os->setCycleSink([&rt](ipf::Bucket b, double c) {
+        rt.machine().chargeCycles(b, c);
+    });
+    ia32::State state;
+    state.eip = w.image.entry;
+    state.gpr[RegEsp] = esp;
+    core::RunResult rr = rt.run(state);
+    rt.quiesce();
+    EXPECT_EQ(rr.kind, core::RunResult::Kind::Exit) << w.name;
+    return rt.machine().totalCycles();
+}
+
+class GroupLegality : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(GroupLegality, VerifiedRunMatchesPlainRun)
+{
+    std::vector<guest::Workload> all = guest::specIntSuite();
+    for (guest::Workload &w : guest::specFpSuite())
+        all.push_back(std::move(w));
+    for (guest::Workload &w : guest::sysmarkSuite())
+        all.push_back(std::move(w));
+    auto it = std::find_if(all.begin(), all.end(),
+                           [](const guest::Workload &w) {
+                               return w.name == GetParam();
+                           });
+    ASSERT_NE(it, all.end()) << GetParam();
+    EXPECT_EQ(translatedCycles(*it, true), translatedCycles(*it, false));
+}
+
+// Cold and hot x87, SSE and MMX code on both OS ABIs.
+INSTANTIATE_TEST_SUITE_P(Suites, GroupLegality,
+                         ::testing::Values("gzip", "crafty", "gcc",
+                                           "wupwise", "swim", "art",
+                                           "wordproc"));
 
 } // namespace
 } // namespace el

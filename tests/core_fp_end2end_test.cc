@@ -47,7 +47,7 @@ makeImage(Assembler &as)
     return img;
 }
 
-void
+harness::TranslatedRun
 diffRun(const Image &img, core::Options opts = {})
 {
     harness::Outcome ref = harness::runInterpreter(img, OsAbi::Linux);
@@ -64,6 +64,7 @@ diffRun(const Image &img, core::Options opts = {})
     std::string why;
     EXPECT_TRUE(ref.final_state.equalsArch(tr.outcome.final_state, &why))
         << "state mismatch: " << why;
+    return tr;
 }
 
 /** Seed two f64 values at data_base[0], [8]. */
@@ -332,6 +333,64 @@ TEST(FpEnd2End, ScalarSseAndConversions)
     emitExitEax(as);
     diffRun(makeImage(as));
 }
+
+/**
+ * sqrt(16) @p iters times, through x87 fsqrt or SSE sqrtss; the exit
+ * leaves the result's bits (the high word of the x87 double) in EBX.
+ */
+Image
+sqrtProgram(bool sse, uint32_t iters)
+{
+    Assembler as(Layout::code_base);
+    as.movRI(RegEbx, Layout::data_base);
+    if (sse) {
+        as.movMI(memb(RegEbx, 0), 0x41800000); // 16.0f
+    } else {
+        as.movMI(memb(RegEbx, 0), 0);          // 16.0
+        as.movMI(memb(RegEbx, 4), 0x40300000);
+    }
+    as.movRI(RegEcx, iters);
+    Label top = as.label();
+    as.bind(top);
+    if (sse) {
+        as.movssXM(0, memb(RegEbx, 0));
+        as.sseArithXX(Op::Sqrtss, 1, 0);
+        as.movssMX(memb(RegEbx, 8), 1);
+    } else {
+        as.fldM64(memb(RegEbx, 0));
+        as.fsqrt();
+        as.fstM64(memb(RegEbx, 8), true);
+    }
+    as.decR(RegEcx);
+    as.jcc(Cond::NE, top);
+    as.movRM(RegEax, memb(RegEbx, sse ? 8 : 12));
+    emitExitEax(as);
+    return makeImage(as);
+}
+
+/** The translated sqrt must compute what the interpreter does (4.0). */
+void
+diffSqrt(bool sse, bool hot)
+{
+    Image img = sqrtProgram(sse, hot ? 200 : 1);
+    harness::Outcome ref = harness::runInterpreter(img, OsAbi::Linux);
+    ASSERT_EQ(ref.final_state.gpr[RegEbx], sse ? 0x40800000u : 0x40100000u);
+    core::Options opts;
+    if (hot) {
+        opts.heat_threshold = 16;
+        opts.hot_batch = 1;
+    }
+    harness::TranslatedRun tr = diffRun(img, opts);
+    EXPECT_EQ(tr.outcome.final_state.gpr[RegEbx],
+              ref.final_state.gpr[RegEbx]);
+    EXPECT_EQ(tr.runtime->translator().stats.get("xlate.hot_blocks") > 0,
+              hot);
+}
+
+TEST(FpEnd2End, X87SqrtCold) { diffSqrt(false, false); }
+TEST(FpEnd2End, X87SqrtHot) { diffSqrt(false, true); }
+TEST(FpEnd2End, SseSqrtCold) { diffSqrt(true, false); }
+TEST(FpEnd2End, SseSqrtHot) { diffSqrt(true, true); }
 
 TEST(FpEnd2End, UcomissControlFlow)
 {

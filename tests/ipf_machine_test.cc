@@ -652,6 +652,28 @@ TEST(IpfMachine, VerifyGroupsCatchesNothingOnLegalCode)
     EXPECT_EQ(m.run(0).reason, ExitReason::Halt);
 }
 
+TEST(IpfMachine, VerifyGroupsCatchesIntraGroupRaw)
+{
+    Emitter e;
+    mem::Memory mem;
+    e.movl(10, 1, false);
+    e.addImm(11, 2, 10, true); // reads r10 in the group that writes it
+    e.exit(ExitReason::Halt);
+    MachineConfig cfg;
+    cfg.verify_groups = true;
+    Machine m(e.code, mem, cfg);
+    EXPECT_DEATH(m.run(0), "intra-group GR RAW on r10");
+}
+
+TEST(IpfMachine, OpcodeOutsideTheTablePanics)
+{
+    Emitter e;
+    mem::Memory mem;
+    e.code.emit(e.base(IpfOp::NumOps));
+    Machine m(e.code, mem);
+    EXPECT_DEATH(m.run(0), "bad IPF op");
+}
+
 TEST(CodeCachePatch, LinkExitBecomesBranch)
 {
     Emitter e;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -56,18 +57,36 @@ baseOpts(unsigned threads = 0)
     return o;
 }
 
-/** A scratch directory under the gtest temp root, wiped on scope exit. */
+/**
+ * A scratch directory under the gtest temp root, wiped on scope exit
+ * and private to the running test: ctest runs each test of this binary
+ * as its own process, in parallel under -j, so the path carries the
+ * test's name as well as @p tag.
+ */
 struct TempDir
 {
     fs::path path;
     explicit TempDir(const std::string &tag)
-        : path(fs::path(::testing::TempDir()) / ("el_persist_" + tag))
+        : path(fs::path(::testing::TempDir()) /
+               ("el_persist_" + tag + "_" + testName()))
     {
         fs::remove_all(path);
         fs::create_directories(path);
     }
     ~TempDir() { fs::remove_all(path); }
     std::string str() const { return path.string(); }
+
+    /** "Suite.Test" of the running test, '/' made path-safe. */
+    static std::string
+    testName()
+    {
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        std::string name =
+            std::string(info->test_suite_name()) + "." + info->name();
+        std::replace(name.begin(), name.end(), '/', '_');
+        return name;
+    }
 };
 
 /** Cold run with a recording store attached; returns the run. */
