@@ -44,7 +44,6 @@ runWith(const guest::Workload &w, uint32_t selfcheck_rate,
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = 2;
-    o.deterministic_adoption = true;
 
     sentinel::Config cfg;
     cfg.selfcheck_rate = selfcheck_rate;

@@ -34,9 +34,6 @@ runWith(const guest::Workload &w, uint32_t threads, bench::Report &rep)
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    // Replayable adoption points: artifacts land at their simulated
-    // ready time, so the numbers are stable run to run.
-    o.deterministic_adoption = threads > 0;
     harness::TranslatedRun tr =
         harness::runTranslated(w.image, w.params.abi, o);
     Run r;

@@ -7,16 +7,18 @@
  *  - cold:        the uninterrupted reference run (also what a restart
  *                 without any recovery machinery would cost),
  *  - interrupted: the same run cut off mid-flight by a cycle budget,
- *                 with the hot-artifact journal and the checkpointer
- *                 attached — what survives is exactly what a kill -9
- *                 would leave on disk (journal frames flushed at
- *                 adoption boundaries, the last durable checkpoint),
- *  - resumed:     a relaunch over that wreckage: journal replay warms
- *                 the store, the checkpoint restores guest state, and
- *                 the run completes.
+ *                 appending hot artifacts to the store file with the
+ *                 checkpointer attached — what survives is exactly
+ *                 what a kill -9 would leave on disk (frames appended
+ *                 at adoption boundaries, the last durable
+ *                 checkpoint),
+ *  - resumed:     a relaunch over that wreckage: replaying the
+ *                 appended frames (the journal) warms the store, the
+ *                 checkpoint restores guest state, and the run
+ *                 completes.
  *
  * The headline scalars: the resumed leg must reproduce the cold leg's
- * guest results bit-for-bit, reuse journaled hot artifacts instead of
+ * guest results bit-for-bit, reuse appended hot artifacts instead of
  * re-translating them, and finish cheaper than a cold restart (it
  * skips the simulated cycles up to the checkpoint and the translation
  * work for every replayed artifact).
@@ -104,11 +106,11 @@ main(int argc, char **argv)
     t.addRow({"cold", strfmt("%.0f", cold_cycles), "1.00", "-", "-",
               "yes"});
 
-    // ----- interrupted: die halfway with journal + checkpoints on ---
+    // ----- interrupted: die halfway appending, checkpoints on -------
     double interrupted_cycles = 0;
     {
         persist::ArtifactStore store(fp);
-        store.openJournal(dir.string());
+        store.openLog(dir.string());
         core::CheckpointConfig cfg;
         cfg.dir = dir.string();
         cfg.period_cycles = 200000;
@@ -127,13 +129,13 @@ main(int argc, char **argv)
         t.addRow({"interrupted", strfmt("%.0f", interrupted_cycles),
                   strfmt("%.2f", interrupted_cycles / cold_cycles), "-",
                   "-", "-"});
-        // No save(), no compact(): the store object dies here exactly
-        // as a killed process would, leaving journal + checkpoint.
+        // No compact(): the store object dies here exactly as a killed
+        // process would, leaving the appended frames + checkpoint.
     }
 
     // ----- resumed: relaunch over the wreckage ----------------------
     persist::ArtifactStore store(fp);
-    bool warm = store.load(dir.string()); // journal replay only
+    bool warm = store.load(dir.string()); // appended frames only
     core::CheckpointImage img;
     std::string err;
     bool have_ckpt =
@@ -173,7 +175,8 @@ main(int argc, char **argv)
 
     // The subsystem's contract, enforced.
     if (!warm || replayed <= 0) {
-        std::fprintf(stderr, "journal replay recovered nothing\n");
+        std::fprintf(stderr, "replaying the appended frames recovered "
+                             "nothing\n");
         rc = 1;
     }
     if (!exact) {
@@ -198,8 +201,8 @@ main(int argc, char **argv)
     std::printf("%s\n", t.render().c_str());
     std::printf(
         "Interpretation: the interrupted leg leaves only what a kill -9\n"
-        "leaves — journal frames flushed at adoption boundaries and the\n"
-        "last durable checkpoint. The resumed leg replays the journal\n"
+        "leaves — store frames appended at adoption boundaries and the\n"
+        "last durable checkpoint. The resumed leg replays those frames\n"
         "(warm hot traces), restores guest state from the checkpoint,\n"
         "and completes bit-identically, cheaper than restarting cold.\n");
     fs::remove_all(dir);

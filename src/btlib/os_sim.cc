@@ -166,7 +166,6 @@ SimOsBase::dispatch(ia32::State &state, uint8_t vector)
       case Service::Exit:
         res.exit = true;
         res.exit_code = static_cast<int32_t>(args[0]);
-        exit_code_ = res.exit_code;
         return res;
       case Service::Write: {
         uint32_t addr = args[0];

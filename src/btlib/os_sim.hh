@@ -65,7 +65,6 @@ class SimOsBase
     const std::string &consoleOutput() const { return console_; }
 
     const OsStats &stats() const { return stats_; }
-    int32_t exitCode() const { return exit_code_; }
 
     /** Hook the runtime installs so native/idle cycles reach Figure 7. */
     void
@@ -120,7 +119,6 @@ class SimOsBase
     uint64_t alloc_next_ = 0xe8000000; //!< OS-chosen mmap region.
     uint32_t brk_ = guest::Layout::heap_base;
     uint32_t handler_eip_ = 0;         //!< Registered exception handler.
-    int32_t exit_code_ = 0;
     double virtual_time_us_ = 0;
 
   private:

@@ -24,16 +24,24 @@ enum class BlockKind : uint8_t
     Hot,
 };
 
-/**
- * Hot-coverage lifecycle of a cold block. Replaces the historical
- * hot_version = -1 / -2 sentinels so recovery code reads declaratively.
- */
+/** Hot-coverage lifecycle of a cold block. */
 enum class HotState : uint8_t
 {
     Eligible,   //!< May register as a hot candidate and be promoted.
-    Covered,    //!< A hot trace covers this block (hot_version valid).
+    Covered,    //!< A hot trace covers this block.
     PinnedCold, //!< Hot translation failed hot_retry_limit times;
                 //!< permanently executes as cold code.
+};
+
+/** Architectural entry conditions the generated block speculates on. */
+struct SpecContext
+{
+    uint8_t tos = 0;          //!< Expected x87 TOS at entry.
+    uint8_t tag = 0;          //!< Expected TAG byte (bit = valid).
+    uint8_t mmx_domain = 0;   //!< 0 = FP values current, 1 = MMX.
+    uint32_t xmm_format = rt::uniformFormatWord(rt::XmmPs);
+
+    bool operator==(const SpecContext &) const = default;
 };
 
 /** Misalignment-handling stage of a cold block (section 5). */
@@ -141,19 +149,13 @@ struct BlockInfo
     // Profiling (cold blocks).
     int64_t use_ctr_off = -1;  //!< Runtime-area offset of the use counter.
     int64_t edge_ctr_off = -1; //!< Taken-edge counter (conditional end).
-    uint32_t taken_eip = 0;    //!< Conditional: taken target.
-    uint32_t fall_eip = 0;     //!< Conditional: fall-through target.
-    bool ends_cond = false;
-    bool ends_indirect = false;
     uint32_t heat_registrations = 0;
 
     // Misalignment handling.
     MisalignStage misalign_stage = MisalignStage::Light;
     int64_t misalign_ctr_off = -1; //!< Stage-2 per-access detail base.
-    uint32_t misalign_accesses = 0;
 
     // Safety guards.
-    bool smc_guarded = false;
     GuardInfo guard;
 
     // Linking.
@@ -171,7 +173,6 @@ struct BlockInfo
 
     // Hot-coverage lifecycle (cold blocks).
     HotState hot_state = HotState::Eligible;
-    int32_t hot_version = -1;  //!< Hot block id when hot_state == Covered.
     uint32_t hot_fail_count = 0; //!< Aborted hot sessions for this block.
     bool hot_queued = false;   //!< In the hot-candidate queue; makes
                                //!< re-registration O(1).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "core/layout.hh"
 #include "core/runtime.hh"
@@ -15,9 +14,6 @@ namespace el::core
 
 namespace
 {
-
-constexpr uint32_t ckpt_magic = 0x4b434c45u; // "ELCK"
-constexpr uint32_t ckpt_version = 1;
 
 // Caps on deserialized counts, same rationale as the store's.
 constexpr uint32_t max_pages = 1u << 22; // 16 GiB of 4K pages.
@@ -124,12 +120,18 @@ getOs(wire::Reader &r, btlib::OsSnapshot &os)
     return r.ok;
 }
 
+std::string
+checkpointPath(const std::string &dir, const persist::Fingerprint &fp)
+{
+    return dir + "/" + fp.hex() + ".elckpt";
+}
+
 } // namespace
 
 std::string
 Checkpointer::path() const
 {
-    return cfg_.dir + "/" + cfg_.fp.hex() + ".elckpt";
+    return checkpointPath(cfg_.dir, cfg_.fp);
 }
 
 void
@@ -180,30 +182,28 @@ Checkpointer::checkpointNow(Runtime &rt, uint32_t next_eip)
                   return a.addr < b.addr;
               });
 
-    wire::Writer w;
-    w.u32(ckpt_magic);
-    w.u32(ckpt_version);
-    w.u64(cfg_.fp.image_hash);
-    w.u64(cfg_.fp.opts_hash);
-    w.u32(cfg_.fp.entry);
-    w.u64(img.seq);
-    w.u64(doubleBits(img.cycles));
-    w.u64(img.console_hash);
-    putState(w, img.state);
-    putOs(w, img.os);
-    w.u32(static_cast<uint32_t>(img.pages.size()));
+    wire::Writer body;
+    body.u64(img.seq);
+    body.u64(doubleBits(img.cycles));
+    body.u64(img.console_hash);
+    putState(body, img.state);
+    putOs(body, img.os);
+    body.u32(static_cast<uint32_t>(img.pages.size()));
     for (const PageImage &p : img.pages) {
-        w.u64(p.addr);
-        w.u8(static_cast<uint8_t>(p.perm));
-        w.b(p.has_code);
-        w.b(!p.data.empty());
+        body.u64(p.addr);
+        body.u8(static_cast<uint8_t>(p.perm));
+        body.b(p.has_code);
+        body.b(!p.data.empty());
         if (!p.data.empty())
-            w.bytes(p.data.data(), p.data.size());
+            body.bytes(p.data.data(), p.data.size());
     }
-    // Whole-file CRC over everything after the magic; the durable
-    // rename makes torn files impossible to publish, the CRC catches
-    // bit rot and the injected-crash temp files.
-    w.u32(wire::crc32(w.buf.data() + 4, w.buf.size() - 4));
+    // The artifact store's container (persist/durable.hh): a header
+    // promising one compacted frame, then that frame. The durable
+    // rename makes torn files impossible to publish; the frame CRC
+    // catches bit rot.
+    wire::Writer w;
+    persist::putHeader(w, cfg_.fp, 0, 1);
+    persist::putFrame(w, persist::FrameKind::Checkpoint, body.buf);
 
     std::error_code ec;
     std::filesystem::create_directories(cfg_.dir, ec);
@@ -222,62 +222,43 @@ bool
 Checkpointer::load(const std::string &dir, const persist::Fingerprint &fp,
                    CheckpointImage *out, std::string *error)
 {
-    std::string path = dir + "/" + fp.hex() + ".elckpt";
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    auto fail = [error](const char *why) {
         if (error)
-            *error = "no checkpoint file";
+            *error = why;
         return false;
+    };
+    std::vector<uint8_t> buf;
+    if (!persist::readFile(checkpointPath(dir, fp), &buf))
+        return fail("no checkpoint file");
+    persist::Scan scan = persist::scanContainer(buf, fp);
+    switch (scan.end) {
+      case persist::ScanEnd::BadHeader:
+        return fail("bad checkpoint header");
+      case persist::ScanEnd::Foreign:
+        return fail("checkpoint fingerprint mismatch");
+      case persist::ScanEnd::Truncated:
+        return fail("truncated checkpoint");
+      case persist::ScanEnd::BadFrame:
+        return fail("corrupt checkpoint frame");
+      case persist::ScanEnd::Clean:
+        break;
     }
-    std::vector<uint8_t> buf{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-    in.close();
+    if (scan.crc_failures)
+        return fail("checkpoint CRC mismatch");
+    if (scan.flags != 0 || scan.compacted != 1 || scan.frames.size() != 1 ||
+        scan.frames[0].kind != persist::FrameKind::Checkpoint)
+        return fail("not a checkpoint file");
 
-    if (buf.size() < 8) {
-        if (error)
-            *error = "checkpoint file too small";
-        return false;
-    }
-    wire::Reader tail(buf.data() + buf.size() - 4, 4);
-    if (wire::crc32(buf.data() + 4, buf.size() - 8) != tail.u32()) {
-        if (error)
-            *error = "checkpoint CRC mismatch";
-        return false;
-    }
-
-    wire::Reader r(buf.data(), buf.size() - 4);
-    uint32_t magic = r.u32();
-    uint32_t version = r.u32();
-    uint64_t image_hash = r.u64();
-    uint64_t opts_hash = r.u64();
-    uint32_t entry = r.u32();
-    if (!r.ok || magic != ckpt_magic || version != ckpt_version) {
-        if (error)
-            *error = "bad checkpoint header";
-        return false;
-    }
-    if (image_hash != fp.image_hash || opts_hash != fp.opts_hash ||
-        entry != fp.entry) {
-        if (error)
-            *error = "checkpoint fingerprint mismatch";
-        return false;
-    }
-
+    wire::Reader r(scan.frames[0].payload, scan.frames[0].size);
     CheckpointImage img;
     img.seq = r.u64();
     img.cycles = bitsDouble(r.u64());
     img.console_hash = r.u64();
-    if (!getState(r, img.state) || !getOs(r, img.os)) {
-        if (error)
-            *error = "corrupt checkpoint state";
-        return false;
-    }
+    if (!getState(r, img.state) || !getOs(r, img.os))
+        return fail("corrupt checkpoint state");
     uint32_t page_count = r.u32();
-    if (!r.ok || page_count > max_pages) {
-        if (error)
-            *error = "corrupt checkpoint page table";
-        return false;
-    }
+    if (!r.ok || page_count > max_pages)
+        return fail("corrupt checkpoint page table");
     img.pages.resize(page_count);
     for (PageImage &p : img.pages) {
         p.addr = r.u64();
@@ -285,26 +266,17 @@ Checkpointer::load(const std::string &dir, const persist::Fingerprint &fp,
         p.has_code = r.b();
         bool has_data = r.b();
         if (!r.ok || perm > mem::PermRWX ||
-            p.addr % mem::Memory::page_size != 0) {
-            if (error)
-                *error = "corrupt checkpoint page";
-            return false;
-        }
+            p.addr % mem::Memory::page_size != 0)
+            return fail("corrupt checkpoint page");
         p.perm = static_cast<mem::Perm>(perm);
         if (has_data) {
             p.data.resize(mem::Memory::page_size);
-            if (!r.bytes(p.data.data(), p.data.size())) {
-                if (error)
-                    *error = "truncated checkpoint page data";
-                return false;
-            }
+            if (!r.bytes(p.data.data(), p.data.size()))
+                return fail("truncated checkpoint page data");
         }
     }
-    if (!r.ok || r.off != r.n) {
-        if (error)
-            *error = "trailing garbage in checkpoint";
-        return false;
-    }
+    if (!r.ok || r.off != r.n)
+        return fail("trailing garbage in checkpoint");
     *out = std::move(img);
     return true;
 }

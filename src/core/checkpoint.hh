@@ -14,7 +14,7 @@
  *  - the translator runtime area (lookup tables, profile counters,
  *    speculation status bytes) — rebuilt by Runtime's constructor;
  *  - the code cache and block maps — re-translated, or re-adopted
- *    from the artifact store/journal;
+ *    from the artifact store;
  *  - in-flight hot pipeline sessions — simply lost, re-registered
  *    when the block gets hot again;
  *  - sentinel / provenance / flight-recorder state — observers re-arm
@@ -78,8 +78,9 @@ struct CheckpointConfig
 /**
  * Drives periodic captures from the runtime's adoption boundary and
  * loads them back for `--resume`. The checkpoint file is a single
- * rolling `<fp>.elckpt`, atomically replaced on every capture, so a
- * crash mid-write leaves the previous capture intact.
+ * rolling `<fp>.elckpt` in the artifact store's container format (a
+ * header plus one Checkpoint frame), atomically replaced on every
+ * capture, so a crash mid-write leaves the previous capture intact.
  */
 class Checkpointer
 {

@@ -55,15 +55,6 @@ enum class MisalignPolicy : uint8_t
     DetectLight,  //!< Hot: "dangerous", light re-instrumentation.
 };
 
-/** Architectural entry conditions the generated block speculates on. */
-struct SpecContext
-{
-    uint8_t tos = 0;          //!< Expected x87 TOS at entry.
-    uint8_t tag = 0;          //!< Expected TAG byte (bit = valid).
-    uint8_t mmx_domain = 0;   //!< 0 = FP values current, 1 = MMX.
-    uint32_t xmm_format = rt::uniformFormatWord(rt::XmmPs);
-};
-
 /** Lazy EFLAGS bookkeeping. */
 struct LazyFlags
 {
@@ -145,10 +136,6 @@ class EmitEnv
     void writeOperand(const ia32::Operand &op, int16_t val, unsigned size);
 
     // ----- flags ------------------------------------------------------
-    /** Flags this instruction must actually produce (liveness-masked). */
-    void setLiveMask(uint32_t mask) { live_mask_ = mask; }
-    uint32_t liveMask() const { return live_mask_; }
-
     /**
      * Record the flag outcome of an ALU op. Under the cold policy, live
      * flags are materialized immediately; under the hot policy they stay
@@ -227,9 +214,6 @@ class EmitEnv
     /** Mark that this block executes MMX (or FP) instructions. */
     void touchMmx();
     void touchFp();
-
-    /** GR home of MMX register i (domain handling is block-level). */
-    int16_t mmxGr(uint8_t i) { touchMmx(); return ipf::grForMmx(i); }
 
     /** Current representation of XMM register i (converts if needed). */
     rt::XmmRep xmmRep(uint8_t i);
@@ -326,7 +310,6 @@ class EmitEnv
     int16_t fpMemTos();
     int16_t fpMemSlotAddr(int16_t tos, uint8_t sti);
     void materializeOne(ia32::Flag flag);
-    int16_t predFromLazySub(ia32::Cond cond);
 
     void emitMisalignCounter(int16_t p_mis, int16_t addr, unsigned size,
                              uint32_t access_idx);

@@ -5,12 +5,11 @@
 namespace el::core
 {
 
-HotPipeline::HotPipeline(const Config &config, SessionFn session)
-    : session_(std::move(session)), deterministic_(config.deterministic),
-      worker_avail_(std::max(1u, config.threads), 0.0)
+HotPipeline::HotPipeline(unsigned threads, SessionFn session)
+    : session_(std::move(session)),
+      worker_avail_(std::max(1u, threads), 0.0)
 {
-    pool_.start(std::max(1u, config.threads),
-                [this](unsigned) { workerLoop(); });
+    pool_.start(std::max(1u, threads), [this](unsigned) { workerLoop(); });
 }
 
 HotPipeline::~HotPipeline()
@@ -48,7 +47,7 @@ HotPipeline::enqueue(HotCandidate candidate, double now,
     // Plan the session onto the least-loaded simulated worker: it
     // starts when both the candidate and a worker are available. The
     // plan depends only on enqueue order and simulated time, never on
-    // real thread scheduling, so deterministic adoption is replayable.
+    // real thread scheduling, so adoption is replayable.
     auto it = std::min_element(worker_avail_.begin(), worker_avail_.end());
     double start = std::max(now, *it);
     candidate.start_cycles = start;
@@ -83,52 +82,26 @@ HotPipeline::drain(double now)
         return out;
     std::unique_lock<std::mutex> lk(results_mu_);
 
-    auto take_seq = [&](uint64_t seq) -> bool {
-        for (size_t i = 0; i < results_.size(); ++i) {
-            if (results_[i].seq == seq) {
-                out.push_back(std::move(results_[i]));
-                results_.erase(results_.begin() +
-                               static_cast<ptrdiff_t>(i));
-                return true;
-            }
-        }
-        return false;
-    };
-
-    if (deterministic_) {
-        // Adopt strictly in enqueue order, and only once guest
-        // simulated time has reached the candidate's planned
-        // completion. If the plan says it is done but the real worker
-        // has not landed it yet, wait (wall-clock only — invisible to
-        // the simulation).
-        for (;;) {
-            auto it = pending_ready_.find(next_adopt_seq_);
-            if (it == pending_ready_.end() || it->second > now)
-                break;
-            uint64_t seq = next_adopt_seq_;
-            results_cv_.wait(lk, [&] {
-                for (const HotArtifact &a : results_)
-                    if (a.seq == seq)
-                        return true;
-                return false;
-            });
-            take_seq(seq);
-            pending_ready_.erase(it);
-            ++next_adopt_seq_;
-        }
-    } else {
-        // Adopt whatever has landed; order by sequence for stable
-        // processing. The *set* adopted here depends on real worker
-        // speed — the documented benign race.
-        std::sort(results_.begin(), results_.end(),
-                  [](const HotArtifact &a, const HotArtifact &b) {
-                      return a.seq < b.seq;
-                  });
-        for (HotArtifact &a : results_) {
-            pending_ready_.erase(a.seq);
-            out.push_back(std::move(a));
-        }
-        results_.clear();
+    // Adopt strictly in enqueue order, and only once guest simulated
+    // time has reached the candidate's planned completion. If the plan
+    // says it is done but the real worker has not landed it yet, wait
+    // (wall-clock only — invisible to the simulation).
+    for (;;) {
+        auto it = pending_ready_.find(next_adopt_seq_);
+        if (it == pending_ready_.end() || it->second > now)
+            break;
+        auto landed = results_.end();
+        results_cv_.wait(lk, [&] {
+            landed = std::find_if(results_.begin(), results_.end(),
+                                  [&](const HotArtifact &a) {
+                                      return a.seq == next_adopt_seq_;
+                                  });
+            return landed != results_.end();
+        });
+        out.push_back(std::move(*landed));
+        results_.erase(landed);
+        pending_ready_.erase(it);
+        ++next_adopt_seq_;
     }
     return out;
 }

@@ -24,13 +24,12 @@
  * Determinism: guest-visible architectural state is bit-exact for a
  * fixed seed regardless of thread count, because candidates are frozen
  * at enqueue time and a hot trace is architecturally equivalent to the
- * cold code it replaces — workers race only over *when* the hot version
- * is adopted. Options::deterministic_adoption additionally fixes that
- * adoption point: each simulated worker has a cycle timeline, a
- * candidate's completion time is planned at enqueue from those
- * timelines, and artifacts are adopted in enqueue order once guest
- * simulated time passes their planned completion — making whole runs
- * (including cycle counts) replayable for the chaos harness.
+ * cold code it replaces. The adoption point is fixed too: each
+ * simulated worker has a cycle timeline, a candidate's completion time
+ * is planned at enqueue from those timelines, and artifacts are
+ * adopted in enqueue order once guest simulated time passes their
+ * planned completion — so whole runs (including cycle counts) replay
+ * exactly, whatever the host's thread scheduling.
  */
 
 #ifndef EL_CORE_HOT_PIPELINE_HH
@@ -140,13 +139,7 @@ class HotPipeline
     using SessionFn =
         std::function<void(const HotCandidate &, HotArtifact *)>;
 
-    struct Config
-    {
-        unsigned threads = 1;
-        bool deterministic = false; //!< Options::deterministic_adoption.
-    };
-
-    HotPipeline(const Config &config, SessionFn session);
+    HotPipeline(unsigned threads, SessionFn session);
     ~HotPipeline();
 
     HotPipeline(const HotPipeline &) = delete;
@@ -162,14 +155,10 @@ class HotPipeline
                      double session_cost);
 
     /**
-     * Collect artifacts eligible for adoption at simulated time @p now.
-     *
-     * Deterministic mode: returns artifacts in enqueue order while the
-     * oldest outstanding candidate's planned completion has been
-     * reached, blocking (wall-clock only) on the worker if the artifact
-     * has not landed yet. Default mode: returns whatever has landed,
-     * ordered by sequence — adoption timing then depends on real worker
-     * speed, which is the documented race (guest state is unaffected).
+     * Collect artifacts eligible for adoption at simulated time @p now:
+     * in enqueue order, while the oldest outstanding candidate's
+     * planned completion has been reached, blocking (wall-clock only)
+     * on the worker if the artifact has not landed yet.
      */
     std::vector<HotArtifact> drain(double now);
 
@@ -189,7 +178,6 @@ class HotPipeline
     void workerLoop();
 
     SessionFn session_;
-    bool deterministic_;
     support::WorkQueue<HotCandidate> queue_;
     support::WorkerPool pool_;
 
@@ -199,7 +187,7 @@ class HotPipeline
 
     // Main-thread bookkeeping.
     uint64_t next_seq_ = 0;
-    uint64_t next_adopt_seq_ = 0;        //!< Deterministic-mode cursor.
+    uint64_t next_adopt_seq_ = 0;        //!< Next candidate to adopt.
     std::map<uint64_t, double> pending_ready_; //!< seq -> planned ready.
     std::vector<double> worker_avail_;   //!< Simulated worker timelines.
 };

@@ -118,11 +118,10 @@ struct Options
     // ----- asynchronous hot-translation pipeline --------------------
     uint32_t translation_threads = 0; //!< Hot-session worker threads;
                                       //!< 0 = synchronous (inline
-                                      //!< sessions, today's behavior).
-    bool deterministic_adoption = false; //!< Adopt hot results only at
-                                      //!< block re-entry boundaries, in
-                                      //!< enqueue order, on a simulated
-                                      //!< worker timeline (replayable).
+                                      //!< sessions). Results are adopted
+                                      //!< at block re-entry boundaries,
+                                      //!< in enqueue order, on a
+                                      //!< simulated worker timeline.
 
     // ----- limits ---------------------------------------------------
     uint64_t max_run_cycles = 400ULL * 1000 * 1000;

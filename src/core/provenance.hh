@@ -131,8 +131,6 @@ class ProvenanceLedger
         return timelines_;
     }
 
-    size_t perEipCapacity() const { return per_eip_capacity_; }
-
   private:
     size_t per_eip_capacity_;
     std::map<uint32_t, BoundedRing<ProvEvent>> timelines_;

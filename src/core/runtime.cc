@@ -196,11 +196,9 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
     }
 
     if (options_.translation_threads > 0 && options_.enable_hot_phase) {
-        HotPipeline::Config cfg;
-        cfg.threads = options_.translation_threads;
-        cfg.deterministic = options_.deterministic_adoption;
         hot_pipeline_ = std::make_unique<HotPipeline>(
-            cfg, [this, fi](const HotCandidate &c, HotArtifact *out) {
+            options_.translation_threads,
+            [this, fi](const HotCandidate &c, HotArtifact *out) {
                 // Runs on a worker thread. The injection stream is
                 // keyed by the candidate's sequence number, never the
                 // worker, so chaos runs replay across thread counts.
@@ -1089,14 +1087,14 @@ Runtime::run(ia32::State &state)
         }
         if (options_.metrics)
             options_.metrics->maybeEmit(machine_->totalCycles());
-        if (options_.persist && options_.persist->journalDirty()) {
+        if (options_.persist && options_.persist->logDirty()) {
             // CrashAdopt models dying between the in-memory adoption
-            // above and the durable journal append below — the window
+            // above and the durable store append below — the window
             // where a kill loses the just-adopted artifacts (they are
             // re-translated on resume; correctness is unaffected).
             if (faultInjected(FaultSite::CrashAdopt))
                 crashNow(FaultSite::CrashAdopt);
-            options_.persist->flushJournal();
+            options_.persist->flushLog();
         }
         if (options_.checkpointer)
             options_.checkpointer->maybeCheckpoint(*this, next_eip);

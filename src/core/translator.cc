@@ -360,9 +360,6 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         sync_for_exit();
         env.endBranch(insn.target(), p);
         env.endBranch(insn.next());
-        info->ends_cond = true;
-        info->taken_eip = insn.target();
-        info->fall_eip = insn.next();
         return;
       }
       case Op::Jmp:
@@ -394,7 +391,6 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         env.endInsn();
         sync_for_exit();
         env.endIndirect(t);
-        info->ends_indirect = true;
         return;
       }
       case Op::JmpInd: {
@@ -403,7 +399,6 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         env.endInsn();
         sync_for_exit();
         env.endIndirect(t);
-        info->ends_indirect = true;
         return;
       }
       case Op::Ret: {
@@ -417,7 +412,6 @@ Translator::emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
         env.endInsn();
         sync_for_exit();
         env.endIndirect(t);
-        info->ends_indirect = true;
         return;
       }
       case Op::Int: {
@@ -589,7 +583,6 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     size_t limit = bb->insns.size();
     bool built = false;
     uint32_t fxch_emitted = 0;
-    uint32_t access_count = 0;
     while (!built) {
         EmitEnv attempt(options, Phase::Cold, info->id, spec);
         attempt.setMisalignCtrOff(env.options.enable_misalign_avoidance &&
@@ -646,7 +639,6 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
             uint64_t bytes = 0;
             mem_.readPriv(eip, 8, &bytes);
             attempt.emitSmcGuard(eip, bytes, 8);
-            info->smc_guarded = true;
         }
         attempt.emitFpGuard(&info->guard);
         attempt.emitMmxGuard(&info->guard);
@@ -665,7 +657,6 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
             built = true;
             info->insn_count = static_cast<uint32_t>(view.insns.size());
             fxch_emitted = attempt.fxch_emitted;
-            access_count = attempt.access_count;
         } else {
             if (limit <= 1)
                 return nullptr; // even a single instruction failed
@@ -682,7 +673,6 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
         return translateColdImpl(eip, spec, stage, false);
     }
 
-    info->misalign_accesses = access_count;
     stats.add("xlate.cold_blocks");
     stats.add("xlate.cold_insns", info->insn_count);
     stats.add("fxch.emitted", fxch_emitted);
@@ -963,10 +953,8 @@ Translator::runHotSession(const HotSessionInput &in,
 
     // Head: guards only (hot blocks carry no use counters).
     env.beginHead();
-    for (const auto &[addr, bytes] : in.smc_guards) {
+    for (const auto &[addr, bytes] : in.smc_guards)
         env.emitSmcGuard(addr, bytes, 8);
-        info->smc_guarded = true;
-    }
     env.emitFpGuard(&info->guard);
     env.emitMmxGuard(&info->guard);
     env.emitXmmGuard(&info->guard);
@@ -1015,7 +1003,7 @@ Translator::commitHotArtifact(HotArtifact &art)
     if (!art.from_store) {
         // The session itself ran on a worker (or inline); stamp it at
         // its planned completion time so the timeline is identical
-        // across translation_threads in deterministic mode.
+        // across translation_threads.
         double ts = art.ready_cycles > 0 ? art.ready_cycles : obs_->now();
         obs_->record({Kind::Provenance, 0, ts, 0, prov_eip},
                      {{ProvState::Session,
@@ -1069,10 +1057,7 @@ Translator::commitHotArtifact(HotArtifact &art)
     persist::HotRecord rec;
     if (record_it) {
         rec.entry_eip = art.proto.entry_eip;
-        rec.spec_tos = art.spec.tos;
-        rec.spec_tag = art.spec.tag;
-        rec.spec_mmx_domain = art.spec.mmx_domain;
-        rec.spec_xmm_format = art.spec.xmm_format;
+        rec.spec = art.spec;
         rec.proto = art.proto;
         rec.covered_eips = art.covered_eips;
         rec.smc_guards = art.smc_guards;
@@ -1143,7 +1128,6 @@ Translator::commitHotArtifact(HotArtifact &art)
                 entry.target = info->cache_entry;
                 entry.exit_reason = ExitReason::None;
                 entry.stop = true;
-                v.block->hot_version = info->id;
                 v.block->hot_state = HotState::Covered;
             }
         }
@@ -1159,7 +1143,6 @@ Translator::commitHotArtifact(HotArtifact &art)
         for (Variant &v : it->second) {
             if (!v.block->invalidated &&
                 v.block->hot_state == HotState::Eligible) {
-                v.block->hot_version = info->id;
                 v.block->hot_state = HotState::Covered;
                 disableHeat(v.block);
             }
@@ -1236,10 +1219,7 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
         art.generation = cache_.generation();
         art.from_store = true;
         art.ok = true;
-        art.spec.tos = rec->spec_tos;
-        art.spec.tag = rec->spec_tag;
-        art.spec.mmx_domain = rec->spec_mmx_domain;
-        art.spec.xmm_format = rec->spec_xmm_format;
+        art.spec = rec->spec;
         art.proto = rec->proto;
         art.covered_eips = rec->covered_eips;
         art.smc_guards = rec->smc_guards;

@@ -24,7 +24,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -173,7 +172,6 @@ main(int argc, char **argv)
         o.heat_threshold = heat_threshold;
         o.hot_batch = 1;
         o.translation_threads = threads;
-        o.deterministic_adoption = threads > 0;
         o.fault = fault;
         o.persist = &store;
         harness::TranslatedRun run =
@@ -235,16 +233,13 @@ main(int argc, char **argv)
     store.seal();
     // save() publishes via temp+fsync+rename, so a killed el_aot never
     // ships a partial sealed store: either the old file survives or
-    // the new one is complete.
+    // the new one is complete. It replaces any store an el_run left,
+    // appended tail included.
     if (!store.save(cache_dir)) {
         std::fprintf(stderr, "el_aot: cannot write store in %s\n",
                      cache_dir.c_str());
         return exit_io;
     }
-    // Sealed stores never journal; drop any journal a crashed el_run
-    // left beside the store so loaders need not consider it.
-    std::error_code ec;
-    std::filesystem::remove(store.journalPathIn(cache_dir), ec);
     std::printf("el_aot: sealed %zu validated artifacts (%llu rejected) "
                 "-> %s (%lluB)\n",
                 store.recordCount(),

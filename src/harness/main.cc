@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -74,14 +73,14 @@ usage()
         "  --workload=<name>      personality to run (default: gzip)\n"
         "  --list                 list known workloads and exit\n"
         "  --threads=<n>          hot-translation worker threads\n"
-        "  --deterministic        deterministic pipeline adoption\n"
         "  --heat-threshold=<n>   block-use count registering hot\n"
         "  --hot-batch=<n>        candidates batched per session\n"
         "  --cache-capacity=<n>   bound the code cache (0 = unbounded)\n"
-        "  --cache-dir=<dir>      persistent translation-artifact store:\n"
-        "                         load matching hot artifacts before the\n"
-        "                         run (warm start), journal new ones\n"
-        "                         during it, and compact at exit\n"
+        "  --cache-dir=<dir>      persistent translation-artifact store,\n"
+        "                         one <fingerprint>.elstore file: load\n"
+        "                         matching hot artifacts before the run\n"
+        "                         (warm start), append new ones to the\n"
+        "                         file during it, and compact it at exit\n"
         "  --checkpoint-dir=<dir> periodic in-run checkpoints of guest\n"
         "                         state (registers, dirty memory pages,\n"
         "                         OS state); one rolling file, replaced\n"
@@ -225,8 +224,6 @@ main(int argc, char **argv)
             list = true;
         } else if (const char *v = value("--threads=")) {
             ok = harness::parseNumber(v, &options.translation_threads);
-        } else if (arg == "--deterministic") {
-            options.deterministic_adoption = true;
         } else if (const char *v = value("--heat-threshold=")) {
             ok = harness::parseNumber(v, &options.heat_threshold);
         } else if (const char *v = value("--hot-batch=")) {
@@ -365,23 +362,15 @@ main(int argc, char **argv)
     bool warm = false;
     if (!cache_dir.empty()) {
         store.resetFingerprint(fp);
-        // load() folds in any journal a crashed predecessor left; a
-        // journal on disk then means the .elstore is stale, so compact
-        // before truncating it for this run's own journaling.
-        bool had_journal = std::filesystem::exists(
-            store.journalPathIn(cache_dir));
+        // load() replays every frame a predecessor left, crashed or
+        // not; openLog() then appends this run's artifacts to the same
+        // file (compacting it first only if its scan hit damage).
         warm = store.load(cache_dir);
-        if (!store.sealed()) {
-            if (had_journal && !store.compact(cache_dir))
-                std::fprintf(stderr,
-                             "el_run: warning: cannot compact journal "
-                             "in %s\n", cache_dir.c_str());
-            if (!store.openJournal(cache_dir))
-                std::fprintf(stderr,
-                             "el_run: warning: cannot journal in %s; "
-                             "artifacts persist only at exit\n",
-                             cache_dir.c_str());
-        }
+        if (!store.sealed() && !store.openLog(cache_dir))
+            std::fprintf(stderr,
+                         "el_run: warning: cannot append to the store "
+                         "in %s; artifacts persist only at exit\n",
+                         cache_dir.c_str());
         options.persist = &store;
     }
 
@@ -414,11 +403,11 @@ main(int argc, char **argv)
         harness::runTranslated(wl->image, wl->params.abi, options,
                                resumed ? &resume_img : nullptr);
 
-    // Compact (durable save + journal unlink) before the report is
-    // written so persist.bytes_written and persist.records_saved
-    // appear in the report's stats object.
+    // Compact (durable rewrite without the appended tail) before the
+    // report is written so persist.bytes_written and
+    // persist.records_saved appear in the report's stats object.
     if (!cache_dir.empty()) {
-        store.closeJournal();
+        store.closeLog();
         if (!store.compact(cache_dir)) {
             std::fprintf(stderr, "el_run: cannot write store in %s\n",
                          cache_dir.c_str());

@@ -117,10 +117,6 @@ struct Operand
     int64_t imm = 0;
 
     bool isMem() const { return kind == OperandKind::Mem; }
-    bool isReg() const
-    {
-        return kind == OperandKind::Gpr || kind == OperandKind::Gpr8;
-    }
 
     static Operand
     makeGpr(Reg r)

@@ -249,8 +249,8 @@ struct Instr
  * instruction is emitted. The bundle template decides the execution
  * unit, and the operand fields have a fixed register class per opcode,
  * so the machine's timing, the scheduler's renaming and dependence
- * tracking, the bundler and the group verifier all read this one row
- * instead of re-deriving it.
+ * tracking, and the group verifier all read this one row instead of
+ * re-deriving it.
  */
 struct OpInfo
 {

@@ -179,9 +179,7 @@ class Machine
     const Fr &fr(unsigned idx) const { return frs_[idx]; }
     Fr &fr(unsigned idx) { return frs_[idx]; }
     bool pr(unsigned idx) const { return prs_[idx]; }
-    void setPr(unsigned idx, bool v) { prs_[idx] = idx == 0 ? true : v; }
     uint64_t br(unsigned idx) const { return brs_[idx]; }
-    void setBr(unsigned idx, uint64_t v) { brs_[idx] = v; }
 
     // ----- statistics -------------------------------------------------
     const BucketStats &stats() const { return stats_; }

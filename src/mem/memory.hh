@@ -141,16 +141,12 @@ class Memory
     /** True if any page in [addr, addr+len) is marked as code. */
     bool isCode(uint64_t addr, uint64_t len) const;
 
-    /** Number of mapped pages. */
-    size_t mappedPages() const { return pages_.size(); }
-
     /**
      * Arm (or with null, disarm) the guest-write journal. At most one
      * journal is armed at a time; recording costs one predictable
      * branch per access when disarmed and never changes access results.
      */
     void setWriteJournal(WriteJournal *journal) { journal_ = journal; }
-    WriteJournal *writeJournal() { return journal_; }
 
     /** Rewind every journaled write, newest first (journal disarmed by
      *  the caller; entries are preserved for a later redo). */

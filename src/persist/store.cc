@@ -1,20 +1,13 @@
 #include "persist/store.hh"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "core/options.hh"
 #include "guest/image.hh"
-#include "persist/durable.hh"
 #include "support/faultinject.hh"
-#include "support/strfmt.hh"
-#include "support/wire.hh"
 
 namespace el::persist
 {
@@ -47,35 +40,14 @@ fnvU64(uint64_t &h, uint64_t v)
 
 using Writer = wire::Writer;
 using Reader = wire::Reader;
-using wire::crc32;
-
-constexpr uint32_t file_magic = 0x53504c45u;   // "ELPS"
-constexpr uint32_t record_magic = 0x52544f48u; // "HOTR"
-constexpr uint32_t flag_sealed = 1u << 0;
-
-// The hot-artifact journal: an append-only sidecar of this run's
-// record()/dropAt() mutations, flushed at adoption boundaries and
-// folded into the .elstore by compact(). Header (28 bytes) mirrors
-// the store's fingerprint gate; each frame is
-//   u32 jrec_magic | u8 kind | u32 len | u32 crc | payload[len]
-// where kind 0 carries an encodeRecord() payload and kind 1 a u32
-// entry EIP to drop. There is no frame count: the journal's tail is
-// wherever the bytes stop, and a torn final frame is expected after a
-// crash (exactly one persist.rejected_truncated, scan stops there).
-constexpr uint32_t journal_magic = 0x4a504c45u; // "ELPJ"
-constexpr uint32_t jrec_magic = 0x4345524au;    // "JREC"
-constexpr uint8_t jkind_add = 0;
-constexpr uint8_t jkind_drop = 1;
-constexpr size_t jframe_header_bytes = 4 + 1 + 4 + 4;
 
 // Sanity caps: far above anything the emitter produces, low enough
-// that a corrupt length can never drive a multi-gigabyte allocation.
+// that a corrupt count can never drive a multi-gigabyte allocation.
 constexpr uint32_t max_code = 1u << 20;
 constexpr uint32_t max_recovery = 1u << 20;
 constexpr uint32_t max_stubs = 1u << 16;
 constexpr uint32_t max_covered = 1u << 16;
 constexpr uint32_t max_guards = 1u << 16;
-constexpr size_t max_record_bytes = 256u << 20;
 
 void
 putLoc(Writer &w, const core::Loc &l)
@@ -180,20 +152,15 @@ encodeRecord(Writer &w, const HotRecord &rec)
     const core::BlockInfo &p = rec.proto;
 
     w.u32(rec.entry_eip);
-    w.u8(rec.spec_tos);
-    w.u8(rec.spec_tag);
-    w.u8(rec.spec_mmx_domain);
-    w.u32(rec.spec_xmm_format);
+    w.u8(rec.spec.tos);
+    w.u8(rec.spec.tag);
+    w.u8(rec.spec.mmx_domain);
+    w.u32(rec.spec.xmm_format);
 
     // Proto block metadata (staging-relative indices).
     w.i64(p.cache_entry);
     w.i64(p.cache_end);
     w.u32(p.insn_count);
-    w.u32(p.taken_eip);
-    w.u32(p.fall_eip);
-    w.b(p.ends_cond);
-    w.b(p.ends_indirect);
-    w.b(p.smc_guarded);
 
     // Guard expectations.
     w.b(p.guard.checks_fp);
@@ -253,21 +220,16 @@ decodeRecord(const uint8_t *data, size_t n, HotRecord &rec)
     core::BlockInfo &p = rec.proto;
 
     rec.entry_eip = r.u32();
-    rec.spec_tos = r.u8();
-    rec.spec_tag = r.u8();
-    rec.spec_mmx_domain = r.u8();
-    rec.spec_xmm_format = r.u32();
+    rec.spec.tos = r.u8();
+    rec.spec.tag = r.u8();
+    rec.spec.mmx_domain = r.u8();
+    rec.spec.xmm_format = r.u32();
 
     p.kind = core::BlockKind::Hot;
     p.entry_eip = rec.entry_eip;
     p.cache_entry = r.i64();
     p.cache_end = r.i64();
     p.insn_count = r.u32();
-    p.taken_eip = r.u32();
-    p.fall_eip = r.u32();
-    p.ends_cond = r.b();
-    p.ends_indirect = r.b();
-    p.smc_guarded = r.b();
 
     p.guard.checks_fp = r.b();
     p.guard.expect_tos = r.u8();
@@ -359,15 +321,6 @@ decodeRecord(const uint8_t *data, size_t n, HotRecord &rec)
 
 } // namespace
 
-std::string
-Fingerprint::hex() const
-{
-    return strfmt("%016llx-%016llx-%08x",
-                  static_cast<unsigned long long>(image_hash),
-                  static_cast<unsigned long long>(opts_hash),
-                  static_cast<unsigned>(entry));
-}
-
 Fingerprint
 fingerprintOf(const guest::Image &image, const core::Options &o)
 {
@@ -411,6 +364,20 @@ fingerprintOf(const guest::Image &image, const core::Options &o)
     return fp;
 }
 
+bool
+ArtifactStore::insert(HotRecord &&rec)
+{
+    auto &vec = records_[rec.entry_eip];
+    for (auto &existing : vec) {
+        if (existing->spec == rec.spec) {
+            *existing = std::move(rec);
+            return true;
+        }
+    }
+    vec.push_back(std::make_unique<HotRecord>(std::move(rec)));
+    return false;
+}
+
 void
 ArtifactStore::record(HotRecord rec)
 {
@@ -418,24 +385,13 @@ ArtifactStore::record(HotRecord rec)
         stats.add("persist.record_after_seal");
         return;
     }
-    if (journal_fd_ >= 0) {
+    if (log_fd_ >= 0) {
         Writer body;
         encodeRecord(body, rec);
-        journalFrame(jkind_add, body.buf);
+        logFrame(FrameKind::Add, body.buf);
     }
-    auto &vec = records_[rec.entry_eip];
-    for (auto &existing : vec) {
-        if (existing->spec_tos == rec.spec_tos &&
-            existing->spec_tag == rec.spec_tag &&
-            existing->spec_mmx_domain == rec.spec_mmx_domain &&
-            existing->spec_xmm_format == rec.spec_xmm_format) {
-            *existing = std::move(rec);
-            stats.add("persist.records_replaced");
-            return;
-        }
-    }
-    vec.push_back(std::make_unique<HotRecord>(std::move(rec)));
-    stats.add("persist.records_added");
+    stats.add(insert(std::move(rec)) ? "persist.records_replaced"
+                                     : "persist.records_added");
 }
 
 void
@@ -444,13 +400,13 @@ ArtifactStore::dropAt(uint32_t eip)
     auto it = records_.find(eip);
     if (it == records_.end() || it->second.empty())
         return;
-    if (journal_fd_ >= 0) {
+    if (log_fd_ >= 0) {
         // Convictions must survive a crash too: a quarantined trace
-        // journaled earlier this run would otherwise resurrect at the
+        // appended earlier this run would otherwise resurrect at the
         // next start's replay.
         Writer body;
         body.u32(eip);
-        journalFrame(jkind_drop, body.buf);
+        logFrame(FrameKind::Drop, body.buf);
     }
     stats.add("persist.dropped", it->second.size());
     records_.erase(it);
@@ -487,20 +443,69 @@ ArtifactStore::pathIn(const std::string &dir) const
 bool
 ArtifactStore::load(const std::string &dir)
 {
-    std::error_code ec;
-    std::string path = pathIn(dir);
-    bool any = false;
-    if (std::filesystem::exists(path, ec))
-        any = loadFile(path);
-    // Fold in any journal a crashed predecessor left behind. Replay
-    // is idempotent (replace-by-(eip, spec)), so a journal that
-    // duplicates the store is harmless. Sealed stores never journal;
-    // a stray journal beside one is stale and ignored.
-    journal_replayed_ = 0;
-    std::string jpath = journalPathIn(dir);
-    if (!sealed_ && std::filesystem::exists(jpath, ec))
-        any = replayJournal(jpath) > 0 || any;
-    return any;
+    return loadFile(pathIn(dir));
+}
+
+bool
+ArtifactStore::loadFile(const std::string &path)
+{
+    std::vector<uint8_t> buf;
+    if (!readFile(path, &buf))
+        return false;
+    stats.add("persist.bytes_read", buf.size());
+
+    Scan scan = scanContainer(buf, fp_);
+    switch (scan.end) {
+      case ScanEnd::BadHeader:
+        stats.add("persist.rejected_header");
+        return false;
+      case ScanEnd::Foreign:
+        stats.add("persist.rejected_fingerprint");
+        return false;
+      case ScanEnd::Truncated:
+        // A torn tail, whether the cut landed mid-frame or cleanly
+        // between two compacted frames. Exactly one tally.
+        stats.add("persist.rejected_truncated");
+        break;
+      case ScanEnd::BadFrame:
+        stats.add("persist.rejected_magic");
+        break;
+      case ScanEnd::Clean:
+        clean_path_ = path;
+        break;
+    }
+    if (scan.crc_failures)
+        stats.add("persist.rejected_crc", scan.crc_failures);
+
+    // Every frame applies in file order — the compacted prefix, then
+    // the appended tail — so the record set ends exactly as it was in
+    // memory when the last frame was written.
+    uint64_t loaded = 0, applied = 0, replayed = 0;
+    for (const Frame &f : scan.frames) {
+        if (f.kind == FrameKind::Add) {
+            HotRecord rec;
+            if (!decodeRecord(f.payload, f.size, rec)) {
+                stats.add("persist.rejected_invalid");
+                continue;
+            }
+            insert(std::move(rec));
+            ++loaded;
+        } else if (f.kind == FrameKind::Drop && f.size == 4) {
+            records_.erase(Reader(f.payload, f.size).u32());
+        } else {
+            stats.add("persist.rejected_invalid");
+            continue;
+        }
+        ++applied;
+        if (f.tail)
+            ++replayed;
+    }
+    if (scan.flags & flag_sealed)
+        sealed_ = true;
+    stats.set("persist.records_loaded", loaded);
+    if (replayed)
+        stats.set("persist.journal_replayed", replayed);
+    return applied > 0;
 }
 
 bool
@@ -508,135 +513,25 @@ ArtifactStore::save(const std::string &dir)
 {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    return saveFile(pathIn(dir));
-}
+    std::string path = pathIn(dir);
 
-bool
-ArtifactStore::loadFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::vector<uint8_t> buf{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-    in.close();
-    stats.add("persist.bytes_read", buf.size());
-
-    Reader r(buf.data(), buf.size());
-    uint32_t magic = r.u32();
-    uint32_t version = r.u32();
-    uint32_t flags = r.u32();
-    uint64_t image_hash = r.u64();
-    uint64_t opts_hash = r.u64();
-    uint32_t entry = r.u32();
-    uint32_t record_count = r.u32();
-    if (!r.ok || magic != file_magic || version != format_version) {
-        stats.add("persist.rejected_header");
-        return false;
-    }
-    if (image_hash != fp_.image_hash || opts_hash != fp_.opts_hash ||
-        entry != fp_.entry) {
-        // A different image/configuration: not corruption, just not
-        // our store. Treated exactly like an absent file.
-        stats.add("persist.rejected_fingerprint");
-        return false;
-    }
-
-    uint64_t loaded = 0;
-    for (uint32_t i = 0; i < record_count; ++i) {
-        if (r.remaining() < 12) {
-            // The bytes ran out before the header's promised record
-            // count — a torn tail, whether the cut landed mid-frame
-            // or cleanly on a record boundary. Exactly one tally.
-            stats.add("persist.rejected_truncated");
-            break;
-        }
-        uint32_t rmagic = r.u32();
-        uint32_t rlen = r.u32();
-        uint32_t rcrc = r.u32();
-        if (rmagic != record_magic) {
-            // A full frame header is present but its magic is wrong:
-            // corruption, not truncation. The record stream is
-            // unframed beyond this point; there is no way to resync,
-            // so stop scanning. Everything loaded so far is
-            // individually CRC-verified and stays.
-            stats.add("persist.rejected_magic");
-            break;
-        }
-        if (rlen > max_record_bytes || !r.need(rlen)) {
-            stats.add("persist.rejected_truncated");
-            r.ok = true; // need() latched failure; we are done anyway.
-            break;
-        }
-        const uint8_t *payload = buf.data() + r.off;
-        r.off += rlen;
-        if (crc32(payload, rlen) != rcrc) {
-            stats.add("persist.rejected_crc");
-            continue; // Framing is intact; the next record may be fine.
-        }
-        HotRecord rec;
-        if (!decodeRecord(payload, rlen, rec)) {
-            stats.add("persist.rejected_invalid");
-            continue;
-        }
-        insertLoaded(std::move(rec));
-        ++loaded;
-    }
-    if (flags & flag_sealed)
-        sealed_ = true;
-    stats.set("persist.records_loaded", loaded);
-    return loaded > 0;
-}
-
-void
-ArtifactStore::insertLoaded(HotRecord &&rec)
-{
-    // Same replace-by-(eip, spec) policy as record(), but bypassing
-    // the sealed check: loading a sealed store is how its records get
-    // in memory in the first place.
-    auto &vec = records_[rec.entry_eip];
-    for (auto &existing : vec) {
-        if (existing->spec_tos == rec.spec_tos &&
-            existing->spec_tag == rec.spec_tag &&
-            existing->spec_mmx_domain == rec.spec_mmx_domain &&
-            existing->spec_xmm_format == rec.spec_xmm_format) {
-            *existing = std::move(rec);
-            return;
-        }
-    }
-    vec.push_back(std::make_unique<HotRecord>(std::move(rec)));
-}
-
-bool
-ArtifactStore::saveFile(const std::string &path)
-{
+    size_t count = recordCount();
     Writer w;
-    w.u32(file_magic);
-    w.u32(format_version);
-    w.u32(sealed_ ? flag_sealed : 0);
-    w.u64(fp_.image_hash);
-    w.u64(fp_.opts_hash);
-    w.u32(fp_.entry);
-    w.u32(static_cast<uint32_t>(recordCount()));
-
-    uint64_t saved = 0;
+    putHeader(w, fp_, sealed_ ? flag_sealed : 0,
+              static_cast<uint32_t>(count));
     for (const auto &[eip, vec] : records_) {
         for (const auto &rec : vec) {
             Writer body;
             encodeRecord(body, *rec);
-            w.u32(record_magic);
-            w.u32(static_cast<uint32_t>(body.buf.size()));
-            w.u32(crc32(body.buf.data(), body.buf.size()));
-            w.buf.insert(w.buf.end(), body.buf.begin(), body.buf.end());
-            ++saved;
+            putFrame(w, FrameKind::Add, body.buf);
         }
     }
 
     // Chaos hook: flip one byte somewhere past the header, so the
     // hardened loader's CRC/validation path is exercised end to end.
-    constexpr size_t header_bytes = 4 + 4 + 4 + 8 + 8 + 4 + 4;
-    if (w.buf.size() > header_bytes &&
-        faultInjected(FaultSite::StoreCorrupt)) {
+    bool corrupted = w.buf.size() > header_bytes &&
+                     faultInjected(FaultSite::StoreCorrupt);
+    if (corrupted) {
         w.buf[header_bytes + (w.buf.size() - header_bytes) / 2] ^= 0x40;
         stats.add("persist.injected_corruption");
     }
@@ -644,206 +539,87 @@ ArtifactStore::saveFile(const std::string &path)
     if (!writeFileDurable(path, w.buf.data(), w.buf.size(),
                           FaultSite::CrashStoreRename))
         return false;
+    clean_path_ = corrupted ? std::string() : path;
     stats.add("persist.bytes_written", w.buf.size());
-    stats.set("persist.records_saved", saved);
+    stats.set("persist.records_saved", count);
     return true;
 }
 
-// ----- the hot-artifact journal -------------------------------------
-
-std::string
-ArtifactStore::journalPathIn(const std::string &dir) const
-{
-    return dir + "/" + fp_.hex() + ".eljournal";
-}
+// ----- the appended tail ---------------------------------------------
 
 bool
-ArtifactStore::openJournal(const std::string &dir)
+ArtifactStore::openLog(const std::string &dir)
 {
     if (sealed_)
         return false;
-    closeJournal();
+    closeLog();
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    std::string path = journalPathIn(dir);
-    // Always truncate: the journal only ever holds the current run's
-    // frames. A predecessor's journal was folded into the .elstore by
-    // compact() before this call; appending to it instead would strand
-    // everything after its (possibly torn) tail, since replay stops at
-    // the first bad frame.
-    int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    std::string path = pathIn(dir);
+    bool exists = std::filesystem::exists(path, ec);
+    // Never append behind damage: replay stops at a cut or bad frame,
+    // so everything written after it would be stranded.
+    if (exists && path != clean_path_ && !compact(dir))
+        return false;
+    int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
     if (fd < 0)
         return false;
-    journal_fd_ = fd;
-    journal_path_ = path;
-    Writer h;
-    h.u32(journal_magic);
-    h.u32(format_version);
-    h.u64(fp_.image_hash);
-    h.u64(fp_.opts_hash);
-    h.u32(fp_.entry);
-    journal_pending_ = std::move(h.buf);
-    return flushJournal();
+    log_fd_ = fd;
+    if (exists)
+        return true;
+    // A new store starts as a bare header, written through the append
+    // path like every frame after it.
+    putHeader(log_pending_, fp_, 0, 0);
+    clean_path_ = path;
+    return flushLog();
 }
 
 void
-ArtifactStore::journalFrame(uint8_t kind,
-                            const std::vector<uint8_t> &payload)
+ArtifactStore::logFrame(FrameKind kind, const std::vector<uint8_t> &payload)
 {
-    Writer w;
-    w.u32(jrec_magic);
-    w.u8(kind);
-    w.u32(static_cast<uint32_t>(payload.size()));
-    w.u32(crc32(payload.data(), payload.size()));
-    journal_pending_.insert(journal_pending_.end(), w.buf.begin(),
-                            w.buf.end());
-    journal_pending_.insert(journal_pending_.end(), payload.begin(),
-                            payload.end());
+    putFrame(log_pending_, kind, payload);
     stats.add("persist.journal_frames");
 }
 
 bool
-ArtifactStore::flushJournal()
+ArtifactStore::flushLog()
 {
-    if (journal_fd_ < 0 || journal_pending_.empty())
+    if (log_fd_ < 0 || log_pending_.buf.empty())
         return true;
-    size_t n = journal_pending_.size();
-
-    // Injected crash: half the pending bytes land (and are durable —
-    // the OS could have written them at any time), then the process
+    // Injected crash: half the pending bytes land, then the process
     // dies, leaving a genuinely torn tail for the next start's replay.
-    bool crash = faultInjected(FaultSite::CrashJournalAppend);
-    size_t write_n = crash ? n / 2 : n;
-
-    size_t done = 0;
-    bool ok = true;
-    while (done < write_n) {
-        ssize_t w = ::write(journal_fd_, journal_pending_.data() + done,
-                            write_n - done);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            ok = false;
-            break;
-        }
-        done += static_cast<size_t>(w);
-    }
-    if (ok)
-        ok = ::fsync(journal_fd_) == 0;
-    if (crash)
-        crashNow(FaultSite::CrashJournalAppend);
-    if (!ok)
+    if (!writeSynced(log_fd_, log_pending_.buf.data(),
+                     log_pending_.buf.size(),
+                     FaultSite::CrashJournalAppend)) {
+        clean_path_.clear(); // The file may now end mid-frame.
         return false;
-    journal_pending_.clear();
-    stats.add("persist.journal_bytes", n);
+    }
+    stats.add("persist.journal_bytes", log_pending_.buf.size());
     stats.add("persist.journal_flushes");
+    log_pending_.buf.clear();
     return true;
 }
 
 void
-ArtifactStore::closeJournal()
+ArtifactStore::closeLog()
 {
-    if (journal_fd_ < 0)
+    if (log_fd_ < 0)
         return;
-    flushJournal();
-    ::close(journal_fd_);
-    journal_fd_ = -1;
-    journal_path_.clear();
-    journal_pending_.clear();
+    flushLog();
+    ::close(log_fd_);
+    log_fd_ = -1;
+    log_pending_.buf.clear();
 }
 
 bool
 ArtifactStore::compact(const std::string &dir)
 {
-    closeJournal();
+    bool reopen = log_fd_ >= 0;
+    closeLog();
     if (!save(dir))
         return false;
-    // The store now durably holds everything the journal did; the
-    // journal is redundant. Crashing before this unlink is safe —
-    // replay over the fresh store is a no-op.
-    std::error_code ec;
-    std::filesystem::remove(journalPathIn(dir), ec);
     stats.add("persist.compactions");
-    return true;
-}
-
-size_t
-ArtifactStore::replayJournal(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return 0;
-    std::vector<uint8_t> buf{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-    in.close();
-    stats.add("persist.bytes_read", buf.size());
-
-    Reader r(buf.data(), buf.size());
-    uint32_t magic = r.u32();
-    uint32_t version = r.u32();
-    uint64_t image_hash = r.u64();
-    uint64_t opts_hash = r.u64();
-    uint32_t entry = r.u32();
-    if (!r.ok || magic != journal_magic || version != format_version) {
-        // Includes the tiny-crash case where even the 28-byte header
-        // was torn: the whole journal is ignored, the run starts from
-        // whatever the .elstore held.
-        stats.add("persist.journal_rejected_header");
-        return 0;
-    }
-    if (image_hash != fp_.image_hash || opts_hash != fp_.opts_hash ||
-        entry != fp_.entry) {
-        stats.add("persist.journal_rejected_fingerprint");
-        return 0;
-    }
-
-    size_t applied = 0;
-    while (r.remaining() > 0) {
-        if (r.remaining() < jframe_header_bytes) {
-            // Torn mid-frame-header. (A cut exactly on a frame
-            // boundary is indistinguishable from clean EOF — the
-            // journal carries no frame count — and loses nothing.)
-            stats.add("persist.rejected_truncated");
-            break;
-        }
-        uint32_t fmagic = r.u32();
-        uint8_t kind = r.u8();
-        uint32_t flen = r.u32();
-        uint32_t fcrc = r.u32();
-        if (fmagic != jrec_magic) {
-            stats.add("persist.rejected_magic");
-            break;
-        }
-        if (flen > max_record_bytes || !r.need(flen)) {
-            stats.add("persist.rejected_truncated");
-            r.ok = true;
-            break;
-        }
-        const uint8_t *payload = buf.data() + r.off;
-        r.off += flen;
-        if (crc32(payload, flen) != fcrc) {
-            stats.add("persist.rejected_crc");
-            continue; // Framing intact; later frames may be fine.
-        }
-        if (kind == jkind_add) {
-            HotRecord rec;
-            if (!decodeRecord(payload, flen, rec)) {
-                stats.add("persist.rejected_invalid");
-                continue;
-            }
-            insertLoaded(std::move(rec));
-            ++applied;
-        } else if (kind == jkind_drop && flen == 4) {
-            Reader pr(payload, flen);
-            records_.erase(pr.u32());
-            ++applied;
-        } else {
-            stats.add("persist.rejected_invalid");
-        }
-    }
-    journal_replayed_ = applied;
-    stats.set("persist.journal_replayed", applied);
-    return applied;
+    return !reopen || openLog(dir);
 }
 
 } // namespace el::persist

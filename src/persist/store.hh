@@ -9,16 +9,23 @@
  * store serializes published hot artifacts — staging code, recovery
  * maps, guard expectations, and SMC-guard windows — keyed by a
  * guest-image fingerprint (image checksum + entry + translator/options
- * version), into an on-disk file with a versioned, CRC-protected
- * record format, so a second run of the same image starts warm
+ * version), into one file in the versioned, CRC-framed container of
+ * persist/durable.hh, so a second run of the same image starts warm
  * (`el_run --cache-dir=<d>`) and `el_aot` can pre-translate and seal a
  * whole image offline.
+ *
+ * The file is a log. Compaction rewrites it durably as a header plus
+ * one Add frame per live record; during a run, record() and dropAt()
+ * append Add and Drop frames behind those, made durable at adoption
+ * boundaries, so a kill -9 loses at most the artifacts since the last
+ * boundary. Loading replays every frame in file order: Add replaces a
+ * record by (entry EIP, spec), Drop erases the EIP.
  *
  * Safety model:
  *  - The fingerprint gates the whole file: a changed image, entry
  *    point, emission toggle, or format version simply misses.
- *  - Every record carries its own magic + CRC; a corrupt or truncated
- *    record is dropped (counted, never crashes, never loads silently
+ *  - Every frame carries its own magic + CRC; a corrupt or truncated
+ *    frame is dropped (counted, never crashes, never loads silently
  *    wrong code) and execution falls back to cold translation.
  *  - Decoded records are semantically validated (enum ranges, cache
  *    bounds, stub indices) before they become visible.
@@ -47,6 +54,7 @@
 
 #include "core/blockinfo.hh"
 #include "ipf/insn.hh"
+#include "persist/durable.hh"
 #include "support/stats.hh"
 
 namespace el::guest
@@ -61,28 +69,6 @@ struct Options;
 
 namespace el::persist
 {
-
-/** On-disk format version; bump on any layout change. */
-constexpr uint32_t format_version = 1;
-
-/** Identity of a store: which image + translator configuration. */
-struct Fingerprint
-{
-    uint64_t image_hash = 0; //!< Checksum of all sections + entry.
-    uint64_t opts_hash = 0;  //!< Emission-relevant options + version.
-    uint32_t entry = 0;      //!< Guest entry point (redundant, human-
-                             //!< checkable in the filename).
-
-    bool
-    operator==(const Fingerprint &o) const
-    {
-        return image_hash == o.image_hash && opts_hash == o.opts_hash &&
-               entry == o.entry;
-    }
-
-    /** Filename-safe rendering ("\<image\>-\<opts\>-\<entry\>"). */
-    std::string hex() const;
-};
 
 /**
  * Fingerprint of (image, options). Only emission-relevant options are
@@ -104,14 +90,7 @@ Fingerprint fingerprintOf(const guest::Image &image,
 struct HotRecord
 {
     uint32_t entry_eip = 0;
-
-    // Entry SpecContext, stored as raw fields so the store does not
-    // depend on the emitter headers.
-    uint8_t spec_tos = 0;
-    uint8_t spec_tag = 0;
-    uint8_t spec_mmx_domain = 0;
-    uint32_t spec_xmm_format = 0;
-
+    core::SpecContext spec;         //!< Entry conditions.
     core::BlockInfo proto;          //!< Staging-relative metadata.
     std::vector<ipf::Instr> code;   //!< Staged instructions [0, n).
     std::vector<uint32_t> covered_eips;
@@ -130,17 +109,18 @@ class ArtifactStore
     ArtifactStore(const ArtifactStore &) = delete;
     ArtifactStore &operator=(const ArtifactStore &) = delete;
 
-    ~ArtifactStore() { closeJournal(); }
+    ~ArtifactStore() { closeLog(); }
 
     /** Set the identity (drops all records and counters' context). */
     void
     resetFingerprint(const Fingerprint &fp)
     {
-        closeJournal();
+        closeLog();
         fp_ = fp;
         records_.clear();
         missed_.clear();
         sealed_ = false;
+        clean_path_.clear();
     }
 
     const Fingerprint &fingerprint() const { return fp_; }
@@ -149,15 +129,16 @@ class ArtifactStore
 
     /**
      * Insert @p rec, replacing any existing record with the same
-     * (entry_eip, spec). No-op on a sealed store (an `el_aot`-sealed
-     * store is validated content; runs must not dilute it).
+     * (entry_eip, spec), and append it to the open log. No-op on a
+     * sealed store (an `el_aot`-sealed store is validated content;
+     * runs must not dilute it).
      */
     void record(HotRecord rec);
 
     /**
      * Drop every record at @p eip. Called when the sentinel
      * quarantines a hot block: convicted code must never be shipped,
-     * so it leaves the store before the next save.
+     * so it leaves the store (and the open log records the drop).
      */
     void dropAt(uint32_t eip);
 
@@ -196,92 +177,87 @@ class ArtifactStore
     std::string pathIn(const std::string &dir) const;
 
     /**
-     * Load the store file for this fingerprint from @p dir. Returns
-     * true when at least one record was loaded. Missing, truncated,
-     * corrupt, or version-mismatched files are tolerated: bad records
-     * are dropped (counted in persist.rejected_*) and a bad header
-     * rejects the file — the run then simply starts cold.
+     * Load the store file for this fingerprint from @p dir, replaying
+     * its frames in order. Returns true when at least one frame
+     * applied. Missing, truncated, corrupt, or version-mismatched
+     * files are tolerated: bad frames are dropped (counted in
+     * persist.rejected_*) and a bad header rejects the file — the run
+     * then simply starts cold.
      */
     bool load(const std::string &dir);
 
-    /** Write all live records to @p dir (created if needed). */
-    bool save(const std::string &dir);
-
-    /** load()/save() against an explicit file path. */
+    /** load() against an explicit file path. */
     bool loadFile(const std::string &path);
-    bool saveFile(const std::string &path);
-
-    // ----- crash consistency: the append-only hot-artifact journal --
-
-    /** The journal file path for this fingerprint inside @p dir. */
-    std::string journalPathIn(const std::string &dir) const;
 
     /**
-     * Start journaling this run's record()/dropAt() mutations into
-     * `<fp>.eljournal` in @p dir (truncating any previous journal —
-     * the caller compacts first). Mutations are framed into a pending
-     * buffer; flushJournal() makes them durable. The runtime flushes
-     * at adoption boundaries, so a kill -9 loses at most the
-     * artifacts since the last boundary instead of the whole run.
-     * No-op (false) on a sealed store: sealed stores are immutable
-     * validated content and never journal.
+     * Durably write the store file in @p dir (created if needed) as a
+     * header plus one Add frame per live record: temp + fsync +
+     * rename, so a kill leaves either the old file or the new one.
      */
-    bool openJournal(const std::string &dir);
+    bool save(const std::string &dir);
+
+    // ----- crash consistency: the appended tail ---------------------
+
+    /**
+     * Start appending this run's record()/dropAt() mutations to the
+     * store file in @p dir; call after load(). A missing file is
+     * created as a bare header through the append path; a file whose
+     * last load() or save() ended cleanly is appended to as it is;
+     * anything else (a torn tail, a bad frame, a rejected header) is
+     * first compacted, so no frame lands behind damage. Mutations
+     * are framed into a pending buffer; flushLog() makes them durable.
+     * No-op (false) on a sealed store: sealed stores are immutable
+     * validated content and are never appended to.
+     */
+    bool openLog(const std::string &dir);
 
     /** Append + fsync every pending frame; true when durable (or when
-     *  nothing was pending / no journal is open). */
-    bool flushJournal();
+     *  nothing was pending / no log is open). */
+    bool flushLog();
 
-    /** Flush pending frames and close the journal fd. */
-    void closeJournal();
+    /** Flush pending frames and close the log. */
+    void closeLog();
 
-    bool journalOpen() const { return journal_fd_ >= 0; }
+    bool logOpen() const { return log_fd_ >= 0; }
 
     /** Frames recorded since the last flush (cheap dirtiness probe
      *  for the runtime's adoption-boundary hook). */
-    bool journalDirty() const { return !journal_pending_.empty(); }
-
-    /** Records applied by the last load()'s journal replay. */
-    uint64_t journalReplayed() const { return journal_replayed_; }
+    bool logDirty() const { return !log_pending_.buf.empty(); }
 
     /**
-     * Fold the journal into the .elstore: durable save() of the full
-     * record set, then unlink the journal. Safe against a crash at
-     * any point — replay is idempotent (replace-by-(eip, spec)), so
-     * dying between the save and the unlink only means the next start
-     * replays records the store already holds. Closes an open journal
-     * first; reopen with openJournal() to keep recording.
+     * save(), counted as a compaction, that keeps an open log working:
+     * the log is closed first (flushing its pending frames) and
+     * reopened on the new file after, because the old descriptor
+     * would point at the unlinked file and appends to it would
+     * silently vanish.
      */
     bool compact(const std::string &dir);
 
     /**
      * persist.* counters: hits, misses, loaded_blocks, bytes_read,
-     * bytes_written, records saved/loaded, and the rejection tallies
-     * of the hardened loader. Merged into the run report.
+     * bytes_written, records saved/loaded, the appended tail
+     * (journal_frames/bytes/flushes/replayed), and the rejection
+     * tallies of the hardened loader. Merged into the run report.
      */
     StatGroup stats;
 
   private:
-    void insertLoaded(HotRecord &&rec);
+    /** Insert-or-replace by (entry_eip, spec); true when replaced. */
+    bool insert(HotRecord &&rec);
 
-    /** Replay one journal file over the in-memory record set; returns
-     *  the number of frames applied (adds + drops). Fail-soft: a torn
-     *  tail frame is counted (persist.rejected_truncated) and every
-     *  intact frame before it still applies. */
-    size_t replayJournal(const std::string &path);
-
-    /** Frame one mutation into the pending journal buffer. */
-    void journalFrame(uint8_t kind, const std::vector<uint8_t> &payload);
+    /** Frame one mutation into the pending log buffer. */
+    void logFrame(FrameKind kind, const std::vector<uint8_t> &payload);
 
     Fingerprint fp_;
     bool sealed_ = false;
     std::map<uint32_t, std::vector<std::unique_ptr<HotRecord>>> records_;
     std::set<uint32_t> missed_; //!< Distinct-EIP miss dedup.
 
-    int journal_fd_ = -1;                  //!< POSIX fd; -1 = closed.
-    std::string journal_path_;             //!< Path of the open journal.
-    std::vector<uint8_t> journal_pending_; //!< Frames since last flush.
-    uint64_t journal_replayed_ = 0;        //!< Applied on last load().
+    int log_fd_ = -1;          //!< POSIX fd; -1 = closed.
+    wire::Writer log_pending_; //!< Frames since last flush.
+    /** The file whose last load or write ended on a clean frame
+     *  boundary, so appending to it is safe. */
+    std::string clean_path_;
 };
 
 } // namespace el::persist

@@ -41,9 +41,6 @@ class Rng
             static_cast<uint64_t>(hi - lo + 1)));
     }
 
-    /** Bernoulli draw: true with probability @p percent / 100. */
-    bool chance(unsigned percent) { return range(100) < percent; }
-
     /** Uniform double in [0, 1). */
     double
     uniform()

@@ -2,13 +2,12 @@
  * @file
  * Shared little-endian wire format helpers for on-disk artifacts.
  *
- * The persistent artifact store, its append-only journal, and the
- * checkpoint files all use the same byte discipline: explicit
- * little-endian integers written byte-by-byte (so files are portable
- * across host endianness), a bounds-checked reader with a sticky
- * failure flag (so a truncated or corrupt file can never read out of
- * bounds — it just goes !ok), and CRC-32 for integrity. Factored here
- * so every durable format validates the same way.
+ * The persistent artifact store and the checkpoint files share one
+ * container (persist/durable.hh) built on this byte discipline:
+ * explicit little-endian integers written byte-by-byte (so files are
+ * portable across host endianness), a bounds-checked reader with a
+ * sticky failure flag (so a truncated or corrupt file can never read
+ * out of bounds — it just goes !ok), and CRC-32 for integrity.
  */
 
 #ifndef EL_SUPPORT_WIRE_HH
@@ -149,9 +148,10 @@ struct Reader
     }
 };
 
-/** CRC-32 (IEEE 802.3 polynomial, table-driven). */
+/** CRC-32 (IEEE 802.3 polynomial, table-driven). Pass a previous
+ *  result as @p crc to extend it over one more range. */
 inline uint32_t
-crc32(const uint8_t *data, size_t n)
+crc32(const uint8_t *data, size_t n, uint32_t crc = 0)
 {
     static uint32_t table[256];
     static bool init = false;
@@ -164,7 +164,7 @@ crc32(const uint8_t *data, size_t n)
         }
         init = true;
     }
-    uint32_t c = 0xffffffffu;
+    uint32_t c = crc ^ 0xffffffffu;
     for (size_t i = 0; i < n; ++i)
         c = table[(c ^ data[i]) & 0xff] ^ (c >> 8);
     return c ^ 0xffffffffu;

@@ -67,7 +67,6 @@ TEST_P(AdversarialDiff, MatchesInterpreterPipelined)
     std::vector<Workload> suite = guest::adversarialSuite();
     core::Options opts;
     opts.translation_threads = 4;
-    opts.deterministic_adoption = true;
     diffWorkload(byName(suite, GetParam()), opts);
 }
 

@@ -107,13 +107,12 @@ randomHotProgram(uint64_t seed, uint32_t iterations = 0)
 }
 
 core::Options
-pipelineOpts(unsigned threads, bool deterministic)
+pipelineOpts(unsigned threads)
 {
     core::Options o;
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = deterministic;
     return o;
 }
 
@@ -131,21 +130,17 @@ TEST_P(AsyncDeterminism, BitExactAcrossThreadCounts)
     ASSERT_TRUE(ref.exited);
 
     for (unsigned threads : {0u, 1u, 4u}) {
-        for (bool det : {false, true}) {
-            if (threads == 0 && det)
-                continue; // adoption mode is meaningless synchronously
-            harness::TranslatedRun tr = harness::runTranslated(
-                img, btlib::OsAbi::Linux, pipelineOpts(threads, det));
-            ASSERT_EQ(ref.exited, tr.outcome.exited)
-                << "seed " << GetParam() << " threads " << threads;
-            EXPECT_EQ(ref.exit_code, tr.outcome.exit_code)
-                << "seed " << GetParam() << " threads " << threads;
-            std::string why;
-            EXPECT_TRUE(
-                ref.final_state.equalsArch(tr.outcome.final_state, &why))
-                << "seed " << GetParam() << " threads " << threads
-                << " det " << det << ": " << why;
-        }
+        harness::TranslatedRun tr = harness::runTranslated(
+            img, btlib::OsAbi::Linux, pipelineOpts(threads));
+        ASSERT_EQ(ref.exited, tr.outcome.exited)
+            << "seed " << GetParam() << " threads " << threads;
+        EXPECT_EQ(ref.exit_code, tr.outcome.exit_code)
+            << "seed " << GetParam() << " threads " << threads;
+        std::string why;
+        EXPECT_TRUE(
+            ref.final_state.equalsArch(tr.outcome.final_state, &why))
+            << "seed " << GetParam() << " threads " << threads << ": "
+            << why;
     }
 }
 
@@ -154,13 +149,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AsyncDeterminism,
 
 TEST(AsyncPipeline, DeterministicAdoptionIsReplayable)
 {
-    // Same image, same config, deterministic adoption: two runs must
-    // agree not just architecturally but in simulated cycle counts.
+    // Same image, same config, four workers: adoption follows the
+    // planned worker timeline, so two runs must agree not just
+    // architecturally but in simulated cycle counts.
     guest::Image img = randomHotProgram(5);
     harness::TranslatedRun a = harness::runTranslated(
-        img, btlib::OsAbi::Linux, pipelineOpts(4, true));
+        img, btlib::OsAbi::Linux, pipelineOpts(4));
     harness::TranslatedRun b = harness::runTranslated(
-        img, btlib::OsAbi::Linux, pipelineOpts(4, true));
+        img, btlib::OsAbi::Linux, pipelineOpts(4));
     ASSERT_TRUE(a.outcome.exited);
     ASSERT_TRUE(b.outcome.exited);
     EXPECT_EQ(a.outcome.exit_code, b.outcome.exit_code);
@@ -236,13 +232,13 @@ TEST(AsyncPipeline, InjectedWorkerAbortsPinAfterRetryLimit)
     // Every hot session aborts (probability 1024/1024 on the worker's
     // per-candidate stream): blocks must be retried hot_retry_limit
     // times and then pinned cold, with the guest bit-exact throughout.
-    // Deterministic adoption + a long-running loop + cheap sessions so
-    // every abort is adopted (and retried) well within the run.
+    // A long-running loop + cheap sessions so every abort is adopted
+    // (and retried) well within the run.
     guest::Image img = randomHotProgram(3, 20000);
     harness::Outcome ref =
         harness::runInterpreter(img, btlib::OsAbi::Linux);
 
-    core::Options o = pipelineOpts(2, true);
+    core::Options o = pipelineOpts(2);
     o.hot_xlate_cost_per_insn = 100.0;
     o.fault.seed = 7;
     o.fault.site(FaultSite::HotXlateAbort, 1024);
@@ -272,9 +268,9 @@ TEST(AsyncPipeline, WorkersCutHotStallCycles)
 {
     guest::Image img = randomHotProgram(4);
     harness::TranslatedRun sync = harness::runTranslated(
-        img, btlib::OsAbi::Linux, pipelineOpts(0, false));
+        img, btlib::OsAbi::Linux, pipelineOpts(0));
     harness::TranslatedRun par = harness::runTranslated(
-        img, btlib::OsAbi::Linux, pipelineOpts(4, false));
+        img, btlib::OsAbi::Linux, pipelineOpts(4));
     ASSERT_TRUE(sync.outcome.exited);
     ASSERT_TRUE(par.outcome.exited);
 

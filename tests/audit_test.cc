@@ -69,7 +69,6 @@ auditOpts(unsigned threads)
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = threads > 0;
     o.audit = true;
     return o;
 }

@@ -320,7 +320,6 @@ TEST(PreciseState, MidBlockFaultFromHotCodeMatchesOracle)
             o.heat_threshold = 16;
             o.hot_batch = 1;
             o.translation_threads = threads;
-            o.deterministic_adoption = threads > 0;
             harness::TranslatedRun tr =
                 harness::runTranslated(w.image, abi, o);
             expectMatchesReference(ref, tr.outcome, 102 + threads);

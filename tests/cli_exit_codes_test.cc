@@ -159,9 +159,7 @@ TEST(CliExitCodes, AuditViolationIsForty)
 TEST(CliExitCodes, AuditPassesCleanRuns)
 {
     EXPECT_EQ(runCli("--workload=jit_rewriter --audit"), 0);
-    EXPECT_EQ(runCli("--workload=jit_rewriter --audit --threads=2 "
-                     "--deterministic"),
-              0);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --audit --threads=2"), 0);
 }
 
 // ----- postmortem bundles on abnormal exit ------------------------------

@@ -2,14 +2,15 @@
  * @file
  * Process-kill chaos matrix for crash consistency: fork `el_run`
  * children with seeded `crash_*` fault sites that `_exit(43)` in the
- * middle of every durability window — mid-journal-append, mid-rename,
- * mid-checkpoint, and between in-memory adoption and the journal flush
- * — then relaunch each killed run with `--resume --cache-dir` and
- * assert the recovered run is bit-exact against an uninterrupted
- * baseline (state hash, console hash, exit code), that recovery adopts
- * zero torn records (truncated journal tails are discarded, never
- * replayed), and that in aggregate the relaunches reuse at least half
- * of the hot artifacts that the interrupted runs journaled.
+ * middle of every durability window — mid-append to the store file,
+ * mid-rename, mid-checkpoint, and between in-memory adoption and the
+ * append's flush — then relaunch each killed run with `--resume
+ * --cache-dir` and assert the recovered run is bit-exact against an
+ * uninterrupted baseline (state hash, console hash, exit code), that
+ * recovery adopts zero torn records (a torn final frame is discarded,
+ * never replayed), and that in aggregate the relaunches reuse at least
+ * half of the hot artifacts that the interrupted runs appended (the
+ * store file's journal).
  *
  * The binary under test comes from the EL_RUN_BIN environment variable,
  * which the CMake test registration points at the just-built el_run.
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -42,8 +44,9 @@ constexpr int exit_ok = 0;
 constexpr int exit_crash = 43; // support/faultinject.hh crash_exit_code
 
 // The shared workload flags: small heat threshold so several traces go
-// hot (and get journaled) early, and a checkpoint period short enough
-// that captures land inside the adoption-active phase of the run.
+// hot (and get appended to the store) early, and a checkpoint period
+// short enough that captures land inside the adoption-active phase of
+// the run.
 const char *const kRunFlags =
     "--workload=gzip --heat-threshold=16 --hot-batch=1 "
     "--checkpoint-period=200000";
@@ -115,6 +118,37 @@ struct GuestOutcome
                console_hash == o.console_hash;
     }
 };
+
+/**
+ * True when the store file at @p path is a compaction with nothing
+ * appended: its frames (u32 magic | u8 kind | u32 len | u32 crc |
+ * payload) end exactly at the end of the file, and there are exactly
+ * as many as the header's compacted count (its last u32, at byte 32).
+ */
+bool
+holdsNoTail(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::string b{std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>()};
+    constexpr size_t header = 36, frame_header = 13;
+    if (b.size() < header)
+        return false;
+    uint32_t compacted = 0;
+    std::memcpy(&compacted, b.data() + header - 4, 4);
+    size_t off = header, frames = 0;
+    while (off < b.size()) {
+        uint32_t len = 0;
+        if (b.size() - off < frame_header)
+            return false;
+        std::memcpy(&len, b.data() + off + 5, 4);
+        if (b.size() - off - frame_header < len)
+            return false;
+        off += frame_header + len;
+        ++frames;
+    }
+    return frames == compacted;
+}
 
 struct MatrixRow
 {
@@ -203,7 +237,7 @@ TEST(CrashMatrix, KillResumeIsBitExactWithArtifactReuse)
                 << "recovered run diverges from the uninterrupted "
                    "baseline";
 
-            // Zero torn records adopted: a cut journal tail may cost
+            // Zero torn records adopted: a cut final frame may cost
             // exactly one rejected_truncated, but nothing that fails
             // its CRC or decode may reach the replay path's insert.
             EXPECT_EQ(statOr(resumed, "persist.rejected_crc", 0), 0);
@@ -216,17 +250,20 @@ TEST(CrashMatrix, KillResumeIsBitExactWithArtifactReuse)
             misses += statOr(resumed, "persist.misses", 0);
             replayed += statOr(resumed, "persist.journal_replayed", 0);
 
-            // Recovery leaves no wreckage of its own: the exit
-            // compaction folds the journal into the store and the
+            // Recovery leaves no wreckage of its own: the cache
+            // directory holds exactly one store file, which the exit
+            // compaction rewrote without an appended tail, and the
             // rename protocol leaves no temp file behind.
+            std::vector<std::string> files;
             for (const fs::directory_entry &de :
-                 fs::directory_iterator(cache)) {
-                std::string name = de.path().filename().string();
-                EXPECT_EQ(name.find(".eljournal"), std::string::npos)
-                    << "journal survived a clean recovery exit";
-                EXPECT_EQ(name.find(".tmp"), std::string::npos)
-                    << "temp file survived a clean recovery exit";
-            }
+                 fs::directory_iterator(cache))
+                files.push_back(de.path().filename().string());
+            ASSERT_EQ(files.size(), 1u)
+                << "cache holds more than the store after a clean "
+                   "recovery exit";
+            EXPECT_EQ(fs::path(files[0]).extension(), ".elstore");
+            EXPECT_TRUE(holdsNoTail((fs::path(cache) / files[0]).string()))
+                << "appended tail survived a clean recovery exit";
         }
     }
 
@@ -245,13 +282,13 @@ TEST(CrashMatrix, KillResumeIsBitExactWithArtifactReuse)
     }
     // Aggregate hot-artifact reuse across all recoveries: at least
     // half of the adoption lookups the relaunches made were served by
-    // journaled artifacts from the killed runs.
+    // artifacts the killed runs appended.
     ASSERT_GT(hits + misses, 0);
     EXPECT_GE(hits / (hits + misses), 0.5)
         << "recovered runs reused " << hits << "/" << (hits + misses)
         << " artifacts";
     EXPECT_GT(replayed, 0)
-        << "no journal frame was ever replayed: the matrix is not "
+        << "no appended frame was ever replayed: the matrix is not "
            "exercising recovery";
 }
 

@@ -78,7 +78,6 @@ hotOpts(unsigned threads, bool flight = true)
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = threads > 0;
     o.flight_recorder = flight;
     return o;
 }

@@ -2,12 +2,11 @@
  * @file
  * IPF machine tests: ALU semantics, predication, speculation (NaT +
  * chk.s), memory faults, FP precision behaviour, parallel ops, branch
- * mechanics, exit records, timing attribution and bundle packing.
+ * mechanics, exit records and timing attribution.
  */
 
 #include <gtest/gtest.h>
 
-#include "ipf/bundle.hh"
 #include "ipf/machine.hh"
 
 namespace el::ipf
@@ -702,38 +701,6 @@ TEST(CodeCachePatch, InvalidateEntry)
     StopInfo stop = m.run(0);
     EXPECT_EQ(stop.reason, ExitReason::SmcDetected);
     EXPECT_EQ(stop.payload, 0x1234);
-}
-
-TEST(Bundles, PacksGroupsGreedily)
-{
-    Emitter e;
-    // One group: ld (M), add (A), shl-imm (I) -> should fit one bundle.
-    Instr ld = e.base(IpfOp::Ld);
-    ld.dst = 10;
-    ld.src1 = 11;
-    ld.size = 4;
-    e.emit(ld);
-    e.add(12, 10, 10, false);
-    Instr sh = e.base(IpfOp::ShlImm);
-    sh.dst = 13;
-    sh.src1 = 12;
-    sh.imm = 2;
-    sh.stop = true;
-    e.emit(sh);
-    BundleStats stats = packBundles(e.code, 0, e.code.nextIndex());
-    EXPECT_EQ(stats.bundles, 1u);
-    EXPECT_EQ(stats.real_slots, 3u);
-    EXPECT_EQ(stats.nop_slots, 0u);
-}
-
-TEST(Bundles, StopsSplitBundles)
-{
-    Emitter e;
-    e.addImm(10, 1, 0, true);
-    e.addImm(11, 1, 0, true);
-    BundleStats stats = packBundles(e.code, 0, e.code.nextIndex());
-    EXPECT_EQ(stats.bundles, 2u);
-    EXPECT_GT(stats.nop_slots, 0u);
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * cold run across pipeline thread counts, SMC invalidation of loaded
  * artifacts, the hardened loader's corruption matrix (truncation, bit
  * flips, bad magic, bad version — always a clean cold fallback, never
- * a crash or silently wrong code), and `el_aot`-style validation
+ * a crash or silently wrong code), the store file's appended tail
+ * (replay, drops, torn-tail recovery), and `el_aot`-style validation
  * scrubbing a store poisoned by an injected miscompile.
  */
 
@@ -17,6 +18,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -53,7 +56,6 @@ baseOpts(unsigned threads = 0)
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = threads > 0;
     return o;
 }
 
@@ -530,22 +532,45 @@ TEST(PersistValidation, MiscompiledArtifactsNeverSealed)
         << why;
 }
 
-// ----- crash consistency: the hot-artifact journal ----------------------
+// ----- crash consistency: the store file's appended tail ----------------
 
-/** Cold run with an open journal attached; the runtime flushes at
- *  adoption boundaries and closeJournal() flushes the tail. */
+/** Cold run appending to a store file that does not exist yet, so the
+ *  file ends up a bare header plus the run's tail. The runtime flushes
+ *  at adoption boundaries and closeLog() flushes the rest. */
 harness::TranslatedRun
-journaledRunInto(persist::ArtifactStore &store, const TempDir &dir,
+appendingRunInto(persist::ArtifactStore &store, const TempDir &dir,
                  const Workload &w)
 {
     store.resetFingerprint(persist::fingerprintOf(w.image, baseOpts()));
-    EXPECT_TRUE(store.openJournal(dir.str()));
+    EXPECT_TRUE(store.openLog(dir.str()));
     core::Options opts = baseOpts();
     opts.persist = &store;
     harness::TranslatedRun run =
         harness::runTranslated(w.image, w.params.abi, opts);
-    store.closeJournal();
+    store.closeLog();
     return run;
+}
+
+/** Entry EIPs of the run's hot blocks that @p store holds records for,
+ *  in ascending order. */
+std::vector<uint32_t>
+storedHotEips(const harness::TranslatedRun &run,
+              const persist::ArtifactStore &store)
+{
+    std::set<uint32_t> eips;
+    for (const auto &bi : run.runtime->translator().allBlocks())
+        if (bi && bi->kind == core::BlockKind::Hot &&
+            store.hasRecordsAt(bi->entry_eip))
+            eips.insert(bi->entry_eip);
+    return {eips.begin(), eips.end()};
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f),
+            std::istreambuf_iterator<char>()};
 }
 
 TEST(PersistJournal, ReplayRoundTrip)
@@ -553,28 +578,31 @@ TEST(PersistJournal, ReplayRoundTrip)
     TempDir dir("journal_rt");
     Workload w = victim();
     persist::ArtifactStore writer;
-    journaledRunInto(writer, dir, w);
+    appendingRunInto(writer, dir, w);
     ASSERT_GT(writer.recordCount(), 0u);
-    // Nothing but the journal is on disk: the run never called save().
-    ASSERT_FALSE(fs::exists(writer.pathIn(dir.str())));
-    ASSERT_TRUE(fs::exists(writer.journalPathIn(dir.str())));
+    // The run never compacted: the directory holds the store file
+    // alone, a bare header plus every artifact as an appended frame.
+    ASSERT_EQ(std::distance(fs::directory_iterator(dir.path),
+                            fs::directory_iterator()),
+              1);
+    EXPECT_EQ(writer.stats.get("persist.compactions"), 0u);
 
-    // A fresh store recovers every journaled record by replay alone.
+    // A fresh store recovers every appended record by replay alone.
     persist::ArtifactStore replayed(writer.fingerprint());
     ASSERT_TRUE(replayed.load(dir.str()));
     EXPECT_EQ(replayed.recordCount(), writer.recordCount());
-    EXPECT_EQ(replayed.journalReplayed(), writer.recordCount());
+    EXPECT_EQ(replayed.stats.get("persist.journal_replayed"),
+              writer.recordCount());
     EXPECT_EQ(replayed.stats.get("persist.rejected_truncated"), 0u);
     EXPECT_EQ(replayed.stats.get("persist.rejected_crc"), 0u);
 
-    // Compaction folds the journal into the .elstore and removes it;
-    // a third store then loads the same record set from the file.
+    // Compaction folds the tail into the compacted prefix; a third
+    // store then loads the same record set with no tail to replay.
     ASSERT_TRUE(replayed.compact(dir.str()));
-    EXPECT_TRUE(fs::exists(replayed.pathIn(dir.str())));
-    EXPECT_FALSE(fs::exists(replayed.journalPathIn(dir.str())));
     persist::ArtifactStore compacted(writer.fingerprint());
     ASSERT_TRUE(compacted.load(dir.str()));
     EXPECT_EQ(compacted.recordCount(), writer.recordCount());
+    EXPECT_EQ(compacted.stats.get("persist.journal_replayed"), 0u);
 
     // And the recovered artifacts behave: warm run matches cold.
     core::Options wopts = baseOpts();
@@ -594,33 +622,55 @@ TEST(PersistJournal, DropFramesReplayAsDeletions)
     TempDir dir("journal_drop");
     Workload w = victim();
     persist::ArtifactStore writer;
-    harness::TranslatedRun run = journaledRunInto(writer, dir, w);
+    harness::TranslatedRun run = coldRunInto(writer, w);
     ASSERT_GT(writer.recordCount(), 1u);
+    ASSERT_TRUE(writer.save(dir.str())); // The compacted prefix.
 
-    // Quarantine-style drop of one hot entry, journaled like any other
-    // mutation (reopen: closeJournal already folded the run's frames —
-    // openJournal truncates, so compact first to keep them).
-    ASSERT_TRUE(writer.compact(dir.str()));
-    ASSERT_TRUE(writer.openJournal(dir.str()));
-    uint32_t victim_eip = 0;
-    for (const auto &bi : run.runtime->translator().allBlocks())
-        if (bi && bi->kind == core::BlockKind::Hot &&
-            writer.hasRecordsAt(bi->entry_eip)) {
-            victim_eip = bi->entry_eip;
-            break;
-        }
-    ASSERT_NE(victim_eip, 0u);
-    size_t before = writer.recordCount();
-    writer.dropAt(victim_eip);
-    writer.closeJournal();
+    // A later run loads the store and appends to it as it stands: a
+    // cleanly scanned file is never rewritten first.
+    persist::ArtifactStore later(writer.fingerprint());
+    ASSERT_TRUE(later.load(dir.str()));
+    ASSERT_TRUE(later.openLog(dir.str()));
+    EXPECT_EQ(later.stats.get("persist.compactions"), 0u);
+    std::vector<uint32_t> eips = storedHotEips(run, later);
+    ASSERT_FALSE(eips.empty());
+    uint32_t victim_eip = eips.front();
+    later.dropAt(victim_eip); // Quarantine-style drop.
+    later.closeLog();
 
-    // Replay = store file + journal: the drop wins over the compacted
-    // record, exactly as it won in memory.
+    // Replay = compacted prefix, then the tail: the drop wins over the
+    // compacted record, exactly as it won in memory.
     persist::ArtifactStore replayed(writer.fingerprint());
     ASSERT_TRUE(replayed.load(dir.str()));
-    EXPECT_EQ(replayed.recordCount(), writer.recordCount());
-    EXPECT_LT(replayed.recordCount(), before);
+    EXPECT_EQ(replayed.recordCount(), later.recordCount());
+    EXPECT_LT(replayed.recordCount(), writer.recordCount());
     EXPECT_FALSE(replayed.hasRecordsAt(victim_eip));
+    EXPECT_EQ(replayed.stats.get("persist.journal_replayed"), 1u);
+}
+
+TEST(PersistJournal, AppendsSurviveCompaction)
+{
+    // compact() with the log open must reopen it on the renamed file:
+    // appends through the old descriptor would land in the unlinked
+    // file and silently vanish.
+    TempDir dir("journal_reopen");
+    Workload w = victim();
+    persist::ArtifactStore writer;
+    harness::TranslatedRun run = appendingRunInto(writer, dir, w);
+    std::vector<uint32_t> eips = storedHotEips(run, writer);
+    ASSERT_FALSE(eips.empty());
+
+    ASSERT_TRUE(writer.openLog(dir.str()));
+    ASSERT_TRUE(writer.compact(dir.str()));
+    EXPECT_TRUE(writer.logOpen());
+    writer.dropAt(eips.front());
+    writer.closeLog();
+
+    persist::ArtifactStore replayed(writer.fingerprint());
+    ASSERT_TRUE(replayed.load(dir.str()));
+    EXPECT_FALSE(replayed.hasRecordsAt(eips.front()));
+    EXPECT_EQ(replayed.recordCount(), writer.recordCount());
+    EXPECT_EQ(replayed.stats.get("persist.journal_replayed"), 1u);
 }
 
 TEST(PersistJournal, TruncationSweepRecoversEveryIntactPrefix)
@@ -628,71 +678,97 @@ TEST(PersistJournal, TruncationSweepRecoversEveryIntactPrefix)
     TempDir dir("journal_trunc");
     Workload w = victim();
     persist::ArtifactStore writer;
-    journaledRunInto(writer, dir, w);
+    harness::TranslatedRun run = coldRunInto(writer, w);
     ASSERT_GT(writer.recordCount(), 0u);
+    ASSERT_TRUE(writer.save(dir.str())); // The compacted prefix.
 
-    std::string jpath = writer.journalPathIn(dir.str());
-    std::ifstream f(jpath, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(f)),
-                      std::istreambuf_iterator<char>());
-    ASSERT_GT(bytes.size(), 28u); // journal header
+    // The tail: drop up to two entries and add their records back, so
+    // it holds both frame kinds and ends with the same record set.
+    ASSERT_TRUE(writer.openLog(dir.str()));
+    std::vector<uint32_t> eips = storedHotEips(run, writer);
+    ASSERT_FALSE(eips.empty());
+    eips.resize(std::min<size_t>(eips.size(), 2));
+    for (uint32_t eip : eips) {
+        std::vector<persist::HotRecord> copies;
+        for (const persist::HotRecord *rec : writer.recordsAt(eip))
+            copies.push_back(*rec);
+        writer.dropAt(eip);
+        for (persist::HotRecord &rec : copies)
+            writer.record(std::move(rec));
+    }
+    writer.closeLog();
 
-    // Walk the frame layout: boundaries[i] = offset just after frame i.
-    // u32 magic | u8 kind | u32 len | u32 crc | payload[len]
-    std::vector<size_t> boundaries{28};
-    std::vector<size_t> adds_before{0}; // add-frames before boundary i
-    size_t off = 28, adds = 0;
+    std::string path = writer.pathIn(dir.str());
+    std::string bytes = fileBytes(path);
+    constexpr size_t header = persist::header_bytes;
+    ASSERT_GT(bytes.size(), header);
+    uint32_t compacted;
+    std::memcpy(&compacted, bytes.data() + header - 4, 4);
+    ASSERT_GT(compacted, 0u);
+
+    // Walk the frames, replaying each into a model of the record set:
+    // boundaries[i] = offset just after frame i, live[i] = records
+    // present after it. Frame: u32 magic | u8 kind | u32 len | u32 crc
+    // | payload, where an add's payload starts with its entry EIP and
+    // a drop's payload is that EIP.
+    std::vector<size_t> boundaries{header};
+    std::vector<size_t> live{0};
+    std::map<uint32_t, size_t> model;
+    size_t off = header;
     while (off < bytes.size()) {
         ASSERT_GE(bytes.size() - off, 13u) << "writer left a torn tail";
         uint8_t kind = static_cast<uint8_t>(bytes[off + 4]);
-        uint32_t len;
+        uint32_t len, eip;
         std::memcpy(&len, bytes.data() + off + 5, 4);
-        ASSERT_EQ(kind, 0u) << "unexpected drop frame in a pure run";
+        ASSERT_GE(len, 4u);
+        ASSERT_LE(off + 13 + len, bytes.size());
+        std::memcpy(&eip, bytes.data() + off + 13, 4);
+        if (kind == 0)
+            ++model[eip];
+        else
+            model.erase(eip);
         off += 13 + len;
-        ASSERT_LE(off, bytes.size());
-        ++adds;
+        size_t n = 0;
+        for (const auto &[e, count] : model)
+            n += count;
         boundaries.push_back(off);
-        adds_before.push_back(adds);
+        live.push_back(n);
     }
-    ASSERT_EQ(adds, writer.recordCount());
-
-    auto truncateTo = [&](size_t keep) {
-        std::ofstream out(jpath, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(keep));
-    };
+    ASSERT_EQ(live.back(), writer.recordCount());
+    ASSERT_GT(boundaries.size(), compacted + 1u) << "no tail frames";
 
     // Every frame boundary, and one byte either side of it: the intact
-    // prefix always recovers, a cut tail costs exactly one
-    // rejected_truncated, and a clean cut costs none.
+    // prefix always recovers; a cut mid-frame, or anywhere short of
+    // the compacted prefix's end, costs exactly one
+    // rejected_truncated; a clean cut in the tail costs none.
     for (size_t i = 0; i < boundaries.size(); ++i) {
         for (int delta : {-1, 0, 1}) {
             size_t cut = boundaries[i] + static_cast<size_t>(delta);
             if (cut > bytes.size())
                 continue;
-            truncateTo(cut);
+            {
+                std::ofstream out(path, std::ios::binary | std::ios::trunc);
+                out.write(bytes.data(), static_cast<std::streamsize>(cut));
+            }
             persist::ArtifactStore store(writer.fingerprint());
             (void)store.load(dir.str());
             SCOPED_TRACE("cut=" + std::to_string(cut));
-            if (cut < 28) {
-                // Inside the journal header: the whole file is
-                // rejected, nothing loads.
+            if (cut < header) {
+                // Inside the header: the whole file is rejected.
                 EXPECT_EQ(store.recordCount(), 0u);
-                EXPECT_GE(store.stats.get(
-                              "persist.journal_rejected_header"),
-                          1u);
+                EXPECT_GE(store.stats.get("persist.rejected_header"), 1u);
                 continue;
             }
-            // Complete frames fully below the cut all recover...
-            size_t complete = 0;
-            for (size_t k = 0; k < boundaries.size(); ++k)
-                if (boundaries[k] <= cut)
-                    complete = adds_before[k];
-            EXPECT_EQ(store.recordCount(), complete);
-            // ...and the tail costs exactly one truncation rejection
-            // when (and only when) the cut is not a frame boundary.
-            bool exact = delta == 0;
+            size_t complete = 0; // Frames wholly below the cut.
+            while (complete + 1 < boundaries.size() &&
+                   boundaries[complete + 1] <= cut)
+                ++complete;
+            EXPECT_EQ(store.recordCount(), live[complete]);
+            EXPECT_EQ(store.stats.get("persist.journal_replayed"),
+                      complete > compacted ? complete - compacted : 0u);
+            bool clean = cut == boundaries[complete] && complete >= compacted;
             EXPECT_EQ(store.stats.get("persist.rejected_truncated"),
-                      exact ? 0u : 1u);
+                      clean ? 0u : 1u);
             EXPECT_EQ(store.stats.get("persist.rejected_crc"), 0u);
             EXPECT_EQ(store.stats.get("persist.rejected_invalid"), 0u);
         }

@@ -33,7 +33,6 @@ profOpts(unsigned threads, prof::Profiler *profiler)
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = threads > 0;
     o.profiler = profiler;
     return o;
 }

@@ -37,13 +37,12 @@ victim()
 }
 
 core::Options
-baseOpts(unsigned threads = 0, bool deterministic = false)
+baseOpts(unsigned threads = 0)
 {
     core::Options o;
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = deterministic;
     return o;
 }
 
@@ -170,7 +169,7 @@ TEST(Selfcheck, WorksWithPipelineWorkers)
     Workload w = victim();
     harness::Outcome ref = harness::runInterpreter(w.image, w.params.abi);
     for (uint64_t seed : {3u, 7u, 11u}) {
-        core::Options opts = baseOpts(4, true);
+        core::Options opts = baseOpts(4);
         opts.fault.seed = seed;
         opts.fault.site(FaultSite::Miscompile, 128);
         sentinel::Config cfg;
@@ -277,13 +276,13 @@ struct SentinelCounters
 };
 
 SentinelCounters
-countersFor(const Workload &w, unsigned threads, bool deterministic,
-            bool hot_phase = true, harness::Outcome *out = nullptr)
+countersFor(const Workload &w, unsigned threads, bool hot_phase = true,
+            harness::Outcome *out = nullptr)
 {
     sentinel::Config cfg;
     cfg.selfcheck_rate = 4;
     sentinel::Sentinel sent(cfg);
-    core::Options opts = baseOpts(threads, deterministic);
+    core::Options opts = baseOpts(threads);
     opts.enable_hot_phase = hot_phase;
     opts.sentinel = &sent;
     harness::TranslatedRun run =
@@ -302,12 +301,12 @@ countersFor(const Workload &w, unsigned threads, bool deterministic,
 
 TEST(SelfcheckDeterminism, RepeatRunsAreBitIdentical)
 {
-    // Same image, same config (4 workers, deterministic adoption): the
-    // sampling decisions are a pure function of the region counter, so
-    // two runs agree on every sentinel counter and on cycles.
+    // Same image, same config (4 workers): the sampling decisions are
+    // a pure function of the region counter, so two runs agree on
+    // every sentinel counter and on cycles.
     Workload w = victim();
-    SentinelCounters a = countersFor(w, 4, true);
-    SentinelCounters b = countersFor(w, 4, true);
+    SentinelCounters a = countersFor(w, 4);
+    SentinelCounters b = countersFor(w, 4);
     EXPECT_TRUE(a == b);
     EXPECT_DOUBLE_EQ(a.cycles, b.cycles);
     EXPECT_GE(a.checked, 1u);
@@ -322,9 +321,9 @@ TEST(SelfcheckDeterminism, CountersBitIdenticalAcrossThreadCounts)
     // then has no effect on the region stream at all), every sentinel
     // counter is bit-identical for 0, 1 and 4 workers.
     Workload w = victim();
-    SentinelCounters sync = countersFor(w, 0, false, false);
-    SentinelCounters one = countersFor(w, 1, true, false);
-    SentinelCounters four = countersFor(w, 4, true, false);
+    SentinelCounters sync = countersFor(w, 0, false);
+    SentinelCounters one = countersFor(w, 1, false);
+    SentinelCounters four = countersFor(w, 4, false);
     EXPECT_TRUE(sync == one && one == four)
         << "regions " << sync.regions << "/" << one.regions << "/"
         << four.regions << " checked " << sync.checked << "/"
@@ -345,12 +344,12 @@ TEST(SelfcheckDeterminism, ArchInvarianceSurvivesAttachment)
     // and each thread count remains individually replayable.
     Workload w = victim();
     harness::Outcome ref;
-    SentinelCounters sync = countersFor(w, 0, false, true, &ref);
+    SentinelCounters sync = countersFor(w, 0, true, &ref);
     EXPECT_EQ(sync.divergences, 0u);
     for (unsigned threads : {1u, 4u}) {
         harness::Outcome got;
-        SentinelCounters a = countersFor(w, threads, true, true, &got);
-        SentinelCounters b = countersFor(w, threads, true, true);
+        SentinelCounters a = countersFor(w, threads, true, &got);
+        SentinelCounters b = countersFor(w, threads);
         EXPECT_TRUE(a == b) << threads << " workers not replayable";
         EXPECT_DOUBLE_EQ(a.cycles, b.cycles) << threads << " workers";
         EXPECT_EQ(a.divergences, 0u) << threads << " workers";

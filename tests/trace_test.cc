@@ -35,7 +35,6 @@ traceOpts(unsigned threads, trace::Tracer *tracer)
     o.heat_threshold = 16;
     o.hot_batch = 1;
     o.translation_threads = threads;
-    o.deterministic_adoption = threads > 0;
     o.trace = tracer;
     return o;
 }
@@ -142,7 +141,7 @@ TEST(Trace, ColdTranslateSetStableAcrossThreadCounts)
         } else if (threads == 1) {
             async_ref = cold;
         } else {
-            // Deterministic adoption makes the async timeline (and so
+            // Planned-time adoption makes the async timeline (and so
             // the cold-translation set) identical across worker counts.
             EXPECT_EQ(async_ref, cold) << "threads " << threads;
         }
