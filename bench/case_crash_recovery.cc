@@ -51,17 +51,9 @@ baseOpts()
 core::GuestResult
 guestOf(const harness::TranslatedRun &run)
 {
-    return core::guestResultOf(
-        run.outcome.final_state, run.outcome.console, run.outcome.exited,
-        run.outcome.exit_code, run.outcome.guest_insns);
-}
-
-bool
-sameGuest(const core::GuestResult &a, const core::GuestResult &b)
-{
-    return a.exited == b.exited && a.exit_code == b.exit_code &&
-           a.state_hash == b.state_hash &&
-           a.console_hash == b.console_hash;
+    return core::guestResultOf(run.outcome.final_state,
+                               run.outcome.console, run.outcome.exited,
+                               run.outcome.exit_code);
 }
 
 } // namespace
@@ -155,7 +147,7 @@ main(int argc, char **argv)
     double reuse = hits + local > 0 ? hits / (hits + local) : 0;
     double replayed =
         static_cast<double>(store.stats.get("persist.journal_replayed"));
-    bool exact = sameGuest(want, guestOf(resumed));
+    bool exact = guestOf(resumed) == want;
     double ratio = resumed_cycles / cold_cycles;
 
     rep.row("resumed")

@@ -80,7 +80,7 @@ measure(const guest::Workload &w, core::Options o,
     leg.reuse = hits + local > 0 ? hits / (hits + local) : 0;
     leg.guest = core::guestResultOf(
         run.outcome.final_state, run.outcome.console, run.outcome.exited,
-        run.outcome.exit_code, run.outcome.guest_insns);
+        run.outcome.exit_code);
     rep.row(label)
         .metric("cycles", leg.cycles)
         .metric("translation_cycles", leg.xlate_cycles)
@@ -112,14 +112,6 @@ buildAotStore(const guest::Workload &w, persist::ArtifactStore &store)
         harness::runTranslated(w.image, w.params.abi, o);
     }
     store.seal();
-}
-
-bool
-sameGuest(const core::GuestResult &a, const core::GuestResult &b)
-{
-    return a.exited == b.exited && a.exit_code == b.exit_code &&
-           a.state_hash == b.state_hash &&
-           a.console_hash == b.console_hash;
 }
 
 } // namespace
@@ -174,8 +166,8 @@ main(int argc, char **argv)
         Leg aot = measure(*wl, base, &aot_store, rep,
                           std::string(name) + "_aot");
 
-        bool warm_exact = sameGuest(cold.guest, warm.guest);
-        bool aot_exact = sameGuest(cold.guest, aot.guest);
+        bool warm_exact = cold.guest == warm.guest;
+        bool aot_exact = cold.guest == aot.guest;
         double ratio = cold.xlate_cycles > 0
                            ? warm.xlate_cycles / cold.xlate_cycles
                            : 0;

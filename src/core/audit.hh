@@ -18,9 +18,10 @@
  *    `el_run --audit` runs periodically during execution.
  *
  *  - `auditRun()` additionally walks the flight recorder, the
- *    provenance ledger and the serialized schemas. Flight rings are
- *    written by live pipeline workers, so this pass is only legal
- *    after `Runtime::quiesce()` — el_run runs it once at end of run.
+ *    provenance ledger and the serialized schemas. A session still in
+ *    flight has not had its worker-lane events recorded, so this pass
+ *    belongs after `Runtime::quiesce()` — el_run runs it once at end
+ *    of run.
  *
  * The invariant table is documented in DESIGN.md §14.
  */
@@ -65,8 +66,8 @@ struct AuditContext
 /**
  * The full audit: closure checks plus flight↔counter cross-counts,
  * provenance state-machine legality, and report/metrics/postmortem
- * schema self-checks. Call only after Runtime::quiesce() — the flight
- * snapshot reads worker rings.
+ * schema self-checks. Call only after Runtime::quiesce(), which records
+ * the worker-lane events of sessions not yet adopted.
  */
 audit::Result auditRun(Runtime &rt, const AuditContext &ctx);
 

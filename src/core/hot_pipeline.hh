@@ -10,11 +10,13 @@
  *
  *  - The runtime snapshots everything a session needs (the decoded
  *    trace, per-block misalignment policies, the entry SpecContext)
- *    into a self-contained HotCandidate at registration time and pushes
- *    it onto an MPSC work queue. Workers share no mutable state with
- *    the translator or each other.
- *  - A worker runs the emission + scheduling session into a private
- *    staging code cache and hands back a HotArtifact.
+ *    into a self-contained HotCandidate at registration time and queues
+ *    it here.
+ *  - A worker runs Translator::runHotSession on the candidate, with
+ *    the candidate's own FaultStream, into a private staging code cache
+ *    and lands the HotArtifact. That is all a worker does: it shares no
+ *    mutable state with the translator, the runtime's code cache or
+ *    event stream, or the other workers.
  *  - The runtime adopts artifacts only at block re-entry boundaries
  *    (the top of the dispatch loop) and publishes them into the shared
  *    ipf::CodeCache with a generation-checked commit, so the executing
@@ -37,16 +39,19 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "core/analysis.hh"
 #include "core/blockinfo.hh"
 #include "core/emit_env.hh"
+#include "core/options.hh"
 #include "ipf/code_cache.hh"
-#include "support/pipeline.hh"
+#include "support/faultinject.hh"
 #include "support/stats.hh"
 
 namespace el::core
@@ -92,6 +97,7 @@ struct HotCandidate
 struct HotArtifact
 {
     uint64_t seq = 0;
+    uint32_t entry_eip = 0;
     int32_t cold_block_id = -1;
     uint64_t generation = 0;
     double start_cycles = 0;
@@ -128,18 +134,19 @@ struct HotArtifact
 };
 
 /**
- * The worker-pool service: an MPSC queue of HotCandidates drained by N
- * session threads, plus the simulated worker timelines that make
- * adoption deterministic. Enqueue and drain are main-thread-only; the
- * session function runs on workers and must be re-entrant.
+ * The session workers: a queue of HotCandidates drained by N threads
+ * under one mutex and one condition variable, plus the simulated worker
+ * timelines that make adoption deterministic. Everything but the
+ * session itself runs on the runtime's thread.
  */
 class HotPipeline
 {
   public:
-    using SessionFn =
-        std::function<void(const HotCandidate &, HotArtifact *)>;
-
-    HotPipeline(unsigned threads, SessionFn session);
+    /** Start max(1, @p threads) workers. Sessions read @p options and
+     *  draw injected aborts from @p faults (null = none); both must
+     *  outlive the pipeline. */
+    HotPipeline(unsigned threads, const Options &options,
+                FaultInjector *faults);
     ~HotPipeline();
 
     HotPipeline(const HotPipeline &) = delete;
@@ -167,29 +174,37 @@ class HotPipeline
 
     /**
      * Block (wall-clock only) until every enqueued candidate's session
-     * has executed and its artifact landed. Does not drain: adoption
-     * timing is unchanged. Called at end of run so observers that read
-     * worker-side records (flight recorder, postmortem bundles) see
-     * the same event set on every run regardless of host scheduling.
+     * has landed, then show each landed, undrained artifact to
+     * @p visit in enqueue order. @p visit runs under the pipeline's
+     * lock, since it reads the artifacts in place, and must not call
+     * back into the pipeline. Does not drain: adoption timing is
+     * unchanged.
      */
-    void quiesce();
+    void quiesce(const std::function<void(const HotArtifact &)> &visit);
 
   private:
     void workerLoop();
 
-    SessionFn session_;
-    support::WorkQueue<HotCandidate> queue_;
-    support::WorkerPool pool_;
+    const Options &options_;
+    FaultInjector *faults_;
 
-    std::mutex results_mu_;
-    std::condition_variable results_cv_;
-    std::vector<HotArtifact> results_; //!< Landed, not yet drained.
+    // Shared with the workers, under mu_. One condition variable wakes
+    // both sides: workers wait for a candidate (or closing_), the
+    // runtime's thread for a landed artifact.
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::deque<HotCandidate> queue_;        //!< Not yet taken.
+    std::map<uint64_t, HotArtifact> landed_; //!< Landed, by seq.
+    bool closing_ = false;
 
-    // Main-thread bookkeeping.
+    // The runtime thread's bookkeeping.
     uint64_t next_seq_ = 0;
     uint64_t next_adopt_seq_ = 0;        //!< Next candidate to adopt.
-    std::map<uint64_t, double> pending_ready_; //!< seq -> planned ready.
+    /** Planned ready time of candidate next_adopt_seq_ + i. */
+    std::deque<double> pending_ready_;
     std::vector<double> worker_avail_;   //!< Simulated worker timelines.
+
+    std::vector<std::thread> workers_; //!< Last: they use all of the above.
 };
 
 } // namespace el::core

@@ -11,9 +11,10 @@
  * Each view keeps only the kinds it exports (support/trace.hh), so a new
  * lifecycle event is one Kind, one row in the kind table and one call.
  *
- * Every sink is optional and recording charges zero simulated cycles.
- * The ledger is main-thread only: worker-lane events never carry
- * provenance steps.
+ * Every sink is optional, recording charges zero simulated cycles, and
+ * only the runtime's thread records: it stamps a pipelined session's
+ * worker-lane events itself. Worker-lane events never carry provenance
+ * steps.
  */
 
 #ifndef EL_CORE_OBSERVER_HH

@@ -179,8 +179,8 @@ struct Options
                                       //!< is allocated (the "compiled-out"
                                       //!< comparison point; results are
                                       //!< bit-exact either way).
-    uint32_t flight_ring_capacity = 1024; //!< Last-N events kept per
-                                      //!< host thread (drop-oldest).
+    uint32_t flight_ring_capacity = 1024; //!< Last-N events kept
+                                      //!< (drop-oldest).
     metrics::Registry *metrics = nullptr; //!< Telemetry snapshotter (not
                                       //!< owned). Null = off; attached,
                                       //!< the runtime registers its

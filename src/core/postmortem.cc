@@ -14,8 +14,8 @@ namespace el::core
 std::string
 postmortemJson(Runtime &rt, const PostmortemInfo &info)
 {
-    // Let in-flight pipeline sessions land so worker-lane flight
-    // events are complete and the bundle is run-to-run deterministic.
+    // Let in-flight pipeline sessions land and record their
+    // worker-lane events, so the bundle is run-to-run deterministic.
     rt.quiesce();
 
     json::Writer w;

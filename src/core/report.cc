@@ -11,6 +11,7 @@
 #include "support/profile.hh"
 #include "support/strfmt.hh"
 #include "support/trace.hh"
+#include "support/wire.hh"
 
 namespace el::core
 {
@@ -32,56 +33,42 @@ misalignIn(const ipf::Machine &m, Bucket b)
     return m.misalignCycles()[static_cast<size_t>(b)];
 }
 
-constexpr uint64_t fnv_offset = 0xcbf29ce484222325ULL;
-constexpr uint64_t fnv_prime = 0x100000001b3ULL;
-
-void
-fnv(uint64_t &h, const void *data, size_t n)
-{
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= fnv_prime;
-    }
-}
-
 } // namespace
 
 GuestResult
 guestResultOf(const ia32::State &st, const std::string &console,
-              bool exited, int32_t exit_code, uint64_t guest_insns)
+              bool exited, int32_t exit_code)
 {
     GuestResult r;
     r.exited = exited;
     r.exit_code = exit_code;
-    r.guest_insns = guest_insns;
 
-    uint64_t h = fnv_offset;
+    uint64_t h = wire::fnv1a_basis;
+    auto mix = [&h](const void *data, size_t n) {
+        h = wire::fnv1a(data, n, h);
+    };
     for (uint32_t g : st.gpr)
-        fnv(h, &g, sizeof(g));
-    fnv(h, &st.eip, sizeof(st.eip));
-    fnv(h, &st.eflags, sizeof(st.eflags));
+        mix(&g, sizeof(g));
+    mix(&st.eip, sizeof(st.eip));
+    mix(&st.eflags, sizeof(st.eflags));
     // FP stack slots are hashed as double bit patterns: long double
     // objects carry 6 padding bytes of indeterminate value.
     for (int i = 0; i < 8; ++i) {
         double d = static_cast<double>(st.fpu.st[i]);
         uint64_t bits;
         std::memcpy(&bits, &d, sizeof(bits));
-        fnv(h, &bits, sizeof(bits));
+        mix(&bits, sizeof(bits));
         uint8_t tag = static_cast<uint8_t>(st.fpu.tag[i]);
-        fnv(h, &tag, sizeof(tag));
+        mix(&tag, sizeof(tag));
     }
-    fnv(h, &st.fpu.top, sizeof(st.fpu.top));
-    fnv(h, &st.fpu.control, sizeof(st.fpu.control));
-    fnv(h, &st.fpu.status, sizeof(st.fpu.status));
+    mix(&st.fpu.top, sizeof(st.fpu.top));
+    mix(&st.fpu.control, sizeof(st.fpu.control));
+    mix(&st.fpu.status, sizeof(st.fpu.status));
     for (const ia32::XmmReg &x : st.xmm)
-        fnv(h, x.bytes.data(), x.bytes.size());
-    fnv(h, &st.mxcsr, sizeof(st.mxcsr));
+        mix(x.bytes.data(), x.bytes.size());
+    mix(&st.mxcsr, sizeof(st.mxcsr));
     r.state_hash = h;
-
-    uint64_t ch = fnv_offset;
-    fnv(ch, console.data(), console.size());
-    r.console_hash = ch;
+    r.console_hash = wire::fnv1a(console.data(), console.size());
     return r;
 }
 
@@ -195,7 +182,6 @@ runReportJson(Runtime &rt, const std::string &workload,
         w.kv("console_hash", strfmt("%016llx",
                                     static_cast<unsigned long long>(
                                         guest->console_hash)));
-        w.kv("guest_insns", guest->guest_insns);
         w.endObject();
     }
 

@@ -39,10 +39,10 @@ class Runtime;
 
 /**
  * The architectural outcome of one guest run, reduced to comparable
- * scalars: a warm-start run must reproduce these bit-for-bit against a
- * cold run, and CI diffs them across cache states. Hashes are rendered
- * as hex strings in the JSON (64-bit values do not survive a round
- * trip through JSON doubles).
+ * scalars: a warm-start, resumed or pre-translated run must reproduce
+ * the whole object bit-for-bit against a cold run, and CI diffs it
+ * across cache states. Hashes are rendered as hex strings in the JSON
+ * (64-bit values do not survive a round trip through JSON doubles).
  */
 struct GuestResult
 {
@@ -50,13 +50,14 @@ struct GuestResult
     int32_t exit_code = 0;
     uint64_t state_hash = 0;   //!< Hash of the final ia32::State.
     uint64_t console_hash = 0; //!< Hash of the guest console output.
-    uint64_t guest_insns = 0;
+
+    bool operator==(const GuestResult &) const = default;
 };
 
 /** Reduce a final guest state + console to a GuestResult. */
 GuestResult guestResultOf(const ia32::State &state,
                           const std::string &console, bool exited,
-                          int32_t exit_code, uint64_t guest_insns);
+                          int32_t exit_code);
 
 /** Simulated cycles bucketed into the paper's Figure 6 categories. */
 struct Attribution

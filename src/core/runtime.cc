@@ -162,9 +162,9 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
     }
     FaultInjector *fi = inject_scope_.get();
     if (fi && obs_.attached()) {
-        // Main-thread fires only; worker-side injection is recorded by
-        // the pipeline session wrapper below with the session's
-        // planned simulated timeline.
+        // Main-thread fires only; a worker's injected session abort is
+        // recorded by recordSession() with the session's planned
+        // simulated timeline.
         fi->setFireListener([this, fi](FaultSite site) {
             obs_.recordNow(trace::Kind::FaultInject,
                            {static_cast<int64_t>(site),
@@ -195,36 +195,9 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             });
     }
 
-    if (options_.translation_threads > 0 && options_.enable_hot_phase) {
+    if (options_.translation_threads > 0 && options_.enable_hot_phase)
         hot_pipeline_ = std::make_unique<HotPipeline>(
-            options_.translation_threads,
-            [this, fi](const HotCandidate &c, HotArtifact *out) {
-                // Runs on a worker thread. The injection stream is
-                // keyed by the candidate's sequence number, never the
-                // worker, so chaos runs replay across thread counts.
-                FaultStream stream(fi, c.seq);
-                Translator::runHotSession(c.input, options_, &stream,
-                                          out);
-                // Worker-lane events carry the *planned* simulated
-                // times from the candidate — workers must never read
-                // the machine's cycle counter (it belongs to the main
-                // thread), and the plan is what makes the stream
-                // replayable across thread counts.
-                uint32_t lane = 1 + c.worker_slot;
-                int64_t seq = static_cast<int64_t>(c.seq);
-                if (out->injected_abort)
-                    obs_.record({trace::Kind::WorkerFault, lane,
-                                 c.start_cycles, 0,
-                                 static_cast<int64_t>(
-                                     FaultSite::HotXlateAbort),
-                                 seq});
-                obs_.record({trace::Kind::WorkerSession, lane,
-                             c.start_cycles,
-                             c.ready_cycles - c.start_cycles,
-                             c.input.entry_eip, seq, out->ok ? 1 : 0,
-                             c.worker_slot});
-            });
-    }
+            options_.translation_threads, options_, fi);
 
     if (metrics::Registry *m = options_.metrics) {
         // Gauges are closures over live runtime state, read only at
@@ -673,6 +646,33 @@ Runtime::enqueueHot(BlockInfo *cand, const SpecContext &spec)
 }
 
 void
+Runtime::recordSession(const HotArtifact &art)
+{
+    if (art.seq < sessions_recorded_)
+        return; // quiesce() already recorded it
+    sessions_recorded_ = art.seq + 1;
+    // Worker-lane events carry the *planned* simulated times from the
+    // candidate, never the machine's cycle counter: the plan is what
+    // makes the stream replayable across thread counts.
+    uint32_t lane = 1 + art.worker_slot;
+    int64_t seq = static_cast<int64_t>(art.seq);
+    if (art.injected_abort)
+        obs_.record({trace::Kind::WorkerFault, lane, art.start_cycles, 0,
+                     static_cast<int64_t>(FaultSite::HotXlateAbort), seq});
+    obs_.record({trace::Kind::WorkerSession, lane, art.start_cycles,
+                 art.ready_cycles - art.start_cycles, art.entry_eip, seq,
+                 art.ok ? 1 : 0, art.worker_slot});
+}
+
+void
+Runtime::quiesce()
+{
+    if (hot_pipeline_)
+        hot_pipeline_->quiesce(
+            [this](const HotArtifact &art) { recordSession(art); });
+}
+
+void
 Runtime::adoptHotResults()
 {
     if (!hot_pipeline_ || hot_pipeline_->inFlight() == 0)
@@ -680,6 +680,7 @@ Runtime::adoptHotResults()
     std::vector<HotArtifact> arts =
         hot_pipeline_->drain(machine_->totalCycles());
     for (HotArtifact &art : arts) {
+        recordSession(art);
         BlockInfo *cold = translator_->blockById(art.cold_block_id);
         if (cold)
             cold->hot_inflight = false;

@@ -107,15 +107,13 @@ class Runtime
     }
 
     /**
-     * Wait (wall-clock only) for in-flight pipeline sessions to land so
-     * worker-side flight events are complete. Call after run() before
-     * snapshotting the recorder or writing a postmortem bundle.
+     * Wait (wall-clock only) for in-flight pipeline sessions to land and
+     * record the worker-lane events of those not yet adopted, so the
+     * event stream is complete. Call after run() before snapshotting
+     * the recorder or writing a postmortem bundle; calling it again
+     * records nothing twice.
      */
-    void quiesce()
-    {
-        if (hot_pipeline_)
-            hot_pipeline_->quiesce();
-    }
+    void quiesce();
 
     /** Copy guest architectural state into the machine + runtime area. */
     void loadContext(const ia32::State &state);
@@ -159,6 +157,10 @@ class Runtime
      * code cache. No-op when the pipeline is off or idle.
      */
     void adoptHotResults();
+
+    /** Record a pipelined session's worker-lane events, once per
+     *  session, when its artifact is adopted or quiesce() sees it. */
+    void recordSession(const HotArtifact &art);
 
     /** Charge accumulated translator cycles to Overhead and fold the
      *  hot-stall share into the "hot.stall_cycles" statistic. */
@@ -237,14 +239,15 @@ class Runtime
     StatGroup stats_;
     std::deque<int32_t> hot_queue_;
     prof::Profiler *profiler_ = nullptr; //!< From Options; null = off.
-    // The always-on black box. Owned here (unlike the opt-in observers,
-    // which callers attach) and declared before hot_pipeline_ so worker
-    // threads are joined before the rings they write to are destroyed.
+    // The always-on black box. Owned here, unlike the opt-in observers,
+    // which callers attach.
     std::unique_ptr<trace::Tracer> box_;
     std::unique_ptr<ProvenanceLedger> provenance_;
     Observer obs_; //!< The lifecycle hook over all three sinks.
-    uint64_t dispatch_lookups_ = 0; //!< dispatchEntry() calls (sampled
-                                    //!< by the profiler time series).
+    uint64_t dispatch_lookups_ = 0; //!< dispatchEntry() calls (the
+                                    //!< dispatch_lookups metrics gauge).
+    uint64_t sessions_recorded_ = 0; //!< Pipelined sessions whose
+                                     //!< events are recorded.
     double fault_overhead_cycles_ = 0;
     double next_audit_ = 0;         //!< Next in-run closure audit, in
                                     //!< simulated cycles.
@@ -262,8 +265,8 @@ class Runtime
                                     RingPolicy::DropNewest};
 
     // Declared last on purpose: destruction joins the worker threads
-    // before anything they reference (translator_, options_, the fault
-    // injector owned by inject_scope_) is torn down.
+    // before anything they reference (options_, the fault injector
+    // owned by inject_scope_) is torn down.
     std::unique_ptr<HotPipeline> hot_pipeline_;
 };
 

@@ -152,7 +152,7 @@ main(int argc, char **argv)
         harness::runInterpreter(wl->image, wl->params.abi);
     core::GuestResult oracle_res = core::guestResultOf(
         oracle.final_state, oracle.console, oracle.exited,
-        oracle.exit_code, oracle.guest_insns);
+        oracle.exit_code);
     std::printf("el_aot: oracle: exit=%d insns=%llu state=%016llx\n",
                 oracle.exit_code,
                 static_cast<unsigned long long>(oracle.guest_insns),
@@ -204,16 +204,11 @@ main(int argc, char **argv)
             harness::runTranslated(wl->image, wl->params.abi, o);
         divergences = sentinel.totalDivergences();
 
-        core::GuestResult v = core::guestResultOf(
-            run.outcome.final_state, run.outcome.console,
-            run.outcome.exited, run.outcome.exit_code,
-            run.outcome.guest_insns);
-        // guest_insns is excluded: the interpreter counts retired
-        // instructions, translated runs count translated-source ones.
-        bool match = v.exited == oracle_res.exited &&
-                     v.exit_code == oracle_res.exit_code &&
-                     v.state_hash == oracle_res.state_hash &&
-                     v.console_hash == oracle_res.console_hash;
+        bool match = core::guestResultOf(run.outcome.final_state,
+                                         run.outcome.console,
+                                         run.outcome.exited,
+                                         run.outcome.exit_code) ==
+                     oracle_res;
         std::printf("el_aot: validation: checked=%llu divergences=%llu "
                     "dropped=%llu outcome=%s\n",
                     static_cast<unsigned long long>(

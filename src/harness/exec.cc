@@ -135,8 +135,6 @@ runTranslated(const guest::Image &image, btlib::OsAbi abi,
     out.console = run.os->consoleOutput();
     out.final_state = state;
     out.cycles = run.runtime->machine().totalCycles();
-    out.guest_insns =
-        run.runtime->translator().stats.get("xlate.cold_insns");
     return run;
 }
 

@@ -40,8 +40,8 @@ struct Outcome
     std::string internal_reason; //!< Human-readable cause when set.
     std::string console;      //!< Captured guest output.
     ia32::State final_state;  //!< Architectural state at termination.
-    uint64_t guest_insns = 0; //!< IA-32 instructions retired (interp) or
-                              //!< translated-source count (translated).
+    uint64_t guest_insns = 0; //!< IA-32 instructions retired (interp
+                              //!< and direct model; 0 when translated).
     double cycles = 0;        //!< Simulated cycles (timing modes).
 };
 

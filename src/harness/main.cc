@@ -136,8 +136,8 @@ usage()
         "  --no-flight            disable the always-on flight\n"
         "                         recorder + provenance ledger (A/B\n"
         "                         overhead comparisons)\n"
-        "  --flight-ring=<n>      per-thread flight ring capacity in\n"
-        "                         events (default 1024)\n"
+        "  --flight-ring=<n>      flight ring capacity in events\n"
+        "                         (default 1024)\n"
         "  --log-level=<l>        err|warn|info|debug (default warn;\n"
         "                         EL_LOG env var is the fallback)\n");
 }
@@ -417,8 +417,7 @@ main(int argc, char **argv)
 
     core::GuestResult guest = core::guestResultOf(
         run.outcome.final_state, run.outcome.console,
-        run.outcome.exited, run.outcome.exit_code,
-        run.outcome.guest_insns);
+        run.outcome.exited, run.outcome.exit_code);
 
     if (!trace_out.empty()) {
         if (!tracer.writeChromeJson(trace_out)) {

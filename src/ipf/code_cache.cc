@@ -49,7 +49,6 @@ CodeCache::exhausted(size_t headroom)
 void
 CodeCache::flushAll()
 {
-    std::lock_guard<std::mutex> lk(*publish_mu_);
     code_.clear();
     ++generation_;
 }
@@ -58,7 +57,6 @@ int64_t
 CodeCache::publish(const CodeCache &staging,
                    uint64_t expected_generation, int32_t final_block_id)
 {
-    std::lock_guard<std::mutex> lk(*publish_mu_);
     if (generation_ != expected_generation)
         return -1;
     int64_t base = static_cast<int64_t>(code_.size());
@@ -80,7 +78,6 @@ bool
 CodeCache::patchToBranchChecked(int64_t idx, int64_t target,
                                 uint64_t expected_generation)
 {
-    std::lock_guard<std::mutex> lk(*publish_mu_);
     if (generation_ != expected_generation)
         return false;
     patchToBranch(idx, target);

@@ -24,8 +24,6 @@
 #define EL_IPF_CODE_CACHE_HH
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "ipf/insn.hh"
@@ -107,10 +105,9 @@ class CodeCache
      * spliced into the new generation. Returns the base index of the
      * published code, or -1 when the generation moved.
      *
-     * Serialized against other publish/patch calls by the publication
-     * lock. Execution (Machine) and the cold translator stay on the
-     * owning thread; the lock exists so future sharded dispatchers can
-     * publish from several runtimes safely.
+     * Like every other mutation of the shared cache, publication runs
+     * on the runtime's thread: hot-pipeline workers write only their
+     * private staging caches.
      */
     int64_t publish(const CodeCache &staging,
                     uint64_t expected_generation,
@@ -118,8 +115,8 @@ class CodeCache
 
     /**
      * Generation-checked patchToBranch(): patches only when the cache
-     * is still at @p expected_generation (same lock as publish()).
-     * Returns false when the exit belongs to a dead generation.
+     * is still at @p expected_generation. Returns false when the exit
+     * belongs to a dead generation.
      */
     bool patchToBranchChecked(int64_t idx, int64_t target,
                               uint64_t expected_generation);
@@ -129,9 +126,6 @@ class CodeCache
     size_t capacity_ = 0;
     size_t high_water_ = 0;
     uint64_t generation_ = 0;
-    /** Publication lock (unique_ptr keeps the cache movable). */
-    std::unique_ptr<std::mutex> publish_mu_ =
-        std::make_unique<std::mutex>();
 };
 
 } // namespace el::ipf

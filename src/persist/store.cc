@@ -15,27 +15,6 @@ namespace el::persist
 namespace
 {
 
-// ----- hashing ------------------------------------------------------
-
-constexpr uint64_t fnv_offset = 0xcbf29ce484222325ULL;
-constexpr uint64_t fnv_prime = 0x100000001b3ULL;
-
-void
-fnv(uint64_t &h, const void *data, size_t n)
-{
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= fnv_prime;
-    }
-}
-
-void
-fnvU64(uint64_t &h, uint64_t v)
-{
-    fnv(h, &v, sizeof(v));
-}
-
 // ----- byte-oriented encoding ---------------------------------------
 
 using Writer = wire::Writer;
@@ -327,16 +306,21 @@ fingerprintOf(const guest::Image &image, const core::Options &o)
     Fingerprint fp;
     fp.entry = image.entry;
 
-    uint64_t h = fnv_offset;
-    fnvU64(h, image.entry);
-    fnvU64(h, image.sections.size());
+    // Each hash chains FNV-1a over its fields, integers as u64s.
+    uint64_t h = wire::fnv1a_basis;
+    auto mix = [&h](const void *data, size_t n) {
+        h = wire::fnv1a(data, n, h);
+    };
+    auto mixU64 = [&mix](uint64_t v) { mix(&v, sizeof(v)); };
+    mixU64(image.entry);
+    mixU64(image.sections.size());
     for (const guest::Section &s : image.sections) {
-        fnv(h, s.name.data(), s.name.size());
-        fnvU64(h, s.addr);
-        fnvU64(h, s.size);
-        fnvU64(h, static_cast<uint64_t>(s.perm));
-        fnvU64(h, s.bytes.size());
-        fnv(h, s.bytes.data(), s.bytes.size());
+        mix(s.name.data(), s.name.size());
+        mixU64(s.addr);
+        mixU64(s.size);
+        mixU64(static_cast<uint64_t>(s.perm));
+        mixU64(s.bytes.size());
+        mix(s.bytes.data(), s.bytes.size());
     }
     fp.image_hash = h;
 
@@ -346,12 +330,12 @@ fingerprintOf(const guest::Image &image, const core::Options &o)
     // artifacts are built, never their contents, and are excluded so
     // an el_aot-built store (aggressive thresholds) serves a default
     // el_run.
-    uint64_t oh = fnv_offset;
-    fnvU64(oh, format_version);
-    fnvU64(oh, core::analysis_window);
-    fnvU64(oh, core::max_trace_blocks);
-    fnvU64(oh, core::max_trace_insns);
-    fnvU64(oh, core::unroll_factor);
+    h = wire::fnv1a_basis;
+    mixU64(format_version);
+    mixU64(core::analysis_window);
+    mixU64(core::max_trace_blocks);
+    mixU64(core::max_trace_insns);
+    mixU64(core::unroll_factor);
     uint64_t toggles = 0;
     for (bool t : {o.enable_hot_phase, o.enable_unroll, o.enable_eflags_elim,
                    o.enable_fxch_elim, o.enable_fp_stack_spec,
@@ -359,8 +343,8 @@ fingerprintOf(const guest::Image &image, const core::Options &o)
                    o.enable_misalign_avoidance, o.enable_load_speculation,
                    o.enable_chaining, o.enable_addr_cse})
         toggles = (toggles << 1) | (t ? 1 : 0);
-    fnvU64(oh, toggles);
-    fp.opts_hash = oh;
+    mixU64(toggles);
+    fp.opts_hash = h;
     return fp;
 }
 

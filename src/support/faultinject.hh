@@ -160,9 +160,10 @@ class FaultInjector
     /**
      * Observer invoked on every main-thread fire (shouldFire() only —
      * worker-side FaultStream fires are not funneled through it, since
-     * the listener is not required to be thread-safe; the pipeline
-     * records those itself with the session's simulated timeline). The
-     * observability layer uses this to trace every injected fault.
+     * the listener is not required to be thread-safe; the runtime
+     * records those when it takes the session's artifact, with the
+     * session's simulated timeline). The observability layer uses this
+     * to trace every injected fault.
      */
     void
     setFireListener(std::function<void(FaultSite)> listener)

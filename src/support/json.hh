@@ -164,6 +164,8 @@ struct Value
     std::vector<Value> arr;
     std::map<std::string, Value> obj;
 
+    bool operator==(const Value &) const = default;
+
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
     bool isNumber() const { return kind == Kind::Number; }

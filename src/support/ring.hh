@@ -2,16 +2,15 @@
  * @file
  * Bounded ring buffer shared by the observability recorders.
  *
- * The event stream's two views and the profiler keep fixed-capacity
- * buffers so an instrumented run can never grow without bound; they
- * differ only in which end overflow sacrifices. The Chrome capture
- * keeps the *oldest* events (drop-newest: the front of a lifecycle
- * trace explains the rest). The black box keeps the *newest* events
- * (drop-oldest: the tail explains an abnormal exit), and so does the
- * profiler's sample series (a time series wants the most recent
- * window). Provenance timelines and divergence-sentinel visit logs
- * reuse the same type. Every drop is counted so consumers can tell a
- * complete recording from a truncated one.
+ * The event stream's two views keep fixed-capacity buffers so an
+ * instrumented run can never grow without bound; they differ only in
+ * which end overflow sacrifices. The Chrome capture keeps the *oldest*
+ * events (drop-newest: the front of a lifecycle trace explains the
+ * rest). The black box keeps the *newest* events (drop-oldest: the
+ * tail explains an abnormal exit). Provenance timelines, the
+ * divergence sentinel's log and the machine's visit log reuse the same
+ * type. Every drop is counted so consumers can tell a complete
+ * recording from a truncated one.
  */
 
 #ifndef EL_SUPPORT_RING_HH

@@ -1,7 +1,6 @@
 #include "support/trace.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
@@ -107,17 +106,6 @@ rowsInKindOrder()
 }
 static_assert(rowsInKindOrder(), "kind table out of step with Kind");
 
-/** A never-reused id for the calling host thread (std::thread::id may
- *  be recycled once a thread exits). */
-uint64_t
-threadSerial()
-{
-    static std::atomic<uint64_t> next{1};
-    thread_local const uint64_t serial =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return serial;
-}
-
 /** The Chrome sort key's last component: the first exported arg. */
 int64_t
 firstArg(const Event &e)
@@ -152,55 +140,6 @@ kindInfo(Kind kind)
     return rows[static_cast<size_t>(kind)].info;
 }
 
-uint64_t
-Tracer::nextInstanceId()
-{
-    static std::atomic<uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-Tracer::Ring *
-Tracer::threadRing()
-{
-    // A small per-thread cache of (tracer, ring) pairs: every step a
-    // run records reaches up to two tracers (the Chrome capture and the
-    // black box), so the hit path is a couple of compares. Keys are
-    // instance ids, never addresses — a new tracer allocated where a
-    // dead one lived must not resurrect the dead tracer's ring. A miss
-    // looks the ring up by thread serial, so each thread owns exactly
-    // one ring per tracer whatever the cache evicted.
-    struct Slot
-    {
-        uint64_t owner_id = 0;
-        Ring *ring = nullptr;
-    };
-    constexpr unsigned slots = 4;
-    thread_local Slot cache[slots];
-    thread_local unsigned victim = 0;
-    for (const Slot &s : cache)
-        if (s.owner_id == instance_id_)
-            return s.ring;
-
-    uint64_t me = threadSerial();
-    Ring *ring = nullptr;
-    {
-        std::lock_guard<std::mutex> lk(rings_mu_);
-        for (const auto &r : rings_)
-            if (r->thread == me)
-                ring = r.get();
-        if (!ring) {
-            rings_.push_back(std::make_unique<Ring>(
-                ring_capacity_,
-                view_ == View::Chrome ? RingPolicy::DropNewest
-                                      : RingPolicy::DropOldest,
-                me));
-            ring = rings_.back().get();
-        }
-    }
-    cache[victim++ % slots] = Slot{instance_id_, ring};
-    return ring;
-}
-
 void
 Tracer::record(const Event &e)
 {
@@ -210,23 +149,13 @@ Tracer::record(const Event &e)
     Event kept = e;
     if (view_ == View::BlackBox && info.box_at_end)
         kept.ts += kept.dur; // exact: cycle values are integer doubles
-    Ring *ring = threadRing();
-    std::lock_guard<std::mutex> lk(ring->mu);
-    ring->events.push(kept);
+    events_.push(kept);
 }
 
 std::vector<Event>
 Tracer::snapshot() const
 {
-    std::vector<Event> out;
-    {
-        std::lock_guard<std::mutex> lk(rings_mu_);
-        for (const auto &ring : rings_) {
-            std::lock_guard<std::mutex> rlk(ring->mu);
-            out.insert(out.end(), ring->events.begin(),
-                       ring->events.end());
-        }
-    }
+    std::vector<Event> out(events_.begin(), events_.end());
     if (view_ == View::Chrome)
         std::stable_sort(out.begin(), out.end(),
                          [](const Event &x, const Event &y) {
@@ -252,18 +181,6 @@ Tracer::snapshot() const
                              return x.a < y.a;
                          });
     return out;
-}
-
-uint64_t
-Tracer::dropped() const
-{
-    uint64_t n = 0;
-    std::lock_guard<std::mutex> lk(rings_mu_);
-    for (const auto &ring : rings_) {
-        std::lock_guard<std::mutex> rlk(ring->mu);
-        n += ring->events.dropped();
-    }
-    return n;
 }
 
 std::string

@@ -10,21 +10,23 @@
  * words. No strings are stored; a constant per-kind table (kindInfo())
  * says what each artifact calls the kind and which words it exports.
  *
- * Two views record the same stream, each a Tracer over per-thread
- * bounded rings that store only the kinds the view exports:
+ * Two views record the same stream, each a Tracer over one bounded
+ * ring that stores only the kinds the view exports:
  *  - View::Chrome is the opt-in lifecycle capture (Options::trace). Its
- *    rings drop the *newest* event on overflow, so the front of the run
+ *    ring drops the *newest* event on overflow, so the front of the run
  *    stays a faithful prefix, and chromeJson() exports Chrome
  *    trace-event JSON for chrome://tracing or https://ui.perfetto.dev.
  *  - View::BlackBox is the always-on flight recorder the runtime owns
- *    (Options::flight_recorder). Its rings drop the *oldest* event, so
+ *    (Options::flight_recorder). Its ring drops the *oldest* event, so
  *    the tail that explains an abnormal exit survives; postmortem
  *    bundles export it.
  *
  * Lanes and timestamps come from the simulation, never from wall clock
  * or host thread identity: lane 0 is the guest/runtime thread, lane 1+k
- * is hot-pipeline worker slot k, and worker events carry the
- * candidate's *planned* simulated times. A deterministic run therefore
+ * is hot-pipeline worker slot k, and worker-lane events carry the
+ * session's *planned* simulated times. The runtime's thread is the only
+ * writer: it records a worker session's events itself when it takes the
+ * session's artifact, in enqueue order. A deterministic run therefore
  * records a bit-identical stream regardless of real worker scheduling.
  * Recording charges zero simulated cycles, so cycle results are
  * bit-identical with either view attached or not.
@@ -34,8 +36,6 @@
 #define EL_SUPPORT_TRACE_HH
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -163,35 +163,38 @@ enum class View : uint8_t
     BlackBox, //!< Drop-oldest tail, exported in postmortem bundles.
 };
 
-/** The recorder: one instance per view per run. */
+/** The recorder: one instance per view per run. Not thread-safe: only
+ *  the runtime's thread records or reads it. */
 class Tracer
 {
   public:
-    /** @p ring_capacity Per-thread ring size in events. */
+    /** @p ring_capacity Ring size in events. */
     explicit Tracer(size_t ring_capacity = 1 << 16,
                     View view = View::Chrome)
-        : ring_capacity_(ring_capacity ? ring_capacity : 1), view_(view)
+        : view_(view),
+          events_(ring_capacity, view == View::Chrome
+                                     ? RingPolicy::DropNewest
+                                     : RingPolicy::DropOldest)
     {}
 
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
-    /** Record @p e into the calling thread's ring if this view exports
-     *  its kind (the black box re-stamps box_at_end kinds first). */
+    /** Record @p e if this view exports its kind (the black box
+     *  re-stamps box_at_end kinds first). */
     void record(const Event &e);
 
     /**
-     * Merged view of every ring, in a deterministic order for a
-     * deterministic event set, independent of which host thread
-     * recorded what when: (ts, lane, Chrome name, first arg) for the
-     * Chrome view, (ts, lane, kind, a) for the black box.
+     * The ring's events in a deterministic order for a deterministic
+     * event set: (ts, lane, Chrome name, first arg) for the Chrome
+     * view, (ts, lane, kind, a) for the black box.
      */
     std::vector<Event> snapshot() const;
 
-    /** Events lost to ring overflow, across all rings. */
-    uint64_t dropped() const;
+    /** Events lost to ring overflow. */
+    uint64_t dropped() const { return events_.dropped(); }
 
-    size_t ringCapacity() const { return ring_capacity_; }
+    size_t ringCapacity() const { return events_.capacity(); }
 
     /** Chrome trace-event JSON (the {"traceEvents": [...]} form). */
     std::string chromeJson() const;
@@ -200,30 +203,8 @@ class Tracer
     bool writeChromeJson(const std::string &path) const;
 
   private:
-    /** One host thread's bounded event buffer. */
-    struct Ring
-    {
-        mutable std::mutex mu; //!< Owner appends; snapshot() reads.
-        BoundedRing<Event> events;
-        uint64_t thread = 0;   //!< Serial of the owning host thread.
-
-        Ring(size_t capacity, RingPolicy policy, uint64_t owner)
-            : events(capacity, policy), thread(owner)
-        {}
-    };
-
-    /** The calling thread's ring (created on first use). */
-    Ring *threadRing();
-
-    size_t ring_capacity_;
     View view_;
-    /** Distinguishes this instance from a dead tracer that occupied the
-     *  same address (the per-thread ring cache keys on it). */
-    uint64_t instance_id_ = nextInstanceId();
-    mutable std::mutex rings_mu_;
-    std::vector<std::unique_ptr<Ring>> rings_;
-
-    static uint64_t nextInstanceId();
+    BoundedRing<Event> events_;
 };
 
 /**

@@ -170,9 +170,12 @@ crc32(const uint8_t *data, size_t n, uint32_t crc = 0)
     return c ^ 0xffffffffu;
 }
 
+/** FNV-1a's 64-bit offset basis: the hash of no bytes. */
+constexpr uint64_t fnv1a_basis = 0xcbf29ce484222325ULL;
+
 /** FNV-1a over a byte range, chainable through @p h. */
 inline uint64_t
-fnv1a(const void *data, size_t n, uint64_t h = 0xcbf29ce484222325ULL)
+fnv1a(const void *data, size_t n, uint64_t h = fnv1a_basis)
 {
     const uint8_t *p = static_cast<const uint8_t *>(data);
     for (size_t i = 0; i < n; ++i) {

@@ -16,7 +16,6 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include <sys/wait.h>
@@ -229,9 +228,8 @@ runCli(const std::string &args, const std::string &err_path)
     return WEXITSTATUS(rc);
 }
 
-/** The report's guest object, minus guest_insns (a resumed run
- *  retires fewer translated-source instructions by design). */
-std::string
+/** The report's guest object (null when the report has none). */
+json::Value
 guestOf(const std::string &report_path)
 {
     json::Value root;
@@ -239,14 +237,7 @@ guestOf(const std::string &report_path)
     EXPECT_TRUE(json::Parser::parse(readBytes(report_path), &root, &error))
         << report_path << ": " << error;
     const json::Value *g = root.find("guest");
-    if (!g)
-        return "";
-    const json::Value *exited = g->find("exited");
-    std::ostringstream s;
-    s << (exited && exited->kind == json::Value::Kind::Bool && exited->b)
-      << " " << g->numberOr("exit_code", -1) << " "
-      << g->strOr("state_hash", "") << " " << g->strOr("console_hash", "");
-    return s.str();
+    return g ? *g : json::Value{};
 }
 
 TEST(PersistCheckpointCli, DamagedCheckpointResumesCold)
@@ -263,8 +254,8 @@ TEST(PersistCheckpointCli, DamagedCheckpointResumesCold)
                          ck.string() + " --report-json=" + base,
                      err),
               exit_ok);
-    std::string want = guestOf(base);
-    ASSERT_FALSE(want.empty());
+    json::Value want = guestOf(base);
+    ASSERT_TRUE(want.isObject());
     std::string file;
     for (const fs::directory_entry &de : fs::directory_iterator(ck))
         if (de.path().extension() == ".elckpt")
@@ -302,7 +293,7 @@ TEST(PersistCheckpointCli, DamagedCheckpointResumesCold)
                               d.message + "); starting cold";
         EXPECT_NE(readBytes(err).find(warning), std::string::npos)
             << "stderr: " << readBytes(err);
-        EXPECT_EQ(guestOf(report), want);
+        EXPECT_TRUE(guestOf(report) == want);
     }
     fs::remove_all(root);
 }

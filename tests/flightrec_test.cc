@@ -9,8 +9,9 @@
  *    counts are bit-exact with the recorder on or off;
  *  - the merged flight is deterministic: two identical runs produce
  *    identical event sequences for every translation_threads setting,
- *    because worker events carry planned simulated times and planned
- *    worker slots, never wall clock;
+ *    even when a ring overflows, because the runtime's thread records
+ *    every event and worker events carry planned simulated times and
+ *    planned worker slots, never wall clock;
  *  - the Chrome capture and the black box are two views of one stream:
  *    every step both record is counted the same in each;
  *  - a chaos run's postmortem names the injected fault site that
@@ -22,6 +23,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "btlib/abi.hh"
 #include "core/postmortem.hh"
@@ -110,7 +112,7 @@ TEST(EventStream, DropNewestKeepsThePrefix)
 {
     trace::Tracer chrome(4);
     recordSeries(chrome, Kind::ColdXlate, 10);
-    // A black-box-only kind never reaches the Chrome rings, so it can
+    // A black-box-only kind never reaches the Chrome ring, so it can
     // neither occupy a slot nor count as a drop.
     chrome.record({Kind::Dispatch, 0, 99.0, 0, 99});
     std::vector<trace::Event> ev = chrome.snapshot();
@@ -231,6 +233,66 @@ TEST(FlightRecorder, MergedOrderIsDeterministicAcrossThreadCounts)
                   flightFingerprint(*b.runtime->blackBox()))
             << "threads " << threads;
     }
+}
+
+/** Every field of every event a view kept, one line per event. */
+std::string
+encodeView(const trace::Tracer &t)
+{
+    std::string out;
+    for (const trace::Event &e : t.snapshot()) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf), "%u lane=%u ts=%.0f dur=%.0f %lld "
+                      "%lld %lld %lld\n",
+                      static_cast<unsigned>(e.kind), e.lane, e.ts, e.dur,
+                      static_cast<long long>(e.a),
+                      static_cast<long long>(e.b),
+                      static_cast<long long>(e.c),
+                      static_cast<long long>(e.d));
+        out += buf;
+    }
+    return out;
+}
+
+TEST(WorkerReplay, BoundedViewsHoldTheirCapacityAndReplay)
+{
+    // gcc queues hundreds of sessions to four workers, so both small
+    // rings overflow. A ring holds N events per view, whatever the
+    // number of host threads, and the runtime's thread records every
+    // event in a fixed order, so what survives the overflow is the same
+    // on every run.
+    const guest::Workload *gcc = nullptr;
+    std::vector<guest::Workload> suite = guest::specIntSuite();
+    for (const guest::Workload &w : suite)
+        if (w.name == "gcc")
+            gcc = &w;
+    ASSERT_NE(gcc, nullptr);
+
+    constexpr size_t box_events = 16, chrome_events = 64;
+    std::string box_seen[2], chrome_seen[2];
+    uint64_t box_dropped[2], chrome_dropped[2];
+    for (int run = 0; run < 2; ++run) {
+        trace::Tracer chrome(chrome_events);
+        core::Options o = hotOpts(4);
+        o.flight_ring_capacity = box_events;
+        o.trace = &chrome;
+        harness::TranslatedRun r =
+            harness::runTranslated(gcc->image, gcc->params.abi, o);
+        ASSERT_TRUE(r.outcome.exited);
+        EXPECT_GT(r.runtime->stats().get("hot.enqueued"), 100u);
+        const trace::Tracer *box = r.runtime->blackBox();
+        ASSERT_NE(box, nullptr);
+        EXPECT_EQ(box->snapshot().size(), box_events) << "run " << run;
+        EXPECT_EQ(chrome.snapshot().size(), chrome_events) << "run " << run;
+        box_seen[run] = encodeView(*box);
+        chrome_seen[run] = encodeView(chrome);
+        box_dropped[run] = box->dropped();
+        chrome_dropped[run] = chrome.dropped();
+    }
+    EXPECT_EQ(box_seen[0], box_seen[1]);
+    EXPECT_EQ(chrome_seen[0], chrome_seen[1]);
+    EXPECT_EQ(box_dropped[0], box_dropped[1]);
+    EXPECT_EQ(chrome_dropped[0], chrome_dropped[1]);
 }
 
 // ----- one stream, two views --------------------------------------------

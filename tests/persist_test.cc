@@ -277,8 +277,6 @@ TEST(PersistWarmStart, BitExactAcrossThreadCounts)
 
         // Architectural profiler counters match the cold run: adopted
         // traces execute exactly like locally built ones.
-        // (outcome.guest_insns counts translated-source instructions,
-        // which a warm run legitimately avoids — not compared.)
         EXPECT_EQ(cold_sig, archProfSignature(warm_prof))
             << "threads=" << threads;
     }
