@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 
-#include "core/postmortem.hh"
 #include "core/provenance.hh"
 #include "core/report.hh"
 #include "core/runtime.hh"
@@ -66,13 +65,9 @@ legalPair(ProvState s, ProvCause c)
                c == ProvCause::QuarantineBlocked ||
                c == ProvCause::QuarantinePurge ||
                c == ProvCause::SessionAbort || c == ProvCause::None;
-      case ProvState::Suspect:
-        return c == ProvCause::None;
       case ProvState::Quarantined:
         return c == ProvCause::None ||
-               c == ProvCause::SentinelDivergence ||
-               c == ProvCause::FaultThreshold ||
-               c == ProvCause::GuardThreshold;
+               c == ProvCause::SentinelDivergence;
       case ProvState::Retranslated:
         return c == ProvCause::Cooldown;
       case ProvState::Pinned:
@@ -198,11 +193,6 @@ checkProducer(const json::Value &doc, const char *what,
     r.check(p->strOr("tool", "") == expect.tool, "schema.producer",
             strfmt("%s: producer.tool \"%s\" != \"%s\"", what,
                    p->strOr("tool", "").c_str(), expect.tool.c_str()));
-    r.check(static_cast<int>(p->numberOr("schema", 0)) == expect.schema,
-            "schema.producer",
-            strfmt("%s: producer.schema %d != %d", what,
-                   static_cast<int>(p->numberOr("schema", 0)),
-                   expect.schema));
 }
 
 void
@@ -212,8 +202,10 @@ auditSchemas(Runtime &rt, const AuditContext &ctx, audit::Result &r)
     // emitters and parsers live in different layers, so a drifted
     // field name or a broken writer shows up here before a reader
     // chokes on a real artifact in CI.
-    std::string text =
-        runReportJson(rt, ctx.workload, nullptr, ctx.producer);
+    ReportInfo info;
+    info.workload = ctx.workload;
+    info.producer = ctx.producer;
+    std::string text = runReportJson(rt, info);
     json::Value doc;
     std::string err;
     if (!json::Parser::parse(text, &doc, &err)) {
@@ -221,8 +213,10 @@ auditSchemas(Runtime &rt, const AuditContext &ctx, audit::Result &r)
     } else {
         r.check(doc.strOr("kind", "") == "el-report", "schema.report",
                 "run report kind != el-report");
-        r.check(doc.numberOr("version", 0) == 1, "schema.report",
-                "run report version != 1");
+        r.check(doc.numberOr("version", 0) == 2, "schema.report",
+                "run report version != 2");
+        r.check(doc.find("exit") != nullptr, "schema.report",
+                "run report has no exit object");
         if (ctx.producer)
             checkProducer(doc, "report", *ctx.producer, r);
         const json::Value *attr = doc.find("attribution");
@@ -249,29 +243,11 @@ auditSchemas(Runtime &rt, const AuditContext &ctx, audit::Result &r)
         } else {
             r.check(mdoc.strOr("kind", "") == "el-metrics",
                     "schema.metrics", "snapshot kind != el-metrics");
-            r.check(mdoc.numberOr("version", 0) == 1, "schema.metrics",
-                    "snapshot version != 1");
+            r.check(mdoc.numberOr("version", 0) == 2, "schema.metrics",
+                    "snapshot version != 2");
             r.check(mdoc.find("counters") != nullptr, "schema.metrics",
                     "snapshot has no counters object");
         }
-    }
-
-    PostmortemInfo info;
-    info.workload = ctx.workload;
-    info.exit_class = "audit";
-    info.producer = ctx.producer;
-    std::string pm = postmortemJson(rt, info);
-    json::Value pdoc;
-    if (!json::Parser::parse(pm, &pdoc, &err)) {
-        r.fail("schema.postmortem",
-               "postmortem bundle does not re-parse: " + err);
-    } else {
-        r.check(pdoc.strOr("kind", "") == "el-postmortem",
-                "schema.postmortem", "bundle kind != el-postmortem");
-        r.check(pdoc.numberOr("version", 0) == 1, "schema.postmortem",
-                "bundle version != 1");
-        r.check(pdoc.find("exit") != nullptr, "schema.postmortem",
-                "bundle has no exit object");
     }
 }
 

@@ -5,8 +5,8 @@
  *
  * Each observability layer added so far — bucketed cycle accounting,
  * per-block costs, StatGroup counters, the flight recorder, the
- * provenance ledger, the serialized report/metrics/postmortem schemas
- * — measures the same execution independently. The auditor exploits
+ * provenance ledger, the serialized report and metrics schemas —
+ * measures the same execution independently. The auditor exploits
  * that redundancy: when the books do not close, some counter was
  * dropped, double-charged, or silently bypassed, and every bench delta
  * and el_diff attribution downstream is built on sand.
@@ -65,8 +65,8 @@ struct AuditContext
 
 /**
  * The full audit: closure checks plus flight↔counter cross-counts,
- * provenance state-machine legality, and report/metrics/postmortem
- * schema self-checks. Call only after Runtime::quiesce(), which records
+ * provenance state-machine legality, and report and metrics schema
+ * self-checks. Call only after Runtime::quiesce(), which records
  * the worker-lane events of sessions not yet adopted.
  */
 audit::Result auditRun(Runtime &rt, const AuditContext &ctx);

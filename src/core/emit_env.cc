@@ -733,13 +733,6 @@ EmitEnv::effAddr(const ia32::MemRef &mem)
     return acc;
 }
 
-void
-EmitEnv::setAccessPolicy(MisalignPolicy policy, uint8_t granularity)
-{
-    policy_ = policy;
-    policy_granularity_ = granularity;
-}
-
 std::pair<int16_t, int16_t>
 EmitEnv::alignPreds(int16_t addr, unsigned size)
 {
@@ -781,7 +774,7 @@ EmitEnv::alignPreds(int16_t addr, unsigned size)
 
 int16_t
 EmitEnv::emitSplitLoad(int16_t addr, unsigned size, int16_t p_mis,
-                       int16_t p_al, unsigned granularity)
+                       int16_t p_al)
 {
     int16_t result = newGr();
     // Aligned path.
@@ -792,10 +785,8 @@ EmitEnv::emitSplitLoad(int16_t addr, unsigned size, int16_t p_mis,
     ld.ins.size = static_cast<uint8_t>(size);
     ld.ins.exit_payload = static_cast<int64_t>(region_start_ip_);
     emit(ld);
-    // Misaligned path: `granularity`-sized pieces assembled with dep.
-    unsigned g = granularity ? granularity : 1;
-    unsigned parts = size / g;
-    for (unsigned k = 0; k < parts; ++k) {
+    // Misaligned path: byte loads assembled with dep.
+    for (unsigned k = 0; k < size; ++k) {
         int16_t part_addr = addr;
         if (k) {
             part_addr = newGr();
@@ -803,7 +794,7 @@ EmitEnv::emitSplitLoad(int16_t addr, unsigned size, int16_t p_mis,
             a.qp = p_mis;
             a.dst = part_addr;
             a.src1 = addr;
-            a.ins.imm = static_cast<int64_t>(k * g);
+            a.ins.imm = static_cast<int64_t>(k);
             emit(a);
         }
         int16_t part = (k == 0) ? result : newGr();
@@ -811,7 +802,7 @@ EmitEnv::emitSplitLoad(int16_t addr, unsigned size, int16_t p_mis,
         pl.qp = p_mis;
         pl.dst = part;
         pl.src1 = part_addr;
-        pl.ins.size = static_cast<uint8_t>(g);
+        pl.ins.size = 1;
         pl.ins.exit_payload = static_cast<int64_t>(region_start_ip_);
         emit(pl);
         if (k) {
@@ -820,8 +811,8 @@ EmitEnv::emitSplitLoad(int16_t addr, unsigned size, int16_t p_mis,
             d.dst = result;
             d.src1 = part;
             d.src2 = result;
-            d.ins.pos = static_cast<uint8_t>(k * g * 8);
-            d.ins.len = static_cast<uint8_t>(g * 8);
+            d.ins.pos = static_cast<uint8_t>(k * 8);
+            d.ins.len = 8;
             emit(d);
         }
     }
@@ -830,7 +821,7 @@ EmitEnv::emitSplitLoad(int16_t addr, unsigned size, int16_t p_mis,
 
 void
 EmitEnv::emitSplitStore(int16_t addr, int16_t val, unsigned size,
-                        int16_t p_mis, int16_t p_al, unsigned granularity)
+                        int16_t p_mis, int16_t p_al)
 {
     Il st = mk(IpfOp::St);
     st.qp = p_al;
@@ -838,9 +829,8 @@ EmitEnv::emitSplitStore(int16_t addr, int16_t val, unsigned size,
     st.src2 = val;
     st.ins.size = static_cast<uint8_t>(size);
     emit(st);
-    unsigned g = granularity ? granularity : 1;
-    unsigned parts = size / g;
-    for (unsigned k = 0; k < parts; ++k) {
+    // Misaligned path: byte stores of the value's extracted bytes.
+    for (unsigned k = 0; k < size; ++k) {
         int16_t part = val;
         if (k) {
             part = newGr();
@@ -848,8 +838,8 @@ EmitEnv::emitSplitStore(int16_t addr, int16_t val, unsigned size,
             e.qp = p_mis;
             e.dst = part;
             e.src1 = val;
-            e.ins.pos = static_cast<uint8_t>(k * g * 8);
-            e.ins.len = static_cast<uint8_t>(g * 8);
+            e.ins.pos = static_cast<uint8_t>(k * 8);
+            e.ins.len = 8;
             emit(e);
         }
         int16_t part_addr = addr;
@@ -859,14 +849,14 @@ EmitEnv::emitSplitStore(int16_t addr, int16_t val, unsigned size,
             a.qp = p_mis;
             a.dst = part_addr;
             a.src1 = addr;
-            a.ins.imm = static_cast<int64_t>(k * g);
+            a.ins.imm = static_cast<int64_t>(k);
             emit(a);
         }
         Il ps = mk(IpfOp::St);
         ps.qp = p_mis;
         ps.src1 = part_addr;
         ps.src2 = part;
-        ps.ins.size = static_cast<uint8_t>(g);
+        ps.ins.size = 1;
         emit(ps);
     }
 }
@@ -888,8 +878,7 @@ EmitEnv::emitLoad(int16_t addr, unsigned size)
     }
 
     switch (policy_) {
-      case MisalignPolicy::DetectExit:
-      case MisalignPolicy::DetectLight: {
+      case MisalignPolicy::DetectExit: {
         auto [p_mis, p_al] = alignPreds(addr, size);
         setBucket(ipf::Bucket::Overhead);
         Il x = mk(IpfOp::Exit);
@@ -913,14 +902,11 @@ EmitEnv::emitLoad(int16_t addr, unsigned size)
       case MisalignPolicy::CountAndAvoid: {
         auto [p_mis, p_al] = alignPreds(addr, size);
         emitMisalignCounter(p_mis, addr, size, access_idx);
-        return emitSplitLoad(addr, size, p_mis, p_al, 1);
+        return emitSplitLoad(addr, size, p_mis, p_al);
       }
       case MisalignPolicy::Avoid: {
         auto [p_mis, p_al] = alignPreds(addr, size);
-        unsigned g = policy_granularity_ ? policy_granularity_ : 1;
-        if (g >= size)
-            g = size / 2 ? size / 2 : 1;
-        return emitSplitLoad(addr, size, p_mis, p_al, g);
+        return emitSplitLoad(addr, size, p_mis, p_al);
       }
       default:
         el_panic("bad access policy");
@@ -940,8 +926,7 @@ EmitEnv::emitStore(int16_t addr, int16_t val, unsigned size)
         return;
     }
     switch (policy_) {
-      case MisalignPolicy::DetectExit:
-      case MisalignPolicy::DetectLight: {
+      case MisalignPolicy::DetectExit: {
         auto [p_mis, p_al] = alignPreds(addr, size);
         setBucket(ipf::Bucket::Overhead);
         Il x = mk(IpfOp::Exit);
@@ -962,15 +947,12 @@ EmitEnv::emitStore(int16_t addr, int16_t val, unsigned size)
       case MisalignPolicy::CountAndAvoid: {
         auto [p_mis, p_al] = alignPreds(addr, size);
         emitMisalignCounter(p_mis, addr, size, access_idx);
-        emitSplitStore(addr, val, size, p_mis, p_al, 1);
+        emitSplitStore(addr, val, size, p_mis, p_al);
         return;
       }
       case MisalignPolicy::Avoid: {
         auto [p_mis, p_al] = alignPreds(addr, size);
-        unsigned g = policy_granularity_ ? policy_granularity_ : 1;
-        if (g >= size)
-            g = size / 2 ? size / 2 : 1;
-        emitSplitStore(addr, val, size, p_mis, p_al, g);
+        emitSplitStore(addr, val, size, p_mis, p_al);
         return;
       }
       default:
@@ -1052,7 +1034,7 @@ EmitEnv::emitLoadF(int16_t addr, unsigned fsize)
     }
     // Avoidance path: assemble the raw bits in a GR, then setf.
     auto [p_mis, p_al] = alignPreds(addr, bytes);
-    int16_t bits = emitSplitLoad(addr, bytes, p_mis, p_al, 1);
+    int16_t bits = emitSplitLoad(addr, bytes, p_mis, p_al);
     Il sf = mk(IpfOp::Setf);
     sf.dst = v;
     sf.src1 = bits;
@@ -1084,7 +1066,7 @@ EmitEnv::emitStoreF(int16_t addr, int16_t fval, unsigned fsize)
     gf.ins.size = fsize == 9 ? 0 : static_cast<uint8_t>(bytes);
     emit(gf);
     auto [p_mis, p_al] = alignPreds(addr, bytes);
-    emitSplitStore(addr, bits, bytes, p_mis, p_al, 1);
+    emitSplitStore(addr, bits, bytes, p_mis, p_al);
 }
 
 } // namespace el::core

@@ -52,7 +52,6 @@ enum class MisalignPolicy : uint8_t
     DetectExit,   //!< Stage 1: on misalignment exit to the translator.
     CountAndAvoid,//!< Stage 2: count + split-access avoidance.
     Avoid,        //!< Hot: known-misaligned, avoidance only.
-    DetectLight,  //!< Hot: "dangerous", light re-instrumentation.
 };
 
 /** Lazy EFLAGS bookkeeping. */
@@ -72,15 +71,6 @@ struct LazyFlags
     int16_t opa = -1, opb = -1;
     int16_t res = -1;  //!< Size-truncated result.
     uint32_t dirty = 0; //!< Flags whose homes are stale (lazy-covered).
-};
-
-/** What a guest memory access needs from the misalignment machinery. */
-struct AccessSite
-{
-    uint32_t ia32_ip = 0;
-    uint32_t index = 0;       //!< Access ordinal within the block.
-    MisalignPolicy policy = MisalignPolicy::Plain;
-    uint8_t known_granularity = 0; //!< Stage-2 observed granularity.
 };
 
 /** The emitter environment. */
@@ -175,7 +165,7 @@ class EmitEnv
     void emitStoreF(int16_t addr, int16_t fval, unsigned fsize);
 
     /** Set the policy applied to subsequent accesses. */
-    void setAccessPolicy(MisalignPolicy policy, uint8_t granularity = 0);
+    void setAccessPolicy(MisalignPolicy policy) { policy_ = policy; }
 
     /** Stage-2 detail-counter area for this block (runtime offset). */
     void setMisalignCtrOff(int64_t off) { misalign_ctr_off_ = off; }
@@ -314,11 +304,12 @@ class EmitEnv
     void emitMisalignCounter(int16_t p_mis, int16_t addr, unsigned size,
                              uint32_t access_idx);
 
-    /** Split-access avoidance sequence. */
+    /** Split-access avoidance sequence: one access when aligned,
+     *  byte-sized pieces when not. */
     int16_t emitSplitLoad(int16_t addr, unsigned size, int16_t p_mis,
-                          int16_t p_al, unsigned granularity);
+                          int16_t p_al);
     void emitSplitStore(int16_t addr, int16_t val, unsigned size,
-                        int16_t p_mis, int16_t p_al, unsigned granularity);
+                        int16_t p_mis, int16_t p_al);
     /** Alignment predicates with hot-mode reuse. */
     std::pair<int16_t, int16_t> alignPreds(int16_t addr, unsigned size);
 
@@ -356,7 +347,6 @@ class EmitEnv
         align_cache_;
 
     MisalignPolicy policy_ = MisalignPolicy::Plain;
-    uint8_t policy_granularity_ = 0;
 
     int32_t region_ = 0;
     bool region_fresh_ = true;

@@ -68,8 +68,7 @@ struct HotSessionInput
     uint32_t entry_eip = 0;
     SpecContext spec;
     std::vector<BasicBlock> trace;   //!< Selected trace, copied.
-    /** Per-trace-block access policy (policy, known granularity). */
-    std::vector<std::pair<MisalignPolicy, uint8_t>> policies;
+    std::vector<MisalignPolicy> policies; //!< Per trace block.
     bool loops = false;
     unsigned copies = 1;             //!< Unroll copies of the trace.
     uint32_t trace_insns = 0;        //!< IA-32 insns in one copy.

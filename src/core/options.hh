@@ -83,6 +83,9 @@ constexpr double cache_flush_cost = 20000.0; //!< Overhead cycles per flush.
 constexpr uint32_t btos_alloc_retries = 8;   //!< Attempts for the
                                              //!< runtime-area allocation
                                              //!< before InitError.
+constexpr uint32_t hot_retry_limit = 3;      //!< Failed hot sessions
+                                             //!< before a block is
+                                             //!< pinned cold forever.
 constexpr uint32_t interp_fallback_insns = 32; //!< Instructions
                                              //!< interpreted when
                                              //!< translation aborts.
@@ -131,8 +134,6 @@ struct Options
                                       //!< 0 = unbounded (no GC).
     uint32_t cache_headroom = 512;    //!< Flush before translating when
                                       //!< fewer slots than this remain.
-    uint32_t hot_retry_limit = 3;     //!< Failed hot sessions before a
-                                      //!< block is pinned cold forever.
 
     // ----- fault injection (chaos testing; off by default) ----------
     FaultConfig fault;

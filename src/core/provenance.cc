@@ -23,8 +23,6 @@ provStateName(ProvState s)
         return "persisted";
       case ProvState::Adopted:
         return "adopted";
-      case ProvState::Suspect:
-        return "suspect";
       case ProvState::Quarantined:
         return "quarantined";
       case ProvState::Retranslated:
@@ -59,10 +57,6 @@ provCauseName(ProvCause c)
         return "quarantine_blocked";
       case ProvCause::SentinelDivergence:
         return "sentinel_divergence";
-      case ProvCause::FaultThreshold:
-        return "fault_threshold";
-      case ProvCause::GuardThreshold:
-        return "guard_threshold";
       case ProvCause::StoreRecord:
         return "store_record";
       case ProvCause::StoreHit:

@@ -4,7 +4,7 @@
  *
  * Every translation artifact the runtime ever produces for a guest
  * entry point leaves a compact trail here: decoded → cold → hot-queued
- * → session → published/discarded → persisted → adopted → suspect →
+ * → session → published/discarded → persisted → adopted →
  * quarantined → retranslated, each step stamped with the simulated
  * cycle, the code-cache generation, the block id, and a cause code
  * (why did the artifact leave its previous state — heat, an SMC write,
@@ -44,7 +44,6 @@ enum class ProvState : uint8_t
     Discarded,    //!< Artifact rejected/killed (see cause).
     Persisted,    //!< Recorded into the on-disk artifact store.
     Adopted,      //!< Stored artifact adopted instead of retranslating.
-    Suspect,      //!< Sentinel raised suspicion (fault/guard misses).
     Quarantined,  //!< Sentinel conviction: artifact blacklisted.
     Retranslated, //!< Cooldown expired; eligible to translate again.
     Pinned,       //!< Retry budget exhausted; interpreter-only forever.
@@ -63,9 +62,9 @@ enum class ProvCause : uint8_t
     CachePressure,      //!< Publication refused: cache over capacity.
     QuarantineBlocked,  //!< Commit refused: entry is quarantined.
     SentinelDivergence, //!< Shadow execution disagreed.
-    FaultThreshold,     //!< Too many guest faults in the artifact.
-    GuardThreshold,     //!< Too many speculation-guard misses.
-    StoreRecord,        //!< Captured into the persistent store.
+    // The numbers reach event payload words (hot_discard and
+    // persist_reject word b), so they are fixed: 10 and 11 are unused.
+    StoreRecord = 12,   //!< Captured into the persistent store.
     StoreHit,           //!< Matching record found in the store.
     SmcMismatch,        //!< Store record's guard bytes ≠ live memory.
     QuarantinePurge,    //!< Quarantine scrubbed the store record.

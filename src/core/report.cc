@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <set>
 
 #include "core/runtime.hh"
 #include "ia32/decoder.hh"
@@ -9,6 +10,7 @@
 #include "persist/store.hh"
 #include "support/json.hh"
 #include "support/profile.hh"
+#include "support/sentinel.hh"
 #include "support/strfmt.hh"
 #include "support/trace.hh"
 #include "support/wire.hh"
@@ -123,22 +125,33 @@ mergedStats(Runtime &rt)
     return all;
 }
 
-std::string
-runReportJson(Runtime &rt, const std::string &workload,
-              const GuestResult *guest,
-              const buildinfo::ProducerStamp *producer)
+namespace
+{
+
+// ----- the sections of runReportJson(), in document order -----------
+
+void
+writeExit(json::Writer &w, Runtime &rt, const ReportInfo &info)
+{
+    w.key("exit");
+    w.beginObject();
+    w.kv("class", info.exit_class);
+    w.kv("code", static_cast<int64_t>(info.exit_code));
+    w.kv("resumed", info.resumed);
+    if (info.resumed)
+        w.kv("checkpoint_seq", info.checkpoint_seq);
+    if (!rt.initOk())
+        w.kv("init_error", rt.initError());
+    w.endObject();
+}
+
+void
+writeMachine(json::Writer &w, Runtime &rt)
 {
     ipf::Machine &m = rt.machine();
     const ipf::BucketStats &st = m.stats();
     Attribution a = attributionOf(rt);
 
-    json::Writer w;
-    w.beginObject();
-    w.kv("kind", "el-report");
-    w.kv("version", 1);
-    if (producer)
-        buildinfo::writeStamp(w, *producer);
-    w.kv("workload", workload);
     w.kv("cycles", m.totalCycles());
     w.kv("retired_ipf_insns", m.retired());
     w.kv("misaligned_accesses", m.misalignedAccesses());
@@ -167,23 +180,200 @@ runReportJson(Runtime &rt, const std::string &workload,
         w.endObject();
     }
     w.endObject();
+}
 
-    if (guest) {
-        // The architectural outcome, isolated from every timing-model
-        // scalar above: warm-vs-cold CI comparisons diff exactly this
-        // object (cycles legitimately differ; guest results must not).
-        w.key("guest");
+void
+writeGuest(json::Writer &w, const GuestResult &guest)
+{
+    // The architectural outcome, isolated from every timing-model
+    // scalar: warm-vs-cold CI comparisons diff exactly this object
+    // (cycles legitimately differ; guest results must not).
+    w.key("guest");
+    w.beginObject();
+    w.kv("exited", guest.exited);
+    w.kv("exit_code", static_cast<int64_t>(guest.exit_code));
+    w.kv("state_hash", strfmt("%016llx", static_cast<unsigned long long>(
+                                             guest.state_hash)));
+    w.kv("console_hash",
+         strfmt("%016llx",
+                static_cast<unsigned long long>(guest.console_hash)));
+    w.endObject();
+}
+
+void
+writeBlocks(json::Writer &w, Runtime &rt)
+{
+    w.key("blocks");
+    w.beginArray();
+    const std::vector<ipf::BlockCost> &books = rt.machine().blockCosts();
+    for (size_t k = 0; k < books.size(); ++k) {
+        const ipf::BlockCost &cost = books[k];
+        if (cost.insns == 0)
+            continue;
+        int32_t id = static_cast<int32_t>(k) - 1;
         w.beginObject();
-        w.kv("exited", guest->exited);
-        w.kv("exit_code", static_cast<int64_t>(guest->exit_code));
-        w.kv("state_hash", strfmt("%016llx",
-                                  static_cast<unsigned long long>(
-                                      guest->state_hash)));
-        w.kv("console_hash", strfmt("%016llx",
-                                    static_cast<unsigned long long>(
-                                        guest->console_hash)));
+        w.kv("id", id);
+        const BlockInfo *bi = rt.translator().blockById(id);
+        if (bi) {
+            w.kv("eip", static_cast<uint64_t>(bi->entry_eip));
+            w.kv("kind", bi->kind == BlockKind::Hot ? "hot" : "cold");
+        } else {
+            // id -1: runtime-emitted stub code with no block.
+            w.kv("kind", "runtime");
+        }
+        w.kv("cycles", cost.cycles);
+        w.kv("insns", cost.insns);
         w.endObject();
     }
+    w.endArray();
+}
+
+/** The black box's last-N event tail. */
+void
+writeFlight(json::Writer &w, const trace::Tracer &box)
+{
+    w.key("flight");
+    w.beginObject();
+    w.kv("ring_capacity", static_cast<uint64_t>(box.ringCapacity()));
+    w.kv("dropped", box.dropped());
+    w.key("events");
+    w.beginArray();
+    for (const trace::Event &e : box.snapshot()) {
+        w.beginObject();
+        w.kv("kind", trace::kindInfo(e.kind).box);
+        w.kv("lane", static_cast<uint64_t>(e.lane));
+        w.kv("ts", e.ts);
+        w.kv("a", e.a);
+        w.kv("b", e.b);
+        w.kv("c", e.c);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
+/** Every entry point's lifecycle. */
+void
+writeProvenance(json::Writer &w, Runtime &rt,
+                const ProvenanceLedger &pl)
+{
+    // The entry points whose hot translation was live (published, not
+    // invalidated) when the run ended: a reader explaining the exit
+    // starts from these — they are what the guest was executing.
+    std::set<uint32_t> hot_live;
+    if (rt.initOk())
+        for (const auto &bi : rt.translator().allBlocks())
+            if (bi && bi->kind == BlockKind::Hot && !bi->invalidated)
+                hot_live.insert(bi->entry_eip);
+
+    w.key("provenance");
+    w.beginArray();
+    for (const auto &[eip, ring] : pl.all()) {
+        w.beginObject();
+        w.kv("eip", static_cast<uint64_t>(eip));
+        w.kv("in_hot_set", hot_live.count(eip) != 0);
+        w.kv("dropped", ring.dropped());
+        w.key("timeline");
+        w.beginArray();
+        for (const ProvEvent &e : ring) {
+            w.beginObject();
+            w.kv("state", provStateName(e.state));
+            w.kv("cause", provCauseName(e.cause));
+            w.kv("block", static_cast<int64_t>(e.block_id));
+            w.kv("generation", static_cast<uint64_t>(e.generation));
+            w.kv("ts", e.ts);
+            w.endObject();
+        }
+        w.endArray();
+        w.endObject();
+    }
+    w.endArray();
+}
+
+/** The sentinel's health ledger and divergence log. */
+void
+writeSentinel(json::Writer &w, const sentinel::Sentinel &sn)
+{
+    w.key("sentinel");
+    w.beginObject();
+    w.kv("total_divergences", sn.totalDivergences());
+    w.key("ledger");
+    w.beginArray();
+    for (const auto &[eip, r] : sn.ledger()) {
+        w.beginObject();
+        w.kv("eip", static_cast<uint64_t>(eip));
+        w.kv("state", sentinel::healthName(r.state));
+        w.kv("pinned", r.pinned);
+        w.kv("divergences", static_cast<uint64_t>(r.divergences));
+        w.kv("retries", static_cast<uint64_t>(r.retries));
+        w.endObject();
+    }
+    w.endArray();
+    w.key("divergences");
+    w.beginArray();
+    for (const sentinel::DivergenceInfo &d : sn.divergences()) {
+        w.beginObject();
+        w.kv("checkpoint_eip", static_cast<uint64_t>(d.checkpoint_eip));
+        w.kv("boundary_eip", static_cast<uint64_t>(d.boundary_eip));
+        w.kv("first_block", static_cast<int64_t>(d.first_block));
+        w.kv("ip_lo", static_cast<uint64_t>(d.ip_lo));
+        w.kv("ip_hi", static_cast<uint64_t>(d.ip_hi));
+        w.kv("region_index", d.region_index);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
+/** The fault injector's seed and the sites that are armed or fired. */
+void
+writeFaultInjection(json::Writer &w, const FaultInjector &fi)
+{
+    w.key("fault_injection");
+    w.beginObject();
+    w.kv("seed", fi.config().seed);
+    w.kv("total_fires", fi.totalFires());
+    w.kv("total_consults", fi.totalConsults());
+    w.key("sites");
+    w.beginArray();
+    for (std::size_t i = 0; i < num_fault_sites; ++i) {
+        FaultSite site = static_cast<FaultSite>(i);
+        uint16_t prob = fi.config().prob[i];
+        uint64_t fires = fi.fires(site);
+        if (!prob && !fires)
+            continue;
+        w.beginObject();
+        w.kv("site", faultSiteName(site));
+        w.kv("prob_1024", static_cast<uint64_t>(prob));
+        w.kv("fires", fires);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
+} // namespace
+
+std::string
+runReportJson(Runtime &rt, const ReportInfo &info)
+{
+    // Let in-flight pipeline sessions land and record their
+    // worker-lane events, so the report is run-to-run deterministic.
+    rt.quiesce();
+    bool alive = rt.initOk();
+
+    json::Writer w;
+    w.beginObject();
+    w.kv("kind", "el-report");
+    w.kv("version", 2);
+    if (info.producer)
+        buildinfo::writeStamp(w, *info.producer);
+    w.kv("workload", info.workload);
+    writeExit(w, rt, info);
+    if (alive)
+        writeMachine(w, rt);
+    if (info.guest)
+        writeGuest(w, *info.guest);
 
     StatGroup all_stats = mergedStats(rt);
     w.key("stats");
@@ -192,46 +382,29 @@ runReportJson(Runtime &rt, const std::string &workload,
         w.kv(name, value);
     w.endObject();
 
-    if (m.trackBlockCycles()) {
-        w.key("blocks");
-        w.beginArray();
-        const std::vector<ipf::BlockCost> &books = m.blockCosts();
-        for (size_t k = 0; k < books.size(); ++k) {
-            const ipf::BlockCost &cost = books[k];
-            if (cost.insns == 0)
-                continue;
-            int32_t id = static_cast<int32_t>(k) - 1;
-            w.beginObject();
-            w.kv("id", id);
-            const BlockInfo *bi = rt.translator().blockById(id);
-            if (bi) {
-                w.kv("eip", static_cast<uint64_t>(bi->entry_eip));
-                w.kv("kind",
-                     bi->kind == BlockKind::Hot ? "hot" : "cold");
-            } else {
-                // id -1: runtime-emitted stub code with no block.
-                w.kv("kind", "runtime");
-            }
-            w.kv("cycles", cost.cycles);
-            w.kv("insns", cost.insns);
-            w.endObject();
-        }
-        w.endArray();
-    }
+    if (alive && rt.machine().trackBlockCycles())
+        writeBlocks(w, rt);
+    if (const trace::Tracer *box = rt.blackBox())
+        writeFlight(w, *box);
+    if (const ProvenanceLedger *pl = rt.provenance())
+        writeProvenance(w, rt, *pl);
+    if (const sentinel::Sentinel *sn = rt.options().sentinel)
+        writeSentinel(w, *sn);
+    if (const FaultInjector *fi = rt.faultInjector())
+        writeFaultInjection(w, *fi);
 
     w.endObject();
     return w.str() + "\n";
 }
 
 bool
-writeRunReport(Runtime &rt, const std::string &workload,
-               const std::string &path, const GuestResult *guest,
-               const buildinfo::ProducerStamp *producer)
+writeRunReport(Runtime &rt, const ReportInfo &info,
+               const std::string &path)
 {
     std::ofstream f(path, std::ios::binary);
     if (!f)
         return false;
-    f << runReportJson(rt, workload, guest, producer);
+    f << runReportJson(rt, info);
     return static_cast<bool>(f);
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Machine-readable run reports: cycle attribution in the paper's
- * Figure 6 categories, per-block cycle rows, and the full counter set,
- * serialized as JSON.
+ * Machine-readable run documents: the run report (cycle attribution in
+ * the paper's Figure 6 categories, per-block cycle rows, the full
+ * counter set, and why and how the run ended) and the execution
+ * profile, serialized as JSON.
  *
  * The attribution buckets the machine's per-bucket cycle totals into
  * the categories Figure 6 plots — time in cold code, time in hot code,
@@ -17,6 +18,7 @@
 #define EL_CORE_REPORT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "support/buildinfo.hh"
@@ -91,22 +93,42 @@ Attribution attributionOf(Runtime &rt);
  */
 StatGroup mergedStats(Runtime &rt);
 
+/** What the embedder knows about the run a report describes. */
+struct ReportInfo
+{
+    std::string workload;          //!< Workload name (image path).
+    std::string exit_class = "ok"; //!< "ok", "guest_fault", "internal",
+                                   //!< "divergence" or "audit".
+    int exit_code = 0;             //!< Process exit code being reported.
+    bool resumed = false;          //!< Run was restored from a checkpoint.
+    uint64_t checkpoint_seq = 0;   //!< Capture ordinal resumed from.
+    std::optional<GuestResult> guest; //!< Unset omits the guest object.
+    //! Build stamp; null leaves the report unstamped.
+    const buildinfo::ProducerStamp *producer = nullptr;
+};
+
 /**
- * The full run report as a JSON object string: workload name, totals,
- * the attribution, every translator/runtime counter, and — when
- * Options::collect_block_cycles was set — one row per translation
- * block with its simulated cycles and retired instructions.
+ * The run report as a JSON object string (kind "el-report", version
+ * 2). Quiesces the runtime first, so in-flight pipeline sessions land
+ * and the event tail is the same on every run. Sections:
+ *  - exit: the class and code, checkpoint resumption, and the init
+ *    error of a runtime that never came up;
+ *  - cycles, retired_ipf_insns, misaligned_accesses, attribution,
+ *    buckets and — when the machine kept per-block books
+ *    (Options::collect_block_cycles or Options::audit) — one row per
+ *    translation block (all absent when init failed: nothing ran);
+ *  - guest, stats (the mergedStats() namespace);
+ *  - flight (the black box's last-N events), provenance (every entry
+ *    point's lifecycle, flagging the translations live at exit),
+ *    sentinel (the health ledger and divergence log) and
+ *    fault_injection (seed and per-site fires), each present when its
+ *    source was attached.
  */
-std::string runReportJson(Runtime &rt, const std::string &workload,
-                          const GuestResult *guest = nullptr,
-                          const buildinfo::ProducerStamp *producer =
-                              nullptr);
+std::string runReportJson(Runtime &rt, const ReportInfo &info);
 
 /** Write runReportJson() to @p path; false on I/O failure. */
-bool writeRunReport(Runtime &rt, const std::string &workload,
-                    const std::string &path,
-                    const GuestResult *guest = nullptr,
-                    const buildinfo::ProducerStamp *producer = nullptr);
+bool writeRunReport(Runtime &rt, const ReportInfo &info,
+                    const std::string &path);
 
 /**
  * The execution profile as a JSON object string (`el_prof` renders it):

@@ -17,6 +17,7 @@
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/profile.hh"
+#include "support/strfmt.hh"
 
 namespace el::core
 {
@@ -79,18 +80,36 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
     : mem_(memory), btos_(vtable), options_(options),
       inject_scope_(options_.fault)
 {
-    // The black box exists before anything that can fail: a postmortem
-    // of an InitError run still has a (short) flight to dump.
+    // The black box exists before anything that can fail: the report
+    // of an InitError run still has a (short) flight to show.
     if (options_.flight_recorder) {
         box_ = std::make_unique<trace::Tracer>(
             options_.flight_ring_capacity, trace::View::BlackBox);
         provenance_ = std::make_unique<ProvenanceLedger>();
     }
     if (!btos_.ok()) {
-        el_warn("BTOS handshake failed: %s", btos_.error().c_str());
+        init_error_ = "BTOS handshake failed: " + btos_.error();
+        el_warn("%s", init_error_.c_str());
         return;
     }
     machine_ = std::make_unique<ipf::Machine>(cache_, mem_);
+    obs_.chrome = options_.trace;
+    obs_.box = box_.get();
+    obs_.ledger = provenance_.get();
+    obs_.cache = &cache_;
+    obs_.clock = [this] { return machine_->totalCycles(); };
+    FaultInjector *fi = inject_scope_.get();
+    if (fi && obs_.attached()) {
+        // Main-thread fires only, from the runtime-area allocation
+        // below on; a worker's injected session abort is recorded by
+        // recordSession() with the session's planned simulated
+        // timeline.
+        fi->setFireListener([this, fi](FaultSite site) {
+            obs_.recordNow(trace::Kind::FaultInject,
+                           {static_cast<int64_t>(site),
+                            static_cast<int64_t>(fi->totalFires())});
+        });
+    }
     // The runtime area is the one allocation we cannot live without;
     // retry through transient BTOS failures before giving up.
     for (uint32_t attempt = 0; rt_base_ == 0; ++attempt) {
@@ -99,18 +118,14 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             break;
         stats_.add("recover.btos_alloc_fail");
         if (attempt + 1 >= btos_alloc_retries) {
-            el_warn("BTLib failed to allocate the runtime area "
-                    "(%u attempts)", attempt + 1);
+            init_error_ = strfmt("runtime area allocation failed "
+                                 "(%u attempts)", attempt + 1);
+            el_warn("%s", init_error_.c_str());
             return;
         }
     }
     translator_ =
         std::make_unique<Translator>(options_, mem_, cache_, rt_base_);
-    obs_.chrome = options_.trace;
-    obs_.box = box_.get();
-    obs_.ledger = provenance_.get();
-    obs_.cache = &cache_;
-    obs_.clock = [this] { return machine_->totalCycles(); };
     translator_->setObserver(&obs_);
 
     // The audit's central closure identity needs the per-block books,
@@ -160,30 +175,17 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             return info;
         });
     }
-    FaultInjector *fi = inject_scope_.get();
-    if (fi && obs_.attached()) {
-        // Main-thread fires only; a worker's injected session abort is
-        // recorded by recordSession() with the session's planned
-        // simulated timeline.
-        fi->setFireListener([this, fi](FaultSite site) {
-            obs_.recordNow(trace::Kind::FaultInject,
-                           {static_cast<int64_t>(site),
-                            static_cast<int64_t>(fi->totalFires())});
-        });
-    }
     if (sentinel_ && obs_.attached()) {
         // Health transitions: the state machine record (the
         // quarantineBlock path separately notes the artifact-level
-        // conviction with its precise cause).
+        // conviction with its cause).
         sentinel_->setTransitionListener(
             [this](uint32_t eip, sentinel::Health from,
                    sentinel::Health to, bool pinned) {
-                ProvState st = ProvState::Suspect;
+                ProvState st = ProvState::Quarantined;
                 ProvCause cause = ProvCause::None;
                 if (pinned) {
                     st = ProvState::Pinned;
-                } else if (to == sentinel::Health::Quarantined) {
-                    st = ProvState::Quarantined;
                 } else if (to == sentinel::Health::Retranslated) {
                     st = ProvState::Retranslated;
                     cause = ProvCause::Cooldown;
@@ -528,7 +530,7 @@ void
 Runtime::noteHotFailure(BlockInfo *block)
 {
     stats_.add("recover.hot_abort");
-    if (++block->hot_fail_count < options_.hot_retry_limit)
+    if (++block->hot_fail_count < hot_retry_limit)
         return; // Still eligible: the use counter re-registers it.
     block->hot_state = HotState::PinnedCold;
     stats_.add("recover.hot_pinned");
@@ -1174,10 +1176,6 @@ Runtime::run(ia32::State &state)
                 next_eip = ck_eip_;
                 continue;
             }
-            if (sentinel_ && block &&
-                sentinel_->noteFault(block->entry_eip))
-                translator_->quarantineBlock(
-                    block, ProvCause::FaultThreshold);
             if (!deliverFault(&state, fault, &result))
                 return result;
             next_eip = state.eip;
@@ -1316,13 +1314,6 @@ Runtime::run(ia32::State &state)
             stats_.add("exits.guard_fail");
             el_assert(block, "guard exit without a block");
             recoverGuard(block, stop.payload);
-            if (sentinel_ &&
-                sentinel_->noteGuardMiss(block->entry_eip)) {
-                // Chronic guard mispredicts crossed the quarantine
-                // threshold: blacklist the artifact.
-                translator_->quarantineBlock(
-                    block, ProvCause::GuardThreshold);
-            }
             next_eip = block->entry_eip;
             break;
           }
@@ -1379,10 +1370,6 @@ Runtime::run(ia32::State &state)
                 next_eip = ck_eip_;
                 break;
             }
-            if (sentinel_ && block &&
-                sentinel_->noteFault(block->entry_eip))
-                translator_->quarantineBlock(
-                    block, ProvCause::FaultThreshold);
             if (!deliverFault(&state, fault, &result))
                 return result;
             next_eip = state.eip;

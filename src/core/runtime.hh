@@ -43,7 +43,7 @@ struct RunResult
         Exit,       //!< Guest exited (code in exit_code).
         Fault,      //!< Unhandled guest fault (terminated).
         CycleLimit, //!< Simulation budget exhausted.
-        InitError,  //!< BTOS handshake failed.
+        InitError,  //!< Runtime never came up (see initError()).
     };
 
     Kind kind = Kind::Exit;
@@ -60,7 +60,8 @@ class Runtime
 
     /** False if the BTOS handshake or runtime-area allocation failed. */
     bool initOk() const { return btos_.ok() && rt_base_ != 0; }
-    const std::string &initError() const { return btos_.error(); }
+    /** Why init failed (empty when initOk()). */
+    const std::string &initError() const { return init_error_; }
 
     /** The fault injector active for this runtime (null: no injection). */
     const FaultInjector *faultInjector() const { return inject_scope_.get(); }
@@ -110,7 +111,7 @@ class Runtime
      * Wait (wall-clock only) for in-flight pipeline sessions to land and
      * record the worker-lane events of those not yet adopted, so the
      * event stream is complete. Call after run() before snapshotting
-     * the recorder or writing a postmortem bundle; calling it again
+     * the recorder (runReportJson() calls it); calling it again
      * records nothing twice.
      */
     void quiesce();
@@ -168,7 +169,7 @@ class Runtime
 
     /**
      * Bounded-retry accounting for a failed hot session: after
-     * options_.hot_retry_limit failures the block is pinned cold.
+     * hot_retry_limit failures the block is pinned cold.
      */
     void noteHotFailure(BlockInfo *block);
 
@@ -236,6 +237,7 @@ class Runtime
     std::unique_ptr<ipf::Machine> machine_;
     std::unique_ptr<Translator> translator_;
     uint64_t rt_base_ = 0;
+    std::string init_error_; //!< initError().
     StatGroup stats_;
     std::deque<int32_t> hot_queue_;
     prof::Profiler *profiler_ = nullptr; //!< From Options; null = off.

@@ -127,10 +127,9 @@ Translator::dispatch(uint32_t eip, const SpecContext &spec)
             if (specMatches(*v.block, spec))
                 return v.block;
     }
-    MisalignStage stage = MisalignStage::Light;
-    auto mit = misalign_.find(eip);
-    if (mit != misalign_.end() && mit->second.observed)
-        stage = MisalignStage::Detailed;
+    MisalignStage stage = misaligned_.count(eip)
+                              ? MisalignStage::Detailed
+                              : MisalignStage::Light;
     return translateCold(eip, spec, stage);
 }
 
@@ -146,11 +145,9 @@ Translator::dispatchCold(uint32_t eip, const SpecContext &spec,
                     return v.block;
         }
     }
-    auto mit = misalign_.find(eip);
-    MisalignStage stage =
-        (mit != misalign_.end() && mit->second.observed)
-            ? MisalignStage::Detailed
-            : MisalignStage::Light;
+    MisalignStage stage = misaligned_.count(eip)
+                              ? MisalignStage::Detailed
+                              : MisalignStage::Light;
     return translateCold(eip, spec, stage);
 }
 
@@ -211,8 +208,7 @@ Translator::unlinkBlockExits(BlockInfo *block)
 void
 Translator::recordMisalignment(uint32_t block_eip)
 {
-    MisalignHistory &h = misalign_[block_eip];
-    h.observed = true;
+    misaligned_.insert(block_eip);
     stats.add("misalign.events");
 }
 
@@ -224,8 +220,6 @@ Translator::discardHotBlock(BlockInfo *block)
     block->invalidated = true;
     cache_.invalidateEntry(block->cache_entry, ExitReason::Resync,
                            block->entry_eip);
-    MisalignHistory &h = misalign_[block->entry_eip];
-    h.force_avoid = true;
     stats.add("hot.discarded_for_misalignment");
     obs_->recordNow(Kind::Provenance, {block->entry_eip}, 0,
                     {{ProvState::Discarded, ProvCause::Misalign,
@@ -233,7 +227,7 @@ Translator::discardHotBlock(BlockInfo *block)
 }
 
 void
-Translator::quarantineBlock(BlockInfo *block, ProvCause cause)
+Translator::quarantineBlock(BlockInfo *block)
 {
     if (!block || block->invalidated)
         return;
@@ -251,7 +245,8 @@ Translator::quarantineBlock(BlockInfo *block, ProvCause cause)
                           block->id}});
     }
     obs_->recordNow(Kind::Quarantine, {block->entry_eip, block->id}, 0,
-                    {{ProvState::Quarantined, cause, block->id}});
+                    {{ProvState::Quarantined,
+                      ProvCause::SentinelDivergence, block->id}});
 }
 
 bool
@@ -597,7 +592,7 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
             // be allocated (profile area exhausted): detect-and-exit.
             attempt.setAccessPolicy(MisalignPolicy::DetectExit);
         } else {
-            attempt.setAccessPolicy(MisalignPolicy::CountAndAvoid, 1);
+            attempt.setAccessPolicy(MisalignPolicy::CountAndAvoid);
         }
 
         BasicBlock view = *bb;
@@ -772,29 +767,21 @@ Translator::prepareHotInput(uint32_t entry_eip, const SpecContext &spec,
     out->covered_eips.clear();
     out->smc_guards.clear();
 
-    bool any_misalign_history = false;
-    for (const auto &[beip, h] : misalign_)
-        any_misalign_history = any_misalign_history || h.observed;
-
     // Freeze the per-source-block misalignment policy (stage 3): the
-    // session must not read misalign_, which the main thread keeps
-    // mutating while workers run.
+    // session must not read misaligned_, which the main thread keeps
+    // mutating while workers run. Once any misalignment was seen,
+    // blocks without one of their own still detect it and exit.
     for (size_t ti = 0; ti < trace.size(); ++ti) {
         const BasicBlock *bb = trace[ti];
         out->trace.push_back(*bb);
-        if (!options.enable_misalign_avoidance) {
-            out->policies.emplace_back(MisalignPolicy::Plain, 1);
-        } else {
-            auto hit = misalign_.find(bb->start);
-            if (hit != misalign_.end() && hit->second.observed)
-                out->policies.emplace_back(MisalignPolicy::Avoid,
-                                           hit->second.granularity);
-            else if (any_misalign_history)
-                out->policies.emplace_back(MisalignPolicy::DetectLight,
-                                           1);
-            else
-                out->policies.emplace_back(MisalignPolicy::Plain, 1);
-        }
+        if (!options.enable_misalign_avoidance)
+            out->policies.push_back(MisalignPolicy::Plain);
+        else if (misaligned_.count(bb->start))
+            out->policies.push_back(MisalignPolicy::Avoid);
+        else if (!misaligned_.empty())
+            out->policies.push_back(MisalignPolicy::DetectExit);
+        else
+            out->policies.push_back(MisalignPolicy::Plain);
         if (ti >= 1)
             out->covered_eips.push_back(bb->start);
         // A constituent block on a writable page needs its SMC guard
@@ -849,8 +836,7 @@ Translator::runHotSession(const HotSessionInput &in,
         for (size_t ti = 0; ti < trace.size() && !aborted; ++ti) {
             const BasicBlock &bb = trace[ti];
 
-            env.setAccessPolicy(in.policies[ti].first,
-                                in.policies[ti].second);
+            env.setAccessPolicy(in.policies[ti]);
 
             std::vector<uint32_t> live =
                 perInsnLiveFlags(bb, bb.flags_live_out);

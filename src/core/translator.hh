@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "core/analysis.hh"
@@ -30,14 +31,6 @@
 
 namespace el::core
 {
-
-/** Per-cold-block misalignment history driving stage transitions. */
-struct MisalignHistory
-{
-    bool observed = false;     //!< Any misalignment in this block.
-    bool force_avoid = false;  //!< Hot regeneration must avoid everywhere.
-    uint8_t granularity = 1;   //!< Finest observed misalignment grain.
-};
 
 /** BTGeneric's translation engine. */
 class Translator
@@ -147,14 +140,12 @@ class Translator
     void discardHotBlock(BlockInfo *block);
 
     /**
-     * Blacklist a translation the divergence sentinel convicted (or
-     * whose fault/guard counters crossed the quarantine threshold).
-     * The entry becomes a Resync exit, so stale links re-enter the
+     * Blacklist a translation the divergence sentinel convicted. The
+     * entry becomes a Resync exit, so stale links re-enter the
      * runtime; the sentinel's interpret gate keeps the EIP on the
      * interpreter until its cooldown allows a fresh cold translation.
      */
-    void quarantineBlock(BlockInfo *block,
-                         ProvCause cause = ProvCause::SentinelDivergence);
+    void quarantineBlock(BlockInfo *block);
 
     /** Drop every translation overlapping [addr, addr+len) (SMC). */
     void invalidateRange(uint32_t addr, uint32_t len);
@@ -334,7 +325,9 @@ class Translator
      *  spec-mismatched dispatch never re-publishes a live record. Keys
      *  are only compared, never dereferenced. */
     std::map<const void *, int32_t> persist_adopted_;
-    std::map<uint32_t, MisalignHistory> misalign_;
+    //! Guest eips with a recorded misalignment; they drive the
+    //! stage transitions.
+    std::set<uint32_t> misaligned_;
     std::vector<std::unique_ptr<BlockInfo>> blocks_;
     int64_t profile_next_ = rt::profile_base;
     double pending_cycles_ = 0;

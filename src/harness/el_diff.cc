@@ -11,8 +11,8 @@
  * next to bench results.
  *
  * Exit codes: 0 attribution produced, 1 usage, 2 unreadable input,
- * 3 incompatible inputs (different schema, image fingerprint, or
- * workload; --force downgrades this to a warning).
+ * 3 incompatible inputs (different document version, image
+ * fingerprint, or workload; --force downgrades this to a warning).
  */
 
 #include <cstdio>

@@ -2,7 +2,7 @@
  * @file
  * `el_prof`: renders the execution-profile JSON written by
  * `el_run --profile-out`, the metrics stream written by
- * `el_run --metrics-out`, and the provenance in a postmortem bundle.
+ * `el_run --metrics-out`, and the provenance in a run report.
  *
  * Views:
  *   (default)      flat summary — hottest blocks, hottest conditional
@@ -49,12 +49,13 @@ usage()
         "                   snapshot\n"
         "  --check          validate the schema and exit (0 = ok)\n"
         "  --provenance[=<eip>|all]\n"
-        "                   read a postmortem bundle (el_run\n"
-        "                   --dump-on-exit) instead of a profile and\n"
-        "                   print artifact lifecycle timelines: the\n"
-        "                   final hot set by default, one entry point\n"
-        "                   when <eip> (hex ok) is given, everything\n"
-        "                   with 'all'\n"
+        "                   read a run report (el_run --report-json,\n"
+        "                   or the postmortem.json of an abnormal\n"
+        "                   run) instead of a profile and print\n"
+        "                   artifact lifecycle timelines: the final\n"
+        "                   hot set by default, one entry point when\n"
+        "                   <eip> (hex ok) is given, everything with\n"
+        "                   'all'\n"
         "  --log-level=<l>  err|warn|info|debug (EL_LOG env var is\n"
         "                   the fallback)\n");
 }
@@ -295,19 +296,19 @@ dumpCsv(const std::string &text, const std::string &in_path,
 }
 
 /**
- * Render provenance timelines from a postmortem bundle. @p filter is
- * empty (final hot set only), "all", or one entry point (hex or
- * decimal). Returns the process exit code.
+ * Render provenance timelines from a run report. @p filter is empty
+ * (final hot set only), "all", or one entry point (hex or decimal).
+ * Returns the process exit code.
  */
 int
 printProvenance(const Value &root, const std::string &path,
                 const std::string &filter)
 {
-    if (root.strOr("kind", "") != "el-postmortem" ||
-        root.numberOr("version", 0) != 1) {
+    if (root.strOr("kind", "") != "el-report" ||
+        root.numberOr("version", 0) != 2) {
         std::fprintf(stderr,
-                     "el_prof: %s is not an el-postmortem bundle "
-                     "(write one with el_run --dump-on-exit)\n",
+                     "el_prof: %s is not an el-report v2 (write one "
+                     "with el_run --report-json)\n",
                      path.c_str());
         return 2;
     }
@@ -329,7 +330,7 @@ printProvenance(const Value &root, const std::string &path,
     }
 
     const Value *exit_obj = root.find("exit");
-    std::printf("postmortem: %s  workload=%s  exit=%s(%.0f)\n\n",
+    std::printf("report: %s  workload=%s  exit=%s(%.0f)\n\n",
                 path.c_str(), root.strOr("workload", "?").c_str(),
                 exit_obj ? exit_obj->strOr("class", "?").c_str() : "?",
                 exit_obj ? exit_obj->numberOr("code", 0) : 0.0);

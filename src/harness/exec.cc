@@ -81,8 +81,7 @@ runTranslated(const guest::Image &image, btlib::OsAbi abi,
         *run.memory, run.os->vtable(), options);
     if (!run.runtime->initOk()) {
         run.outcome.internal_error = true;
-        run.outcome.internal_reason =
-            "BTOS handshake failed: " + run.runtime->initError();
+        run.outcome.internal_reason = run.runtime->initError();
         return run;
     }
     // Restore the OS AFTER runtime construction: the fresh runtime's
@@ -111,26 +110,20 @@ runTranslated(const guest::Image &image, btlib::OsAbi abi,
 
     core::RunResult rr = run.runtime->run(state);
     // Let tail-end pipeline sessions land so the flight recorder and
-    // any postmortem bundle see the same events on every run.
+    // the run report see the same events on every run.
     run.runtime->quiesce();
     Outcome &out = run.outcome;
-    switch (rr.kind) {
-      case core::RunResult::Kind::Exit:
+    // The runtime came up (checked above), so the run ended by exit,
+    // guest fault or cycle budget.
+    if (rr.kind == core::RunResult::Kind::Exit) {
         out.exited = true;
         out.exit_code = rr.exit_code;
-        break;
-      case core::RunResult::Kind::Fault:
+    } else if (rr.kind == core::RunResult::Kind::Fault) {
         out.faulted = true;
         out.fault = rr.fault;
-        break;
-      case core::RunResult::Kind::CycleLimit:
+    } else {
         out.internal_error = true;
         out.internal_reason = "simulation cycle budget exhausted";
-        break;
-      case core::RunResult::Kind::InitError:
-        out.internal_error = true;
-        out.internal_reason = "BTOS handshake failed";
-        break;
     }
     out.console = run.os->consoleOutput();
     out.final_state = state;

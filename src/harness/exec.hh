@@ -35,8 +35,9 @@ struct Outcome
     bool faulted = false;     //!< Terminated by an unhandled fault.
     ia32::Fault fault{};
     bool internal_error = false; //!< Translator-side failure, not the
-                                 //!< guest's: BTOS handshake (InitError)
-                                 //!< or simulation budget (CycleLimit).
+                                 //!< guest's: runtime init (handshake or
+                                 //!< runtime-area allocation) or the
+                                 //!< simulation budget (CycleLimit).
     std::string internal_reason; //!< Human-readable cause when set.
     std::string console;      //!< Captured guest output.
     ia32::State final_state;  //!< Architectural state at termination.

@@ -6,10 +6,12 @@
  * with the observability layer wired up: `--trace-out` captures the
  * translation-lifecycle trace as Chrome trace-event JSON (loadable in
  * chrome://tracing or ui.perfetto.dev) and `--report-json` writes the
- * machine-readable run report with Figure-6 cycle attribution and
- * per-block cycle rows. `--validate-trace` re-reads a trace file and
- * checks it against the Chrome trace-event shape (used by CI so the
- * artifact upload never ships a malformed file).
+ * machine-readable run report: Figure-6 cycle attribution, per-block
+ * cycle rows, and why the run ended (flight tail, provenance, sentinel
+ * ledger, injected faults). An abnormal run writes that report to
+ * ./postmortem.json even when not asked. `--validate-trace` re-reads a
+ * trace file and checks it against the Chrome trace-event shape (used
+ * by CI so the artifact upload never ships a malformed file).
  */
 
 #include <cstdio>
@@ -23,7 +25,6 @@
 #include "btlib/abi.hh"
 #include "core/audit.hh"
 #include "core/checkpoint.hh"
-#include "core/postmortem.hh"
 #include "core/report.hh"
 #include "guest/workloads.hh"
 #include "ia32/assembler.hh"
@@ -109,6 +110,12 @@ usage()
         "                         exits 30 (1 = check everything)\n"
         "  --trace-out=<file>     write Chrome trace-event JSON\n"
         "  --report-json=<file>   write the machine-readable run report\n"
+        "                         (attribution, stats, flight tail,\n"
+        "                         provenance, sentinel ledger, injected\n"
+        "                         faults); without it, a run that exits\n"
+        "                         10/20/30/40 or in which an injected\n"
+        "                         fault fired writes it to\n"
+        "                         ./postmortem.json\n"
         "  --profile-out=<file>   write the execution profile JSON\n"
         "                         (render it with el_prof)\n"
         "  --validate-trace=<f>   validate a trace file and exit\n"
@@ -118,13 +125,6 @@ usage()
         "                         renders its gauges)\n"
         "  --metrics-period=<n>   snapshot period, simulated cycles\n"
         "                         (default 50000)\n"
-        "  --postmortem-out=<f>   postmortem bundle path (default\n"
-        "                         postmortem.json); written on any\n"
-        "                         abnormal exit (codes 10/20/30),\n"
-        "                         after injected faults fired, or\n"
-        "                         when --dump-on-exit is given\n"
-        "  --dump-on-exit         write the postmortem bundle even on\n"
-        "                         a clean exit\n"
         "  --audit                cross-check the run's accounting:\n"
         "                         periodic cycle-closure audits during\n"
         "                         the run plus a full audit (flight\n"
@@ -194,12 +194,11 @@ main(int argc, char **argv)
 {
     std::string workload_name = "gzip";
     std::string trace_out, report_json, profile_out, cache_dir;
-    std::string metrics_out, postmortem_out = "postmortem.json";
+    std::string metrics_out;
     std::string checkpoint_dir;
     uint64_t checkpoint_period = 1000000;
     bool resume = false;
     uint64_t metrics_period = 50000;
-    bool dump_on_exit = false;
     core::Options options;
     options.audit = EL_AUDIT_DEFAULT != 0;
     sentinel::Config sentinel_cfg;
@@ -256,10 +255,6 @@ main(int argc, char **argv)
             metrics_out = v;
         } else if (const char *v = value("--metrics-period=")) {
             ok = harness::parseNumber(v, &metrics_period);
-        } else if (const char *v = value("--postmortem-out=")) {
-            postmortem_out = v;
-        } else if (arg == "--dump-on-exit") {
-            dump_on_exit = true;
         } else if (arg == "--audit") {
             options.audit = true;
         } else if (arg == "--no-audit") {
@@ -429,15 +424,6 @@ main(int argc, char **argv)
                     trace_out.c_str(), tracer.snapshot().size(),
                     static_cast<unsigned long long>(tracer.dropped()));
     }
-    if (!report_json.empty()) {
-        if (!core::writeRunReport(*run.runtime, wl->name, report_json,
-                                  &guest, &stamp)) {
-            std::fprintf(stderr, "el_run: cannot write %s\n",
-                         report_json.c_str());
-            return exit_io;
-        }
-        std::printf("report: %s\n", report_json.c_str());
-    }
     if (!profile_out.empty()) {
         if (!core::writeProfile(*run.runtime, profiler, wl->name,
                                 profile_out, &stamp)) {
@@ -451,6 +437,9 @@ main(int argc, char **argv)
     }
 
     core::Attribution attr = core::attributionOf(*run.runtime);
+    // The merged namespace has no translator counters when init
+    // failed, so it is safe to read on every run.
+    el::StatGroup all_stats = core::mergedStats(*run.runtime);
     std::printf("%s: exit=%d cycles=%.0f\n", wl->name.c_str(),
                 run.outcome.exit_code, run.outcome.cycles);
     std::printf("  cold=%.0f hot=%.0f btgeneric=%.0f fault=%.0f "
@@ -460,8 +449,7 @@ main(int argc, char **argv)
     if (options.persist) {
         const el::StatGroup &ps = store.stats;
         uint64_t hits = ps.get("persist.hits");
-        uint64_t local =
-            run.runtime->translator().stats.get("xlate.hot_blocks");
+        uint64_t local = all_stats.get("xlate.hot_blocks");
         double reuse = (hits + local)
                            ? 100.0 * static_cast<double>(hits) /
                                  static_cast<double>(hits + local)
@@ -500,21 +488,19 @@ main(int argc, char **argv)
                         resume_img.cycles);
     }
     if (options.sentinel) {
-        const el::StatGroup &st = run.runtime->stats();
         std::printf("  selfcheck: rate=1/%u regions=%llu checked=%llu "
                     "passed=%llu divergences=%llu quarantined=%llu\n",
                     sentinel_cfg.selfcheck_rate,
                     static_cast<unsigned long long>(
                         sentinel.regionsSeen()),
                     static_cast<unsigned long long>(
-                        st.get("sentinel.checked")),
+                        all_stats.get("sentinel.checked")),
                     static_cast<unsigned long long>(
-                        st.get("sentinel.passed")),
+                        all_stats.get("sentinel.passed")),
                     static_cast<unsigned long long>(
                         sentinel.totalDivergences()),
                     static_cast<unsigned long long>(
-                        run.runtime->translator().stats.get(
-                            "sentinel.blocks_quarantined")));
+                        all_stats.get("sentinel.blocks_quarantined")));
         for (const sentinel::DivergenceInfo &d : sentinel.divergences())
             std::printf("  divergence: region=%llu checkpoint=%#x "
                         "boundary=%#x block=%d ip=[%#x,%#x)\n",
@@ -579,21 +565,31 @@ main(int argc, char **argv)
         }
     }
 
+    // The report explains the run; an abnormal one is explained even
+    // when nobody asked, in ./postmortem.json. Only a requested report
+    // that cannot be written fails the run.
     const FaultInjector *fi = run.runtime->faultInjector();
     bool injected = fi && fi->totalFires() > 0;
-    if (code != exit_ok || injected || dump_on_exit) {
-        core::PostmortemInfo pm;
-        pm.workload = wl->name;
-        pm.exit_class = exit_class;
-        pm.exit_code = code;
-        pm.resumed = resumed;
-        pm.checkpoint_seq = resumed ? resume_img.seq : 0;
-        pm.producer = &stamp;
-        if (!core::writePostmortem(*run.runtime, pm, postmortem_out))
+    std::string report_path = report_json;
+    if (report_path.empty() && (code != exit_ok || injected))
+        report_path = "postmortem.json";
+    if (!report_path.empty()) {
+        core::ReportInfo info;
+        info.workload = wl->name;
+        info.exit_class = exit_class;
+        info.exit_code = code;
+        info.resumed = resumed;
+        info.checkpoint_seq = resumed ? resume_img.seq : 0;
+        info.guest = guest;
+        info.producer = &stamp;
+        if (core::writeRunReport(*run.runtime, info, report_path)) {
+            std::printf("report: %s\n", report_path.c_str());
+        } else {
             std::fprintf(stderr, "el_run: cannot write %s\n",
-                         postmortem_out.c_str());
-        else
-            std::printf("postmortem: %s\n", postmortem_out.c_str());
+                         report_path.c_str());
+            if (!report_json.empty())
+                return exit_io;
+        }
     }
     return code;
 }

@@ -58,7 +58,6 @@ parseReport(const std::string &text, const std::string &path,
         out->tool = p->strOr("tool", "");
         out->build = p->strOr("build", "");
         out->fingerprint = p->strOr("fingerprint", "");
-        out->schema = static_cast<int>(p->numberOr("schema", 0));
     }
 
     const json::Value *attr = doc.find("attribution");
@@ -121,9 +120,6 @@ compatible(const RunView &base, const RunView &cur, std::string *why)
                              "%s is v%d",
                              base.path.c_str(), base.version,
                              cur.path.c_str(), cur.version));
-    if (base.schema && cur.schema && base.schema != cur.schema)
-        return refuse(strfmt("producer schemas differ: %d vs %d",
-                             base.schema, cur.schema));
     if (!base.fingerprint.empty() && !cur.fingerprint.empty() &&
         base.fingerprint != cur.fingerprint)
         return refuse(strfmt(

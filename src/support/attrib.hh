@@ -24,7 +24,7 @@
  *    row instead of listing thousands of ±1-cycle rows.
  *
  * Comparing incomparable runs is the classic way to lie with numbers,
- * so compatibility is checked first: same document schema, same image
+ * so compatibility is checked first: same document version, same image
  * fingerprint (when both runs recorded one), same workload. Mismatches
  * are refused with the differing values named; `Options::force`
  * downgrades the refusal for deliberate cross-image comparisons.
@@ -51,7 +51,6 @@ struct RunView
     std::string tool;        //!< producer.tool ("" when unstamped).
     std::string build;       //!< producer.build.
     std::string fingerprint; //!< producer.fingerprint ("" if absent).
-    int schema = 0;          //!< producer.schema (0 when unstamped).
     int version = 0;         //!< document version.
     double cycles = 0;
     //! Figure-6 categories in report order (name, cycles).
@@ -78,9 +77,9 @@ bool parseReport(const std::string &text, const std::string &path,
                  RunView *out, std::string *err);
 
 /**
- * Are two runs comparable? Checks document version, producer schema,
- * image fingerprint and workload. False fills @p why with the first
- * mismatch, naming both values.
+ * Are two runs comparable? Checks document version, image fingerprint
+ * and workload. False fills @p why with the first mismatch, naming
+ * both values.
  */
 bool compatible(const RunView &base, const RunView &cur,
                 std::string *why);

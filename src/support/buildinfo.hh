@@ -1,14 +1,14 @@
 /*
- * Build/schema provenance stamps.
+ * Build provenance stamps.
  *
  * Every artifact the toolchain writes (run reports, profiles, metrics
- * NDJSON, postmortem bundles, bench reports) carries a `producer`
- * header naming the tool that wrote it, the build it came from, the
- * schema version of the document, and — when the producer knows it —
- * the image/options fingerprint of the run. Readers (el_diff above
- * all) use the stamp to refuse cross-schema or cross-image
- * comparisons with a clear message instead of silently diffing
- * incomparable numbers.
+ * NDJSON, bench reports) carries a `producer` header naming the tool
+ * that wrote it, the build it came from, and — when the producer knows
+ * it — the image/options fingerprint of the run. One stamp is shared
+ * by all the documents of a run, so it carries no document version:
+ * each document has its own top-level `version`. Readers (el_diff
+ * above all) use the stamp to refuse cross-image comparisons with a
+ * clear message instead of silently diffing incomparable numbers.
  */
 
 #ifndef EL_SUPPORT_BUILDINFO_HH
@@ -25,17 +25,14 @@ namespace el::buildinfo {
 const char *buildVersion();
 
 /**
- * The provenance header stamped into emitted artifacts. `schema` is
- * the version of the *document* (el-report-v1, el-metrics-v1, ...),
- * distinct from the build version; `fingerprint` is the persist-layer
- * image+options fingerprint hex, empty when the producer has no image
- * (e.g. bench reports aggregate several runs).
+ * The provenance header stamped into emitted artifacts. `fingerprint`
+ * is the persist-layer image+options fingerprint hex, empty when the
+ * producer has no image (e.g. bench reports aggregate several runs).
  */
 struct ProducerStamp
 {
     std::string tool;        //!< e.g. "el_run", "el_aot", "bench"
     std::string build;       //!< buildVersion()
-    int schema = 1;          //!< document schema version
     std::string fingerprint; //!< image/options fingerprint hex or ""
 
     static ProducerStamp make(std::string tool_name,
@@ -57,7 +54,6 @@ writeStamp(json::Writer &w, const ProducerStamp &s)
     w.beginObject();
     w.kv("tool", s.tool);
     w.kv("build", s.build);
-    w.kv("schema", s.schema);
     if (!s.fingerprint.empty())
         w.kv("fingerprint", s.fingerprint);
     w.endObject();

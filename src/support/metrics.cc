@@ -42,7 +42,7 @@ Registry::snapshotJson(double cycle) const
     json::Writer w;
     w.beginObject();
     w.kv("kind", "el-metrics");
-    w.kv("version", 1);
+    w.kv("version", 2);
     if (have_producer_)
         buildinfo::writeStamp(w, producer_);
     w.kv("cycle", cycle);
@@ -58,21 +58,6 @@ Registry::snapshotJson(double cycle) const
             continue;
         for (const auto &[name, value] : cg.group->all())
             w.kv((cg.prefix + "." + name).c_str(), value);
-    }
-    w.endObject();
-    w.key("histograms");
-    w.beginObject();
-    for (const Hist &h : histograms_) {
-        if (!h.h)
-            continue;
-        w.key(h.name.c_str());
-        w.beginObject();
-        w.kv("count", h.h->totalSamples());
-        w.kv("mean", h.h->mean());
-        w.kv("p50", h.h->percentile(50));
-        w.kv("p90", h.h->percentile(90));
-        w.kv("p99", h.h->percentile(99));
-        w.endObject();
     }
     w.endObject();
     w.endObject();

@@ -1,13 +1,13 @@
 /**
  * @file
- * Telemetry snapshotter: a registry of named gauges, counter groups and
- * histograms, periodically exported as newline-delimited JSON.
+ * Telemetry snapshotter: a registry of named gauges and counter groups,
+ * periodically exported as newline-delimited JSON.
  *
  * The runtime's health is already counted — in per-subsystem
  * `StatGroup`s, in the profiler, in the persist store — but only as
  * an end-of-run report. The `Registry` unifies those sources behind
  * names and emits one self-contained JSON object per sampling period
- * of the *simulated* clock ("el-metrics" v1, one object per line). It
+ * of the *simulated* clock ("el-metrics" v2, one object per line). It
  * is the run's only periodic sampler; `el_prof --csv` renders a stream
  * as a table.
  *
@@ -57,18 +57,11 @@ class Registry
         counter_groups_.push_back({prefix, group});
     }
 
-    /** Register a histogram; exported as count/mean/p50/p90/p99. */
-    void
-    histogram(const std::string &name, const Histogram *h)
-    {
-        histograms_.push_back({name, h});
-    }
-
     /** Simulated cycles between snapshots (0 disables maybeEmit). */
     void setPeriod(uint64_t cycles) { period_ = cycles; }
 
-    /** Stamp every snapshot line with a build/schema provenance
-     *  header. Optional: embedders without one emit unstamped lines. */
+    /** Stamp every snapshot line with a build provenance header.
+     *  Optional: embedders without one emit unstamped lines. */
     void
     setProducer(const buildinfo::ProducerStamp &stamp)
     {
@@ -98,7 +91,7 @@ class Registry
     /** Emit one snapshot line unconditionally (if output is open). */
     void emit(double cycle);
 
-    /** One "el-metrics" v1 object (no trailing newline). */
+    /** One "el-metrics" v2 object (no trailing newline). */
     std::string snapshotJson(double cycle) const;
 
     /** Snapshot lines emitted so far. */
@@ -115,15 +108,8 @@ class Registry
         std::string prefix;
         const StatGroup *group;
     };
-    struct Hist
-    {
-        std::string name;
-        const Histogram *h;
-    };
-
     std::vector<Gauge> gauges_;
     std::vector<CounterGroup> counter_groups_;
-    std::vector<Hist> histograms_;
     buildinfo::ProducerStamp producer_;
     bool have_producer_ = false;
     uint64_t period_ = 0;

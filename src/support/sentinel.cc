@@ -9,8 +9,6 @@ healthName(Health h)
     switch (h) {
       case Health::Healthy:
         return "healthy";
-      case Health::Suspect:
-        return "suspect";
       case Health::Quarantined:
         return "quarantined";
       case Health::Retranslated:
@@ -41,60 +39,12 @@ Sentinel::shouldCheck()
     return n % cfg_.selfcheck_rate == 0;
 }
 
-bool
-Sentinel::noteFault(uint32_t entry_eip)
-{
-    HealthRecord &r = row(entry_eip);
-    ++r.faults;
-    if (r.state == Health::Healthy && cfg_.fault_suspect_threshold &&
-        r.faults >= cfg_.fault_suspect_threshold) {
-        r.state = Health::Suspect;
-        notifyShift(entry_eip, Health::Healthy, r.pinned, r);
-    }
-    if ((r.state == Health::Healthy || r.state == Health::Suspect ||
-         r.state == Health::Retranslated) &&
-        cfg_.fault_quarantine_threshold &&
-        r.faults >= cfg_.fault_quarantine_threshold) {
-        enterQuarantine(entry_eip, r);
-        r.faults = 0; // A fresh translation starts from a clean count.
-        return true;
-    }
-    return false;
-}
-
-bool
-Sentinel::noteGuardMiss(uint32_t entry_eip)
-{
-    HealthRecord &r = row(entry_eip);
-    ++r.guard_misses;
-    if (r.state == Health::Healthy && cfg_.guard_quarantine_threshold &&
-        r.guard_misses >= cfg_.guard_quarantine_threshold / 2 + 1) {
-        r.state = Health::Suspect;
-        notifyShift(entry_eip, Health::Healthy, r.pinned, r);
-    }
-    if ((r.state == Health::Healthy || r.state == Health::Suspect ||
-         r.state == Health::Retranslated) &&
-        cfg_.guard_quarantine_threshold &&
-        r.guard_misses >= cfg_.guard_quarantine_threshold) {
-        enterQuarantine(entry_eip, r);
-        r.guard_misses = 0;
-        return true;
-    }
-    return false;
-}
-
 void
 Sentinel::noteDivergence(uint32_t entry_eip)
 {
     ++total_divergences_;
     HealthRecord &r = row(entry_eip);
     ++r.divergences;
-    enterQuarantine(entry_eip, r);
-}
-
-void
-Sentinel::enterQuarantine(uint32_t eip, HealthRecord &r)
-{
     Health before = r.state;
     bool was_pinned = r.pinned;
     r.state = Health::Quarantined;
@@ -104,7 +54,7 @@ Sentinel::enterQuarantine(uint32_t eip, HealthRecord &r)
     } else {
         r.cooldown_left = cfg_.quarantine_cooldown;
     }
-    notifyShift(eip, before, was_pinned, r);
+    notifyShift(entry_eip, before, was_pinned, r);
 }
 
 void

@@ -15,15 +15,15 @@
  *    a counter, never wall clock, so runs are bit-identical across
  *    `translation_threads`);
  *  - the per-artifact health ledger keyed by translation entry EIP
- *    (divergence / fault / guard-mispredict counters);
+ *    (divergence and retry counters);
  *  - the quarantine state machine:
  *
- *        Healthy -> Suspect -> Quarantined -> Retranslated
- *                      \________________^          |
- *                       (divergence goes           v
- *                        straight to Q)     back to Q on relapse,
- *                                           pinned to the interpreter
- *                                           after bounded retries
+ *        Healthy -> Quarantined -> Retranslated
+ *                        ^                |
+ *                        |________________|
+ *
+ *    one divergence quarantines; a relapse returns to Quarantined,
+ *    and after bounded retries the EIP is pinned to the interpreter
  *
  * Like the tracer and profiler, the sentinel is attached through a
  * non-owned `Options` pointer: when detached every hook is one
@@ -47,14 +47,17 @@
 namespace el::sentinel
 {
 
-/** Health of one translation artifact (keyed by entry EIP). */
+/**
+ * Health of one translation artifact (keyed by entry EIP). The numbers
+ * reach sentinel_shift event words b and c, so they are fixed: 1 is
+ * unused.
+ */
 enum class Health : uint8_t
 {
-    Healthy,      //!< No adverse evidence.
-    Suspect,      //!< Fault/guard counters crossed the first threshold.
-    Quarantined,  //!< Blacklisted: invalidated, runs via interpreter.
-    Retranslated, //!< Served its quarantine; a fresh cold translation
-                  //!< is allowed (relapses return to Quarantined).
+    Healthy = 0,      //!< No adverse evidence.
+    Quarantined = 2,  //!< Blacklisted: invalidated, runs via interpreter.
+    Retranslated = 3, //!< Served its quarantine; a fresh cold translation
+                      //!< is allowed (relapses return to Quarantined).
 };
 
 const char *healthName(Health h);
@@ -64,8 +67,6 @@ struct HealthRecord
 {
     Health state = Health::Healthy;
     uint32_t divergences = 0;    //!< Shadow-execution mismatches.
-    uint32_t faults = 0;         //!< Guest faults raised inside it.
-    uint32_t guard_misses = 0;   //!< Speculation-guard mispredicts.
     uint32_t retries = 0;        //!< Quarantine -> retranslate cycles.
     uint64_t cooldown_left = 0;  //!< Dispatches to serve under the
                                  //!< interpreter before retranslation.
@@ -93,13 +94,6 @@ struct Config
     uint64_t replay_budget = 1u << 20; //!< Interpreter steps allowed
                                   //!< per replay before the region is
                                   //!< declared divergent.
-    uint32_t fault_suspect_threshold = 0;    //!< Faults before Suspect;
-                                             //!< 0 = fault policy off.
-    uint32_t fault_quarantine_threshold = 0; //!< Faults before
-                                             //!< Quarantined; 0 = off.
-    uint32_t guard_quarantine_threshold = 0; //!< Guard mispredicts
-                                             //!< before Quarantined;
-                                             //!< 0 = off.
     uint32_t retranslate_limit = 3; //!< Quarantine->retranslate cycles
                                     //!< before the EIP is pinned to
                                     //!< the interpreter.
@@ -132,20 +126,10 @@ class Sentinel
     // ----- health ledger feeds --------------------------------------
 
     /**
-     * Record a guest fault raised while executing @p entry_eip's
-     * translation. True when the artifact just crossed the quarantine
-     * threshold — the caller must then quarantine it.
-     */
-    bool noteFault(uint32_t entry_eip);
-
-    /** Same contract for a speculation-guard mispredict. */
-    bool noteGuardMiss(uint32_t entry_eip);
-
-    /**
      * Record a shadow-execution divergence attributed to @p entry_eip.
-     * Unlike faults, a single divergence is decisive: the artifact goes
-     * straight to Quarantined (or to pinned-interpreter once the retry
-     * budget is spent).
+     * A single divergence is decisive: the artifact goes straight to
+     * Quarantined (or to pinned-interpreter once the retry budget is
+     * spent).
      */
     void noteDivergence(uint32_t entry_eip);
 
@@ -206,9 +190,6 @@ class Sentinel
 
   private:
     HealthRecord &row(uint32_t eip) { return ledger_[eip]; }
-
-    /** Shared Quarantined-entry transition (divergence + threshold). */
-    void enterQuarantine(uint32_t eip, HealthRecord &r);
 
     /** Fire the transition listener when the state actually moved. */
     void

@@ -1,6 +1,6 @@
 /**
  * @file
- * Lightweight statistics: named counters, ratios and histograms, plus a
+ * Lightweight statistics: named counters and their ratios, plus a
  * fixed-width table formatter used by the benchmark harnesses to print
  * paper-shaped result rows.
  */
@@ -73,54 +73,6 @@ class StatGroup
 
   private:
     std::map<std::string, uint64_t> counters_;
-};
-
-/** Simple fixed-bucket histogram for distribution-style statistics. */
-class Histogram
-{
-  public:
-    /**
-     * @param lo Lowest bucket start.
-     * @param bucket_width Width of each bucket; values <= 0 are clamped
-     *        to 1 (a non-positive width would divide by zero in
-     *        sample()).
-     * @param n_buckets Number of buckets; samples above go to overflow.
-     */
-    Histogram(int64_t lo, int64_t bucket_width, unsigned n_buckets)
-        : lo_(lo), width_(bucket_width > 0 ? bucket_width : 1),
-          buckets_(n_buckets, 0)
-    {}
-
-    void sample(int64_t value, uint64_t count = 1);
-
-    uint64_t totalSamples() const { return total_; }
-    uint64_t underflow() const { return underflow_; }
-    uint64_t overflow() const { return overflow_; }
-    const std::vector<uint64_t> &buckets() const { return buckets_; }
-    int64_t bucketWidth() const { return width_; }
-
-    /** Mean of all sampled values. */
-    double mean() const;
-
-    /**
-     * Approximate p-th percentile (p in [0, 100]) by linear
-     * interpolation inside the bucket holding the rank. Underflow
-     * samples clamp to lo, overflow samples to the top edge. Returns
-     * lo when the histogram is empty.
-     */
-    double percentile(double p) const;
-
-    /** Text rendering: one "[lo, hi)  count  bar" line per bucket. */
-    std::string dump() const;
-
-  private:
-    int64_t lo_;
-    int64_t width_;
-    std::vector<uint64_t> buckets_;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
-    double sum_ = 0.0;
 };
 
 /** Fixed-width text table used by the bench binaries. */

@@ -18,8 +18,8 @@
  *    trace-event JSON for chrome://tracing or https://ui.perfetto.dev.
  *  - View::BlackBox is the always-on flight recorder the runtime owns
  *    (Options::flight_recorder). Its ring drops the *oldest* event, so
- *    the tail that explains an abnormal exit survives; postmortem
- *    bundles export it.
+ *    the tail that explains an abnormal exit survives; the run
+ *    report's `flight` section exports it.
  *
  * Lanes and timestamps come from the simulation, never from wall clock
  * or host thread identity: lane 0 is the guest/runtime thread, lane 1+k
@@ -160,7 +160,7 @@ struct Event
 enum class View : uint8_t
 {
     Chrome,   //!< Drop-newest prefix, exported as Chrome JSON.
-    BlackBox, //!< Drop-oldest tail, exported in postmortem bundles.
+    BlackBox, //!< Drop-oldest tail, exported in the run report.
 };
 
 /** The recorder: one instance per view per run. Not thread-safe: only

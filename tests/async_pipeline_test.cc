@@ -259,7 +259,7 @@ TEST(AsyncPipeline, InjectedWorkerAbortsPinAfterRetryLimit)
     // Pinning respects the bounded retry budget: each pinned block
     // failed exactly hot_retry_limit times.
     EXPECT_GE(rs.get("recover.hot_abort"),
-              rs.get("recover.hot_pinned") * o.hot_retry_limit);
+              rs.get("recover.hot_pinned") * core::hot_retry_limit);
 }
 
 // ----- stall-cycle reduction -------------------------------------------

@@ -158,14 +158,15 @@ TEST(Audit, SkewedRunStillComputesTheRightAnswer)
 
 // ----- attrib: parsing ---------------------------------------------------
 
-/** A minimal but complete synthetic el-report. */
+/** A minimal but complete synthetic el-report of @p version. */
 std::string
 syntheticReport(double cold, double hot, const std::string &fp,
-                const std::string &blocks_json = "")
+                const std::string &blocks_json = "", int version = 2)
 {
-    std::string s = "{\"kind\":\"el-report\",\"version\":1,"
+    std::string s = "{\"kind\":\"el-report\",\"version\":" +
+                    std::to_string(version) + ","
                     "\"producer\":{\"tool\":\"el_run\",\"build\":\"t\","
-                    "\"schema\":1,\"fingerprint\":\"" + fp + "\"},"
+                    "\"fingerprint\":\"" + fp + "\"},"
                     "\"workload\":\"synth\",";
     double total = cold + hot + 100;
     s += "\"cycles\":" + std::to_string(total) + ",";
@@ -191,7 +192,7 @@ TEST(Attrib, ParseRejectsForeignDocuments)
     // A report missing an attribution bucket must fail loudly, not
     // diff that phase as zero.
     EXPECT_FALSE(attrib::parseReport(
-        "{\"kind\":\"el-report\",\"version\":1,\"cycles\":1,"
+        "{\"kind\":\"el-report\",\"version\":2,\"cycles\":1,"
         "\"attribution\":{\"cold_code\":1}}",
         "p.json", &v, &err));
     EXPECT_NE(err.find("attribution"), std::string::npos);
@@ -221,7 +222,7 @@ TEST(Attrib, ParseMergesBlockRowsByEipAndKind)
             EXPECT_DOUBLE_EQ(r.insns, 9.0);
         }
     EXPECT_EQ(v.fingerprint, "fp");
-    EXPECT_EQ(v.schema, 1);
+    EXPECT_EQ(v.version, 2);
 }
 
 TEST(Attrib, CompatibilityRefusesDifferentGuests)
@@ -235,6 +236,25 @@ TEST(Attrib, CompatibilityRefusesDifferentGuests)
     EXPECT_FALSE(attrib::compatible(a, b, &why));
     EXPECT_NE(why.find("fingerprints differ"), std::string::npos);
     EXPECT_TRUE(attrib::compatible(a, a, &why));
+}
+
+TEST(Attrib, CompatibilityRefusesDifferentVersions)
+{
+    // A v1 report (before the run report carried the exit sections)
+    // against a v2 one: same guest, but not the same document.
+    attrib::RunView v1, v2;
+    std::string err, why;
+    ASSERT_TRUE(attrib::parseReport(syntheticReport(1, 1, "f", "", 1),
+                                    "old.json", &v1, &err))
+        << err;
+    ASSERT_TRUE(attrib::parseReport(syntheticReport(1, 1, "f"),
+                                    "new.json", &v2, &err))
+        << err;
+    EXPECT_FALSE(attrib::compatible(v1, v2, &why));
+    EXPECT_NE(why.find("document versions differ"), std::string::npos)
+        << why;
+    EXPECT_NE(why.find("old.json is v1"), std::string::npos) << why;
+    EXPECT_NE(why.find("new.json is v2"), std::string::npos) << why;
 }
 
 // ----- attrib: the diff --------------------------------------------------
@@ -332,8 +352,10 @@ TEST(Attrib, RealRunsDiffWithFullAttribution)
         EXPECT_TRUE(run.outcome.exited);
         buildinfo::ProducerStamp stamp =
             buildinfo::ProducerStamp::make("el_run", "same-guest");
-        return core::runReportJson(*run.runtime, "audit_hotloop",
-                                   nullptr, &stamp);
+        core::ReportInfo info;
+        info.workload = "audit_hotloop";
+        info.producer = &stamp;
+        return core::runReportJson(*run.runtime, info);
     };
     attrib::RunView base, cur;
     std::string err;

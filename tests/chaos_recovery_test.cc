@@ -195,7 +195,6 @@ TEST(ChaosDirected, HotAbortsArePinnedCold)
     core::Options o;
     o.heat_threshold = 8;
     o.hot_batch = 1;
-    o.hot_retry_limit = 2;
     o.fault.seed = 33;
     o.fault.site(FaultSite::HotXlateAbort, 1024);
     harness::TranslatedRun tr =
@@ -245,6 +244,29 @@ TEST(ChaosDirected, BtosAllocExhaustionIsInitError)
     ia32::State state;
     core::RunResult res = rt.run(state);
     EXPECT_EQ(res.kind, core::RunResult::Kind::InitError);
+}
+
+TEST(ChaosDirected, BtosAllocExhaustionNamesItsCause)
+{
+    // The handshake succeeded; the runtime-area allocation did not. The
+    // init error, and the internal reason a harness run reports, must
+    // say so instead of blaming the handshake.
+    core::Options o;
+    o.fault.seed = 55;
+    o.fault.site(FaultSite::BtosAlloc, 1024);
+    harness::TranslatedRun tr =
+        harness::runTranslated(chaosProgram(4), OsAbi::Linux, o);
+    ASSERT_FALSE(tr.runtime->initOk());
+    EXPECT_TRUE(tr.outcome.internal_error);
+    EXPECT_FALSE(tr.outcome.exited);
+    EXPECT_NE(tr.outcome.internal_reason.find(
+                  "runtime area allocation failed"),
+              std::string::npos)
+        << tr.outcome.internal_reason;
+    EXPECT_EQ(tr.outcome.internal_reason.find("handshake"),
+              std::string::npos)
+        << tr.outcome.internal_reason;
+    EXPECT_EQ(tr.runtime->initError(), tr.outcome.internal_reason);
 }
 
 TEST(ChaosDirected, StormFaultsAreTransparent)
@@ -350,7 +372,6 @@ TEST_P(ChaosRecovery, SurvivesInjectionBitExact)
     core::Options o;
     o.heat_threshold = 8;
     o.hot_batch = 1;
-    o.hot_retry_limit = 2;
     o.code_cache_capacity = 1536;
     o.cache_headroom = 768;
     o.fault.seed = 0x9e3779b97f4a7c15ull ^ seed;

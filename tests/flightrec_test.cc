@@ -2,7 +2,8 @@
  * @file
  * Tests for the always-on black box (the drop-oldest view of the event
  * stream), the artifact provenance ledger, the telemetry snapshotter
- * (the run's one periodic sampler), and the postmortem bundle.
+ * (the run's one periodic sampler), and the run report's account of
+ * how a run ended.
  *
  * The load-bearing properties:
  *  - recording charges zero simulated cycles: guest results AND cycle
@@ -14,7 +15,7 @@
  *    planned worker slots, never wall clock;
  *  - the Chrome capture and the black box are two views of one stream:
  *    every step both record is counted the same in each;
- *  - a chaos run's postmortem names the injected fault site that
+ *  - a chaos run's report names the injected fault site that
  *    caused the trouble, and the faulting entry point's provenance
  *    chain is present.
  */
@@ -26,8 +27,8 @@
 #include <vector>
 
 #include "btlib/abi.hh"
-#include "core/postmortem.hh"
 #include "core/provenance.hh"
+#include "core/report.hh"
 #include "guest/image.hh"
 #include "guest/workloads.hh"
 #include "harness/exec.hh"
@@ -140,7 +141,7 @@ TEST(FlightRecorder, SnapshotMergesSortedByTime)
 
 TEST(FlightRecorder, KindNamesAreStable)
 {
-    // The postmortem schema exports these names; renaming one is a
+    // The run report's flight exports these names; renaming one is a
     // consumer-visible break and must be deliberate.
     auto box = [](Kind k) { return trace::kindInfo(k).box; };
     EXPECT_STREQ(box(Kind::Dispatch), "dispatch");
@@ -422,10 +423,6 @@ TEST(Metrics, SnapshotJsonIsWellFormed)
     StatGroup sg;
     sg.add("lookups", 7);
     reg.counters("demo", &sg);
-    Histogram h(0, 10, 10);
-    h.sample(5);
-    h.sample(25);
-    reg.histogram("latency", &h);
 
     json::Value root;
     std::string error;
@@ -433,7 +430,7 @@ TEST(Metrics, SnapshotJsonIsWellFormed)
                                     &error))
         << error;
     EXPECT_EQ(root.strOr("kind", ""), "el-metrics");
-    EXPECT_EQ(root.numberOr("version", 0), 1);
+    EXPECT_EQ(root.numberOr("version", 0), 2);
     EXPECT_EQ(root.numberOr("cycle", 0), 123);
     const json::Value *gauges = root.find("gauges");
     ASSERT_NE(gauges, nullptr);
@@ -441,11 +438,6 @@ TEST(Metrics, SnapshotJsonIsWellFormed)
     const json::Value *counters = root.find("counters");
     ASSERT_NE(counters, nullptr);
     EXPECT_EQ(counters->numberOr("demo.lookups", 0), 7);
-    const json::Value *hists = root.find("histograms");
-    ASSERT_NE(hists, nullptr);
-    const json::Value *lat = hists->find("latency");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->numberOr("count", 0), 2);
 }
 
 TEST(Metrics, MaybeEmitHonorsThePeriod)
@@ -503,26 +495,30 @@ TEST(Metrics, RuntimeGaugesFollowTheirSources)
     }
 }
 
-// ----- postmortem bundles -----------------------------------------------
+// ----- the run report's account of how the run ended -------------------
 
-TEST(Postmortem, CleanRunBundleIsSchemaValid)
+TEST(RunReport, CleanRunReportIsSchemaValid)
 {
     guest::Image img = hotLoopProgram();
     harness::TranslatedRun tr =
         harness::runTranslated(img, btlib::OsAbi::Linux, hotOpts(4));
     ASSERT_TRUE(tr.outcome.exited);
 
-    core::PostmortemInfo info;
+    core::ReportInfo info;
     info.workload = "flight_hotloop";
-    info.exit_class = "ok";
-    info.exit_code = 0;
     json::Value root;
     std::string error;
-    ASSERT_TRUE(json::Parser::parse(
-        core::postmortemJson(*tr.runtime, info), &root, &error))
+    ASSERT_TRUE(json::Parser::parse(core::runReportJson(*tr.runtime, info),
+                                    &root, &error))
         << error;
-    EXPECT_EQ(root.strOr("kind", ""), "el-postmortem");
-    EXPECT_EQ(root.numberOr("version", 0), 1);
+    EXPECT_EQ(root.strOr("kind", ""), "el-report");
+    EXPECT_EQ(root.numberOr("version", 0), 2);
+    const json::Value *exit = root.find("exit");
+    ASSERT_NE(exit, nullptr);
+    EXPECT_EQ(exit->strOr("class", ""), "ok");
+    EXPECT_EQ(exit->find("init_error"), nullptr);
+    // A live runtime's report carries the machine sections too.
+    EXPECT_NE(root.find("attribution"), nullptr);
     const json::Value *fl = root.find("flight");
     ASSERT_NE(fl, nullptr);
     const json::Value *events = fl->find("events");
@@ -543,9 +539,9 @@ TEST(Postmortem, CleanRunBundleIsSchemaValid)
     EXPECT_TRUE(found_hot);
 }
 
-TEST(Postmortem, ChaosRunNamesTheInjectedFaultSite)
+TEST(RunReport, ChaosRunNamesTheInjectedFaultSite)
 {
-    // Directed chaos: force hot-session aborts and require the bundle
+    // Directed chaos: force hot-session aborts and require the report
     // to convict the injected site by name, with the abort visible in
     // both the flight tail and the victim's provenance chain.
     guest::Image img = hotLoopProgram();
@@ -558,18 +554,16 @@ TEST(Postmortem, ChaosRunNamesTheInjectedFaultSite)
     ASSERT_NE(tr.runtime->faultInjector(), nullptr);
     ASSERT_GT(tr.runtime->faultInjector()->totalFires(), 0u);
 
-    core::PostmortemInfo info;
+    core::ReportInfo info;
     info.workload = "flight_hotloop";
-    info.exit_class = "ok";
-    info.exit_code = 0;
     json::Value root;
     std::string error;
-    ASSERT_TRUE(json::Parser::parse(
-        core::postmortemJson(*tr.runtime, info), &root, &error))
+    ASSERT_TRUE(json::Parser::parse(core::runReportJson(*tr.runtime, info),
+                                    &root, &error))
         << error;
 
     const json::Value *fi = root.find("fault_injection");
-    ASSERT_NE(fi, nullptr) << "bundle lost the injection config";
+    ASSERT_NE(fi, nullptr) << "report lost the injection config";
     EXPECT_EQ(fi->numberOr("seed", 0), 7);
     const json::Value *sites = fi->find("sites");
     ASSERT_NE(sites, nullptr);
@@ -579,7 +573,7 @@ TEST(Postmortem, ChaosRunNamesTheInjectedFaultSite)
             s.numberOr("fires", 0) > 0)
             named = true;
     EXPECT_TRUE(named)
-        << "postmortem does not name the injected fault site";
+        << "report does not name the injected fault site";
 
     // The flight tail carries the worker-lane injection events...
     const json::Value *events = root.find("flight")->find("events");

@@ -98,15 +98,14 @@ std::string
 expectSnapshotSchema(const Value &s)
 {
     EXPECT_EQ(s.strOr("kind", ""), "el-metrics");
-    EXPECT_EQ(s.numberOr("version", 0), 1.0);
+    EXPECT_EQ(s.numberOr("version", 0), 2.0);
     const Value *producer = s.find("producer");
     EXPECT_NE(producer, nullptr) << "snapshot has no producer stamp";
     if (!producer)
         return "";
     EXPECT_EQ(producer->strOr("tool", ""), "el_run");
     EXPECT_NE(producer->strOr("build", ""), "");
-    EXPECT_EQ(producer->numberOr("schema", 0), 1.0);
-    for (const char *obj : {"gauges", "counters", "histograms"}) {
+    for (const char *obj : {"gauges", "counters"}) {
         const Value *v = s.find(obj);
         EXPECT_NE(v, nullptr) << "snapshot missing " << obj;
         if (v)

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the divergence sentinel's bookkeeping: deterministic
  * sampling, the health ledger, and the quarantine state machine
- * (healthy -> suspect -> quarantined -> retranslated, with bounded
- * retries pinning an EIP to the interpreter).
+ * (healthy -> quarantined -> retranslated, with bounded retries
+ * pinning an EIP to the interpreter).
  */
 
 #include <gtest/gtest.h>
@@ -71,46 +71,6 @@ TEST(SentinelLedger, DivergenceIsDecisive)
     EXPECT_FALSE(s.isQuarantined(0x2000));
 }
 
-TEST(SentinelLedger, FaultThresholdsSuspectThenQuarantine)
-{
-    Config cfg;
-    cfg.fault_suspect_threshold = 2;
-    cfg.fault_quarantine_threshold = 4;
-    Sentinel s(cfg);
-
-    EXPECT_FALSE(s.noteFault(0x42)); // 1
-    EXPECT_EQ(s.record(0x42)->state, Health::Healthy);
-    EXPECT_FALSE(s.noteFault(0x42)); // 2 -> Suspect
-    EXPECT_EQ(s.record(0x42)->state, Health::Suspect);
-    EXPECT_FALSE(s.isQuarantined(0x42)); // suspect still runs translated
-    EXPECT_FALSE(s.noteFault(0x42)); // 3
-    EXPECT_TRUE(s.noteFault(0x42));  // 4 -> Quarantined, caller acts
-    EXPECT_TRUE(s.isQuarantined(0x42));
-    // The fault count reset: a future retranslation starts clean.
-    EXPECT_EQ(s.record(0x42)->faults, 0u);
-}
-
-TEST(SentinelLedger, FaultPolicyOffByDefault)
-{
-    Sentinel s; // thresholds default to 0 = off
-    for (int k = 0; k < 100; ++k)
-        EXPECT_FALSE(s.noteFault(0x42));
-    EXPECT_EQ(s.record(0x42)->state, Health::Healthy);
-    EXPECT_EQ(s.record(0x42)->faults, 100u); // still counted
-}
-
-TEST(SentinelLedger, GuardMissThreshold)
-{
-    Config cfg;
-    cfg.guard_quarantine_threshold = 3;
-    Sentinel s(cfg);
-    EXPECT_FALSE(s.noteGuardMiss(0x9));
-    EXPECT_FALSE(s.noteGuardMiss(0x9)); // crosses half: Suspect
-    EXPECT_EQ(s.record(0x9)->state, Health::Suspect);
-    EXPECT_TRUE(s.noteGuardMiss(0x9)); // 3 -> Quarantined
-    EXPECT_TRUE(s.isQuarantined(0x9));
-}
-
 TEST(SentinelQuarantine, CooldownServesThenRetranslates)
 {
     Config cfg;
@@ -161,10 +121,6 @@ TEST(SentinelQuarantine, TickOnUnknownOrHealthyIsNoop)
     Sentinel s;
     s.tickCooldown(0x5); // unknown EIP: nothing happens
     EXPECT_EQ(s.record(0x5), nullptr);
-    s.noteFault(0x6); // healthy row
-    s.tickCooldown(0x6);
-    EXPECT_EQ(s.record(0x6)->state, Health::Healthy);
-    EXPECT_EQ(s.record(0x6)->retries, 0u);
 }
 
 TEST(SentinelLog, DivergenceLogIsBoundedKeepingEarliest)
@@ -188,7 +144,6 @@ TEST(SentinelLog, DivergenceLogIsBoundedKeepingEarliest)
 TEST(SentinelLog, HealthNames)
 {
     EXPECT_STREQ(healthName(Health::Healthy), "healthy");
-    EXPECT_STREQ(healthName(Health::Suspect), "suspect");
     EXPECT_STREQ(healthName(Health::Quarantined), "quarantined");
     EXPECT_STREQ(healthName(Health::Retranslated), "retranslated");
 }

@@ -112,21 +112,6 @@ TEST(StatGroup, AddAndRatio)
     EXPECT_EQ(g.get("a"), 0u);
 }
 
-TEST(Histogram, BucketsAndMean)
-{
-    Histogram h(0, 10, 5);
-    h.sample(5);
-    h.sample(15);
-    h.sample(95);  // overflow
-    h.sample(-1);  // underflow
-    EXPECT_EQ(h.totalSamples(), 4u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_DOUBLE_EQ(h.mean(), (5 + 15 + 95 - 1) / 4.0);
-}
-
 TEST(StatGroup, MergeAccumulates)
 {
     StatGroup a;
@@ -142,85 +127,6 @@ TEST(StatGroup, MergeAccumulates)
     // Merging an empty group changes nothing.
     a.merge(StatGroup());
     EXPECT_EQ(a.get("shared"), 7u);
-}
-
-TEST(Histogram, PercentileInterpolates)
-{
-    Histogram h(0, 10, 10);
-    for (int v = 0; v < 100; ++v)
-        h.sample(v); // uniform over [0, 100)
-    EXPECT_DOUBLE_EQ(h.percentile(50), 50.0);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 100.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(25), 25.0);
-}
-
-TEST(Histogram, PercentileClamps)
-{
-    Histogram empty(5, 10, 4);
-    EXPECT_DOUBLE_EQ(empty.percentile(50), 5.0); // empty -> lo
-
-    Histogram under(0, 10, 2);
-    under.sample(-5, 10);
-    EXPECT_DOUBLE_EQ(under.percentile(50), 0.0); // underflow -> lo
-
-    Histogram over(0, 10, 2);
-    over.sample(100, 10);
-    EXPECT_DOUBLE_EQ(over.percentile(50), 20.0); // overflow -> top edge
-}
-
-TEST(Histogram, NonPositiveWidthClampsToOne)
-{
-    Histogram h(0, 0, 4);
-    EXPECT_EQ(h.bucketWidth(), 1);
-    h.sample(2); // must not divide by zero
-    EXPECT_EQ(h.buckets()[2], 1u);
-
-    Histogram neg(0, -7, 4);
-    EXPECT_EQ(neg.bucketWidth(), 1);
-}
-
-TEST(Histogram, DumpRendersBuckets)
-{
-    Histogram h(0, 10, 2);
-    h.sample(5, 3);
-    h.sample(15);
-    h.sample(-1);
-    h.sample(100);
-    std::string out = h.dump();
-    EXPECT_NE(out.find("(underflow)"), std::string::npos);
-    EXPECT_NE(out.find("(overflow)"), std::string::npos);
-    EXPECT_NE(out.find("#"), std::string::npos);
-    EXPECT_NE(out.find("[       0,       10)"), std::string::npos);
-}
-
-TEST(Histogram, DumpOfEmptyHistogramIsSafe)
-{
-    Histogram h(0, 10, 3);
-    std::string out = h.dump(); // peak is clamped; no zero divisor
-    EXPECT_NE(out.find("[       0,       10)"), std::string::npos);
-    EXPECT_EQ(out.find("#"), std::string::npos); // all bars empty
-}
-
-TEST(Histogram, DumpWithSinglePopulatedBucket)
-{
-    Histogram h(0, 10, 4);
-    h.sample(25, 7); // only bucket [20, 30) has samples
-    std::string out = h.dump();
-    // The populated bucket carries the full-scale bar; the empty
-    // buckets render without dividing by any zero count.
-    EXPECT_NE(out.find(std::string(40, '#')), std::string::npos);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 25.0);
-}
-
-TEST(Histogram, DumpWithHugeCountsDoesNotOverflow)
-{
-    Histogram h(0, 10, 2);
-    h.sample(5, 1ull << 62); // 40 * n would overflow uint64_t
-    h.sample(15, 1ull << 61);
-    std::string out = h.dump();
-    EXPECT_NE(out.find(std::string(40, '#')), std::string::npos);
-    EXPECT_NE(out.find(std::string(20, '#')), std::string::npos);
 }
 
 TEST(Table, Renders)

@@ -238,7 +238,9 @@ TEST(Trace, RunReportJsonParsesAndMatchesAttribution)
     o.collect_block_cycles = true;
     harness::TranslatedRun r =
         harness::runTranslated(w.image, w.params.abi, o);
-    std::string text = core::runReportJson(*r.runtime, w.name);
+    core::ReportInfo info;
+    info.workload = w.name;
+    std::string text = core::runReportJson(*r.runtime, info);
     json::Value v;
     std::string error;
     ASSERT_TRUE(json::Parser::parse(text, &v, &error)) << error;
