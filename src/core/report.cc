@@ -462,12 +462,11 @@ profileJson(Runtime &rt, const prof::Profiler &prof,
 
     w.key("blocks");
     w.beginArray();
-    for (const auto &[entry, b] : prof.blocks()) {
+    for (const auto &[entry, row] : prof.blocks()) {
+        const prof::GuestBlock &b = row.block;
         w.beginObject();
         w.kv("entry", static_cast<uint64_t>(entry));
-        auto ex = prof.blockExecs().find(entry);
-        w.kv("execs", ex == prof.blockExecs().end() ? uint64_t(0)
-                                                    : ex->second);
+        w.kv("execs", row.execs);
         w.kv("insns", static_cast<uint64_t>(b.insns));
         w.kv("term", insnKindName(b.kind));
         w.kv("term_ip", static_cast<uint64_t>(b.term_ip));

@@ -436,16 +436,22 @@ main(int argc, char **argv)
                         profiler.eventCount()));
     }
 
-    core::Attribution attr = core::attributionOf(*run.runtime);
     // The merged namespace has no translator counters when init
     // failed, so it is safe to read on every run.
     el::StatGroup all_stats = core::mergedStats(*run.runtime);
-    std::printf("%s: exit=%d cycles=%.0f\n", wl->name.c_str(),
-                run.outcome.exit_code, run.outcome.cycles);
-    std::printf("  cold=%.0f hot=%.0f btgeneric=%.0f fault=%.0f "
-                "native=%.0f idle=%.0f\n",
-                attr.cold_code, attr.hot_code, attr.btgeneric,
-                attr.fault_handling, attr.native, attr.idle);
+    if (!run.runtime->initOk()) {
+        // No machine ever ran: there is no exit code or cycle count.
+        std::printf("%s: init failed: %s\n", wl->name.c_str(),
+                    run.runtime->initError().c_str());
+    } else {
+        core::Attribution attr = core::attributionOf(*run.runtime);
+        std::printf("%s: exit=%d cycles=%.0f\n", wl->name.c_str(),
+                    run.outcome.exit_code, run.outcome.cycles);
+        std::printf("  cold=%.0f hot=%.0f btgeneric=%.0f fault=%.0f "
+                    "native=%.0f idle=%.0f\n",
+                    attr.cold_code, attr.hot_code, attr.btgeneric,
+                    attr.fault_handling, attr.native, attr.idle);
+    }
     if (options.persist) {
         const el::StatGroup &ps = store.stats;
         uint64_t hits = ps.get("persist.hits");

@@ -258,7 +258,7 @@ Machine::run(int64_t entry, uint64_t max_cycles)
         }
         const Instr &i = code_.at(ip_);
         accountInstr(i);
-        if (profiler_)
+        if (profiler_ && (i.op == IpfOp::Exit || i.op == IpfOp::Br))
             profileObserve(i);
         if (visit_log_ && i.meta.block_id != visit_last_) {
             visit_last_ = i.meta.block_id;

@@ -286,7 +286,8 @@ class Machine
     /** Panic on an intra-group RAW (MachineConfig::verify_groups). */
     void verifyGroup(const Instr &i);
 
-    /** Report a probe-instruction visit to the attached profiler. */
+    /** Report a probe-instruction visit (an Exit or Br) to the
+     *  attached profiler. */
     void profileObserve(const Instr &i);
 
     CodeCache &code_;

@@ -13,17 +13,26 @@ constexpr unsigned max_walk = 64;
 /** Canonical block decode cap, in instructions. */
 constexpr unsigned max_block_insns = 128;
 
+/** A terminator the walk continues through (no event of its own). */
+bool
+walkable(const GuestBlock &g)
+{
+    return g.kind == InsnKind::Jump || g.kind == InsnKind::CallDirect ||
+           g.kind == InsnKind::Plain;
+}
+
+/** One past the block's last byte (at least one byte long). */
+uint64_t
+blockEnd(const GuestBlock &g)
+{
+    return g.term_next > g.entry ? g.term_next : uint64_t(g.entry) + 1;
+}
+
 } // namespace
 
-const GuestBlock *
-Profiler::resolveBlock(uint32_t entry)
+GuestBlock
+Profiler::decode(uint32_t entry) const
 {
-    auto it = blocks_.find(entry);
-    if (it != blocks_.end())
-        return &it->second;
-    if (!resolver_)
-        return nullptr;
-
     GuestBlock b;
     b.entry = entry;
     uint32_t ip = entry;
@@ -40,7 +49,7 @@ Profiler::resolveBlock(uint32_t entry)
                       info.kind == InsnKind::CallDirect)
                          ? info.target
                          : 0;
-            return &blocks_.emplace(entry, b).first->second;
+            return b;
         }
         ip = info.next;
     }
@@ -50,37 +59,63 @@ Profiler::resolveBlock(uint32_t entry)
     b.term_next = ip;
     b.kind = InsnKind::Plain;
     b.next = ip;
-    return &blocks_.emplace(entry, b).first->second;
+    return b;
 }
 
-const GuestBlock *
-Profiler::walkTo(const std::function<bool(const GuestBlock &)> &matches)
+Profiler::Block *
+Profiler::find(uint32_t entry)
 {
-    if (!cursor_valid_) {
+    auto it = live_.find(entry);
+    return it == live_.end() ? nullptr : &it->second;
+}
+
+Profiler::Block *
+Profiler::resolve(uint32_t entry)
+{
+    if (Block *b = find(entry))
+        return b;
+    if (!resolver_)
+        return nullptr;
+    return &live_.emplace(entry, decode(entry)).first->second;
+}
+
+void
+Profiler::moveTo(uint32_t eip, Block *b)
+{
+    cur_ = b;
+    cur_eip_ = eip;
+    cur_valid_ = resolver_ != nullptr;
+}
+
+template <class Match>
+Profiler::Block *
+Profiler::walkTo(Match matches)
+{
+    if (!cur_valid_) {
         ++lost_events_;
         return nullptr;
     }
-    uint32_t ip = cursor_;
-    std::vector<uint32_t> visited;
-    for (unsigned i = 0; i <= max_walk; ++i) {
-        const GuestBlock *b = resolveBlock(ip);
-        if (!b)
-            break;
-        visited.push_back(b->entry);
-        if (matches(*b)) {
-            for (uint32_t e : visited)
-                ++block_execs_[e];
+    // Almost every walk is the cursor block alone; the path is kept
+    // because a walk that breaks counts nothing.
+    Block *path[max_walk + 1];
+    Block *b = cur_ ? cur_ : resolve(cur_eip_);
+    for (unsigned n = 0; b; ++n) {
+        path[n] = b;
+        if (matches(b->g)) {
+            for (unsigned k = 0; k <= n; ++k)
+                ++path[k]->execs;
             return b;
         }
         // Only statically-successored blocks can be walked through;
         // anything else would have produced its own event first.
-        if (b->kind != InsnKind::Jump &&
-            b->kind != InsnKind::CallDirect && b->kind != InsnKind::Plain)
+        if (!walkable(b->g) || n == max_walk)
             break;
-        ip = b->next;
+        if (!b->next)
+            b->next = resolve(b->g.next);
+        b = b->next;
     }
     ++walk_breaks_;
-    cursor_valid_ = false;
+    cur_valid_ = false;
     return nullptr;
 }
 
@@ -91,28 +126,38 @@ Profiler::condEvent(uint32_t site_ip, uint32_t exit_target, bool fired,
     ++events_;
     ++cond_events_;
 
-    auto it = cond_sites_.find(site_ip);
-    if (it == cond_sites_.end()) {
-        CondSite cs;
-        bool resolved = false;
-        if (resolver_) {
-            InsnInfo info = resolver_(site_ip);
-            if (info.kind == InsnKind::Cond) {
-                cs.taken_eip = info.target;
-                cs.fall_eip = info.next;
-                resolved = true;
+    Block *b = walkTo([site_ip](const GuestBlock &g) {
+        return g.kind == InsnKind::Cond && g.term_ip == site_ip;
+    });
+
+    CondSite *cs = b ? b->cond : nullptr;
+    if (!cs) {
+        auto it = cond_sites_.find(site_ip);
+        if (it == cond_sites_.end()) {
+            CondSite fresh;
+            bool resolved = false;
+            if (resolver_) {
+                InsnInfo info = resolver_(site_ip);
+                if (info.kind == InsnKind::Cond) {
+                    fresh.taken_eip = info.target;
+                    fresh.fall_eip = info.next;
+                    resolved = true;
+                }
             }
+            if (!resolved) {
+                // No resolver (unit tests): classify by fired alone,
+                // which the degenerate taken == fall rule below
+                // reduces to.
+                fresh.taken_eip = exit_target;
+                fresh.fall_eip = exit_target;
+            }
+            it = cond_sites_.emplace(site_ip, fresh).first;
         }
-        if (!resolved) {
-            // No resolver (unit tests): classify by fired alone, which
-            // the degenerate taken == fall rule below reduces to.
-            cs.taken_eip = exit_target;
-            cs.fall_eip = exit_target;
-        }
-        it = cond_sites_.emplace(site_ip, cs).first;
+        cs = &it->second;
+        if (b)
+            b->cond = cs;
     }
 
-    CondSite &cs = it->second;
     // The probe's exit target is whichever direction leaves the
     // translated path (cold: always taken; hot: the off-trace side),
     // so the architectural direction is recovered by comparing it
@@ -120,31 +165,34 @@ Profiler::condEvent(uint32_t site_ip, uint32_t exit_target, bool fired,
     // whose two successors coincide counts as taken, unconditionally —
     // the probe's fired bit is phase-dependent there.
     bool went_taken =
-        cs.taken_eip == cs.fall_eip
+        cs->taken_eip == cs->fall_eip
             ? true
-            : (fired ? exit_target == cs.taken_eip
-                     : exit_target != cs.taken_eip);
+            : (fired ? exit_target == cs->taken_eip
+                     : exit_target != cs->taken_eip);
     if (went_taken)
-        ++cs.taken;
+        ++cs->taken;
     else
-        ++cs.fall;
+        ++cs->fall;
     if (fired) {
         if (via_link)
-            ++cs.via_link;
+            ++cs->via_link;
         else
-            ++cs.via_dispatch;
+            ++cs->via_dispatch;
     }
-
-    walkTo([&](const GuestBlock &b) {
-        return b.kind == InsnKind::Cond && b.term_ip == site_ip;
-    });
 
     // The destination is known from the site itself, so the cursor
     // recovers even when the walk broke.
-    if (resolver_) {
-        cursor_ = went_taken ? cs.taken_eip : cs.fall_eip;
-        cursor_valid_ = true;
+    uint32_t dest = went_taken ? cs->taken_eip : cs->fall_eip;
+    Block *link = nullptr;
+    if (b) {
+        Block *&slot = went_taken ? b->taken : b->fall;
+        if (!slot)
+            slot = find(dest);
+        link = slot;
+        if (link)
+            __builtin_prefetch(link);
     }
+    moveTo(dest, link);
 }
 
 void
@@ -153,18 +201,27 @@ Profiler::indirectEvent(uint32_t site_ip, uint32_t target, bool hit)
     ++events_;
     ++indirect_events_;
 
-    IndirectSite &s = indirect_sites_[site_ip];
-    ++s.execs;
+    Block *b = walkTo([site_ip](const GuestBlock &g) {
+        return g.kind == InsnKind::Indirect && g.term_ip == site_ip;
+    });
+
+    IndirectSite *s = b ? b->ind : nullptr;
+    if (!s) {
+        s = &indirect_sites_[site_ip];
+        if (b)
+            b->ind = s;
+    }
+    ++s->execs;
     if (hit)
-        ++s.hits;
+        ++s->hits;
     else
-        ++s.misses;
+        ++s->misses;
 
     // Space-saving top-K: an unseen target beyond capacity replaces the
     // smallest entry and inherits its count + 1 (an upper bound on the
     // new target's true count; deterministic first-minimum tie-break).
     bool found = false;
-    for (TargetCount &tc : s.targets) {
+    for (TargetCount &tc : s->targets) {
         if (tc.target == target) {
             ++tc.count;
             found = true;
@@ -172,26 +229,21 @@ Profiler::indirectEvent(uint32_t site_ip, uint32_t target, bool hit)
         }
     }
     if (!found) {
-        if (s.targets.size() < topk) {
-            s.targets.push_back({target, 1});
+        if (s->targets.size() < topk) {
+            s->targets.push_back({target, 1});
         } else {
             size_t min_i = 0;
-            for (size_t i = 1; i < s.targets.size(); ++i)
-                if (s.targets[i].count < s.targets[min_i].count)
+            for (size_t i = 1; i < s->targets.size(); ++i)
+                if (s->targets[i].count < s->targets[min_i].count)
                     min_i = i;
-            ++s.evictions;
+            ++s->evictions;
             ++evictions_;
-            s.targets[min_i].target = target;
-            s.targets[min_i].count += 1;
+            s->targets[min_i].target = target;
+            s->targets[min_i].count += 1;
         }
     }
 
-    walkTo([&](const GuestBlock &b) {
-        return b.kind == InsnKind::Indirect && b.term_ip == site_ip;
-    });
-
-    cursor_ = target;
-    cursor_valid_ = resolver_ != nullptr;
+    moveTo(target);
 }
 
 void
@@ -200,22 +252,38 @@ Profiler::stopEvent(uint32_t key)
     ++events_;
     ++stop_events_;
 
-    walkTo([&](const GuestBlock &b) {
-        return b.kind == InsnKind::Stop &&
-               (b.term_ip == key || b.term_next == key);
+    walkTo([key](const GuestBlock &g) {
+        return g.kind == InsnKind::Stop &&
+               (g.term_ip == key || g.term_next == key);
     });
 
     // The runtime resynchronizes explicitly after servicing the stop
     // (syscall return EIP, fault delivery target, run end).
-    cursor_valid_ = false;
+    cur_valid_ = false;
 }
 
 void
 Profiler::resync(uint32_t eip)
 {
     ++resyncs_;
-    cursor_ = eip;
-    cursor_valid_ = resolver_ != nullptr;
+    if (cur_valid_) {
+        // Shape of the block the cursor is in; a never-cached one is
+        // decoded but not cached, as no walk has reached it yet.
+        Block *b = cur_ ? cur_ : find(cur_eip_);
+        GuestBlock g = b ? b->g : decode(cur_eip_);
+        if (walkable(g) && g.next == eip) {
+            // Execution left the block through its terminator (an SMC
+            // exit at the callee's head): complete the walk.
+            if (!b)
+                b = resolve(g.entry);
+            ++b->execs;
+            moveTo(eip, b->next);
+            return;
+        }
+        if (g.entry <= eip && eip < blockEnd(g))
+            return; // re-executes inside the cursor block
+    }
+    moveTo(eip);
 }
 
 void
@@ -223,17 +291,42 @@ Profiler::invalidateCode(uint32_t addr, uint32_t len)
 {
     uint64_t lo = addr;
     uint64_t hi = static_cast<uint64_t>(addr) + len;
-    for (auto it = blocks_.begin(); it != blocks_.end();) {
-        uint64_t b_lo = it->second.entry;
-        uint64_t b_hi = it->second.term_next > it->second.entry
-                            ? it->second.term_next
-                            : it->second.entry + 1;
-        if (b_lo < hi && b_hi > lo)
-            it = blocks_.erase(it);
-        else
-            ++it;
+    auto overlaps = [lo, hi](const GuestBlock &g) {
+        return g.entry < hi && blockEnd(g) > lo;
+    };
+    if (cur_valid_) {
+        Block *b = cur_ ? cur_ : find(cur_eip_);
+        if (overlaps(b ? b->g : decode(cur_eip_))) {
+            cur_ = nullptr;
+            cur_valid_ = false;
+        }
     }
-    cursor_valid_ = false;
+    for (auto it = live_.begin(); it != live_.end();) {
+        Block &b = it->second;
+        b.next = b.taken = b.fall = nullptr;
+        if (!overlaps(b.g)) {
+            ++it;
+            continue;
+        }
+        if (b.execs) {
+            BlockRow &row = retired_[it->first];
+            row.block = b.g;
+            row.execs += b.execs;
+        }
+        it = live_.erase(it);
+    }
+}
+
+std::map<uint32_t, BlockRow>
+Profiler::blocks() const
+{
+    std::map<uint32_t, BlockRow> rows = retired_;
+    for (const auto &[entry, b] : live_) {
+        BlockRow &row = rows[entry];
+        row.block = b.g;
+        row.execs += b.execs;
+    }
+    return rows;
 }
 
 StatGroup
@@ -247,8 +340,11 @@ Profiler::counters() const
     g.set("prof.walk_breaks", walk_breaks_);
     g.set("prof.lost_events", lost_events_);
     g.set("prof.resyncs", resyncs_);
-    g.set("prof.canon_blocks", blocks_.size());
-    g.set("prof.blocks_counted", block_execs_.size());
+    g.set("prof.canon_blocks", live_.size());
+    uint64_t counted = 0;
+    for (const auto &[entry, row] : blocks())
+        counted += row.execs > 0;
+    g.set("prof.blocks_counted", counted);
     g.set("prof.cond_sites", cond_sites_.size());
     g.set("prof.indirect_sites", indirect_sites_.size());
     g.set("prof.topk_evictions", evictions_);

@@ -26,9 +26,11 @@
 #ifndef EL_SUPPORT_PROFILE_HH
 #define EL_SUPPORT_PROFILE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "support/stats.hh"
@@ -80,6 +82,13 @@ struct GuestBlock
     uint32_t fall = 0;      //!< Cond: fall-through successor.
     uint32_t next = 0;      //!< Jump/CallDirect/Plain: static successor.
     uint32_t insns = 0;     //!< Decoded instruction count.
+};
+
+/** One report row: a canonical block and its completed executions. */
+struct BlockRow
+{
+    GuestBlock block;
+    uint64_t execs = 0;
 };
 
 /** Per-conditional-site edge counters. */
@@ -150,21 +159,31 @@ class Profiler
 
     // ----- control-flow resynchronization ----------------------------
 
-    /** Re-anchor the block cursor at @p eip (run entry, post-syscall,
-     *  fault delivery, interpreter fallback). */
+    /**
+     * Re-anchor the block cursor at @p eip (run entry, post-syscall,
+     * fault delivery, interpreter fallback, SMC re-execution). A
+     * resync where the cursor block continues — its static successor,
+     * which completes and counts it, or inside it — keeps the walk.
+     */
     void resync(uint32_t eip);
 
-    /** Drop cached canonical blocks overlapping [addr, addr+len)
-     *  (self-modifying code). Counters are retained. */
+    /**
+     * Drop cached canonical blocks overlapping [addr, addr+len)
+     * (self-modifying code) and every cached link. Counters are
+     * retained, and a counted block keeps its report row. The cursor
+     * is lost only when its own block overlaps the range.
+     */
     void invalidateCode(uint32_t addr, uint32_t len);
 
     // ----- results ----------------------------------------------------
 
-    /** Completed architectural executions per canonical block entry. */
-    const std::map<uint32_t, uint64_t> &blockExecs() const
-    {
-        return block_execs_;
-    }
+    /**
+     * One row per canonical block entry, in entry order: every live
+     * cached block, plus each counted block that code invalidation
+     * dropped (with its last counted shape). `execs` sums every
+     * incarnation of the entry. Built on each call.
+     */
+    std::map<uint32_t, BlockRow> blocks() const;
 
     const std::map<uint32_t, CondSite> &condSites() const
     {
@@ -176,11 +195,6 @@ class Profiler
         return indirect_sites_;
     }
 
-    const std::map<uint32_t, GuestBlock> &blocks() const
-    {
-        return blocks_;
-    }
-
     /** Internal health/summary counters, prefixed "prof.". */
     StatGroup counters() const;
 
@@ -189,28 +203,62 @@ class Profiler
     uint64_t eventCount() const { return events_; }
 
   private:
-    /** Resolve (and cache) the canonical block entered at @p entry. */
-    const GuestBlock *resolveBlock(uint32_t entry);
+    /**
+     * One live canonical block of the hash index. The pointers are
+     * caches, filled on first use; invalidateCode() is the only place
+     * that drops the links, so between invalidations a probe is a few
+     * pointer hops. Once the links are cached, everything a probe
+     * reads of the block lies in its first cache line: the counter,
+     * the links, the sites and the terminator.
+     */
+    struct alignas(64) Block
+    {
+        explicit Block(const GuestBlock &b) : g(b) {}
+
+        uint64_t execs = 0;          //!< Completed executions.
+        Block *next = nullptr;       //!< Static successor (g.next).
+        Block *taken = nullptr;      //!< Cond: the site's taken block.
+        Block *fall = nullptr;       //!< Cond: its fall-through block.
+        CondSite *cond = nullptr;    //!< Cond: its terminator's site.
+        IndirectSite *ind = nullptr; //!< Indirect: likewise.
+        GuestBlock g;
+    };
+    static_assert(offsetof(Block, g) + offsetof(GuestBlock, kind) < 64,
+                  "a probe's reads must stay in the block's first line");
+
+    /** Decode the canonical block entered at @p entry (needs the
+     *  resolver). */
+    GuestBlock decode(uint32_t entry) const;
+
+    /** The live block at @p entry, or null. Never decodes. */
+    Block *find(uint32_t entry);
+
+    /** The live block at @p entry, decoded and cached on first use;
+     *  null without a resolver. */
+    Block *resolve(uint32_t entry);
+
+    /** Point the cursor at the block entered at @p eip. */
+    void moveTo(uint32_t eip, Block *b = nullptr);
 
     /**
      * Walk from the cursor through static successors until @p matches
      * accepts a block; on success count every visited block as one
      * completed execution and return the matched block. On failure
      * (resolver missing, walk bound, or a non-walkable terminator
-     * first) count nothing and return null.
+     * first) count nothing, lose the cursor and return null.
      */
-    const GuestBlock *walkTo(
-        const std::function<bool(const GuestBlock &)> &matches);
+    template <class Match> Block *walkTo(Match matches);
 
     InsnResolver resolver_;
 
-    std::map<uint32_t, GuestBlock> blocks_; //!< Canonical block cache.
-    std::map<uint32_t, uint64_t> block_execs_;
+    std::unordered_map<uint32_t, Block> live_; //!< Canonical block cache.
+    std::map<uint32_t, BlockRow> retired_;     //!< Invalidated, counted.
     std::map<uint32_t, CondSite> cond_sites_;
     std::map<uint32_t, IndirectSite> indirect_sites_;
 
-    uint32_t cursor_ = 0;       //!< Entry of the block being executed.
-    bool cursor_valid_ = false;
+    Block *cur_ = nullptr; //!< Block being executed; null = not cached.
+    uint32_t cur_eip_ = 0; //!< Its entry.
+    bool cur_valid_ = false;
 
     uint64_t events_ = 0;
     uint64_t cond_events_ = 0;

@@ -38,19 +38,32 @@ namespace
 
 namespace fs = std::filesystem;
 
-/** Run el_run with @p args, from @p cwd when it is not empty. */
+/**
+ * Run el_run with @p args, from @p cwd when it is not empty. With
+ * @p out (which needs a @p cwd), its stdout is kept there in
+ * stdout.txt and returned in *out.
+ */
 int
-runCli(const std::string &args, const std::string &cwd = "")
+runCli(const std::string &args, const std::string &cwd = "",
+       std::string *out = nullptr)
 {
     const char *bin = std::getenv("EL_RUN_BIN");
     EXPECT_NE(bin, nullptr)
         << "EL_RUN_BIN must point at the el_run binary";
     if (!bin)
         return -1;
-    std::string cmd = std::string(bin) + " " + args + " > /dev/null 2>&1";
+    std::string cmd = std::string(bin) + " " + args +
+                      (out ? " > stdout.txt 2> /dev/null"
+                           : " > /dev/null 2>&1");
     if (!cwd.empty())
         cmd = "cd '" + cwd + "' && " + cmd;
     int rc = std::system(cmd.c_str());
+    if (out) {
+        std::ifstream f(fs::path(cwd) / "stdout.txt");
+        std::ostringstream ss;
+        ss << f.rdbuf();
+        *out = ss.str();
+    }
     if (rc < 0 || !WIFEXITED(rc))
         return -1;
     return WEXITSTATUS(rc);
@@ -161,9 +174,15 @@ TEST(CliExitCodes, UnhandledGuestFaultIsTen)
 TEST(CliExitCodes, TranslatorInternalErrorIsTwenty)
 {
     // Injected BTOS allocation failure on every attempt: the runtime
-    // cannot initialize. That is our failure, not the guest's.
-    EXPECT_EQ(runCli("--workload=jit_rewriter --fault=btos_alloc:1024"),
+    // cannot initialize. That is our failure, not the guest's. No
+    // machine ran, so the summary names the init error instead of an
+    // exit code and a cycle count.
+    std::string out;
+    EXPECT_EQ(runCli("--workload=jit_rewriter --fault=btos_alloc:1024",
+                     freshDir("internal_init"), &out),
               20);
+    EXPECT_EQ(out.find("cycles="), std::string::npos) << out;
+    EXPECT_NE(out.find("init failed"), std::string::npos) << out;
     // Likewise with the artifact store and the sentinel attached: their
     // summary lines must not reach for a translator that never existed.
     std::string dir = freshDir("internal_attached");

@@ -112,9 +112,10 @@ std::string
 archProfSignature(const prof::Profiler &p)
 {
     std::string s;
-    for (const auto &[entry, execs] : p.blockExecs())
-        s += strfmt("B %08x %llu\n", entry,
-                    static_cast<unsigned long long>(execs));
+    for (const auto &[entry, row] : p.blocks())
+        if (row.execs)
+            s += strfmt("B %08x %llu\n", entry,
+                        static_cast<unsigned long long>(row.execs));
     for (const auto &[ip, cs] : p.condSites())
         s += strfmt("C %08x %llu %llu\n", ip,
                     static_cast<unsigned long long>(cs.taken),
