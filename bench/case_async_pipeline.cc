@@ -4,12 +4,15 @@
  *
  * The seed translator runs hot optimization sessions synchronously:
  * the guest stalls for the whole session (hot_xlate_cost_per_insn is
- * ~20x the cold rate). The pipeline moves sessions onto worker threads
- * and the guest pays only the snapshot/enqueue cost plus the final
- * publication cost, while cold code keeps executing. This bench sweeps
- * Options::translation_threads on the gzip and bzip2 stream
- * personalities and reports guest-attributed hot-translation stall —
- * the acceptance bar is a >= 50% stall reduction at four workers.
+ * ~20x the cold rate). The pipeline charges each session's cycles to a
+ * simulated worker instead (the session itself runs on the runtime's
+ * thread when it is queued, and is adopted at its planned ready
+ * cycle), so the guest pays only the snapshot/enqueue cost plus the
+ * final publication cost, while cold code keeps executing. This bench
+ * sweeps the worker count, Options::translation_threads, on the gzip
+ * and bzip2 stream personalities and reports guest-attributed
+ * hot-translation stall — the acceptance bar is a >= 50% stall
+ * reduction at four workers.
  */
 
 #include "bench/bench_common.hh"
@@ -114,7 +117,7 @@ main(int argc, char **argv)
     std::printf("Interpretation: workers absorb the optimization "
                 "sessions, so guest-visible\nstall shrinks to "
                 "enqueue + publication; architectural results are "
-                "bit-exact\nacross every thread count (enforced by "
+                "bit-exact\nacross every worker count (enforced by "
                 "tests/async_pipeline_test.cc).\n");
     return 0;
 }

@@ -13,9 +13,9 @@
  *
  * Two entry points with different safety envelopes:
  *
- *  - `auditClosure()` reads only the machine (main-thread state) and
- *    is safe at any dispatch/adoption boundary — this is what
- *    `el_run --audit` runs periodically during execution.
+ *  - `auditClosure()` reads only the machine and is safe at any
+ *    dispatch/adoption boundary — this is what `el_run --audit` runs
+ *    periodically during execution.
  *
  *  - `auditRun()` additionally walks the flight recorder, the
  *    provenance ledger and the serialized schemas. A session still in

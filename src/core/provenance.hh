@@ -88,7 +88,7 @@ struct ProvEvent
 /** Lifecycle events the runtime's ledger keeps per guest entry point. */
 constexpr size_t prov_events_per_eip = 32;
 
-/** The ledger. Owned by the runtime; main-thread only. */
+/** The ledger. Owned by the runtime. */
 class ProvenanceLedger
 {
   public:

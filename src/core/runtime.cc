@@ -100,9 +100,9 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
     obs_.clock = [this] { return machine_->totalCycles(); };
     FaultInjector *fi = inject_scope_.get();
     if (fi && obs_.attached()) {
-        // Main-thread fires only, from the runtime-area allocation
-        // below on; a worker's injected session abort is recorded by
-        // recordSession() with the session's planned simulated
+        // Primary-stream fires only, from the runtime-area allocation
+        // below on; a pipelined session's injected abort is recorded
+        // by recordSession() with the session's planned simulated
         // timeline.
         fi->setFireListener([this, fi](FaultSite site) {
             obs_.recordNow(trace::Kind::FaultInject,
@@ -220,7 +220,7 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
         });
         m->gauge("worker_inflight", [this] {
             return hot_pipeline_
-                       ? static_cast<double>(hot_pipeline_->inFlight())
+                       ? static_cast<double>(hot_pipeline_->pending().size())
                        : 0.0;
         });
         m->gauge("flight_dropped", [this] {
@@ -606,20 +606,19 @@ Runtime::enqueueHot(BlockInfo *cand, const SpecContext &spec)
     if (cand->hot_queued || cand->hot_inflight)
         return; // already queued, or a session is already in flight
 
-    HotCandidate c;
-    c.cold_block_id = cand->id;
-    c.generation = cache_.generation();
-    if (!translator_->prepareHotInput(cand->entry_eip, spec,
-                                      &c.input)) {
+    uint64_t generation = cache_.generation();
+    HotSessionInput input;
+    if (!translator_->prepareHotInput(cand->entry_eip, spec, &input)) {
         // No viable trace — same bounded-retry treatment as a failed
         // synchronous session.
         noteHotFailure(cand);
         return;
     }
 
-    double session_cost = translator_->hotSessionCost(c.input);
-    // The guest only stalls for the snapshot + enqueue; the session
-    // itself runs on a worker. This is the stall the pipeline removes.
+    double session_cost = translator_->hotSessionCost(input);
+    // The guest only stalls for the snapshot + enqueue; the session's
+    // cycles go to a simulated worker. This is the stall the pipeline
+    // removes.
     translator_->chargeHotStall(hot_enqueue_cost);
 
     // Silence the use counter while the session is in flight: it exits
@@ -636,15 +635,13 @@ Runtime::enqueueHot(BlockInfo *cand, const SpecContext &spec)
     translator_->disableHeat(cand);
     translator_->unlinkBlockExits(cand);
 
-    int32_t cand_id = cand->id;
-    uint32_t cand_eip = cand->entry_eip;
     double now = machine_->totalCycles();
-    uint64_t seq = hot_pipeline_->enqueue(std::move(c), now,
-                                          session_cost);
+    uint64_t seq = hot_pipeline_->enqueue(input, cand->id, generation,
+                                          now, session_cost);
     stats_.add("hot.enqueued");
     obs_.record({trace::Kind::HotEnqueue, 0, now, hot_enqueue_cost,
-                 cand_eip, static_cast<int64_t>(seq), 0, cand_id},
-                {{ProvState::HotQueued, ProvCause::Heat, cand_id}});
+                 cand->entry_eip, static_cast<int64_t>(seq), 0, cand->id},
+                {{ProvState::HotQueued, ProvCause::Heat, cand->id}});
 }
 
 void
@@ -654,8 +651,8 @@ Runtime::recordSession(const HotArtifact &art)
         return; // quiesce() already recorded it
     sessions_recorded_ = art.seq + 1;
     // Worker-lane events carry the *planned* simulated times from the
-    // candidate, never the machine's cycle counter: the plan is what
-    // makes the stream replayable across thread counts.
+    // artifact, never the machine's cycle counter: the plan is what
+    // keeps the guest lane's events in place across worker counts.
     uint32_t lane = 1 + art.worker_slot;
     int64_t seq = static_cast<int64_t>(art.seq);
     if (art.injected_abort)
@@ -670,14 +667,14 @@ void
 Runtime::quiesce()
 {
     if (hot_pipeline_)
-        hot_pipeline_->quiesce(
-            [this](const HotArtifact &art) { recordSession(art); });
+        for (const HotArtifact &art : hot_pipeline_->pending())
+            recordSession(art);
 }
 
 void
 Runtime::adoptHotResults()
 {
-    if (!hot_pipeline_ || hot_pipeline_->inFlight() == 0)
+    if (!hot_pipeline_ || hot_pipeline_->pending().empty())
         return;
     std::vector<HotArtifact> arts =
         hot_pipeline_->drain(machine_->totalCycles());
@@ -863,7 +860,6 @@ Runtime::replayMatches(RegionEnd kind, const ia32::State &mstate,
     ia32::State s = ck_state_;
     ia32::Interpreter interp(s, mem_);
     bool matched = false;
-    const uint64_t budget = sentinel_->config().replay_budget;
     // EFlags elimination leaves architecturally-dead flags
     // unmaterialized at region boundaries; the oracle computes every
     // flag exactly. Comparing them would flag every eliminated flag as
@@ -885,7 +881,7 @@ Runtime::replayMatches(RegionEnd kind, const ia32::State &mstate,
             matched = true;
             break;
         }
-        if (n >= budget)
+        if (n >= sentinel::replay_budget)
             break; // budget exhausted without a match: divergence
         ia32::StepResult rs = interp.step();
         if (rs.kind == ia32::StepKind::Ok)

@@ -108,11 +108,10 @@ class Runtime
     }
 
     /**
-     * Wait (wall-clock only) for in-flight pipeline sessions to land and
-     * record the worker-lane events of those not yet adopted, so the
-     * event stream is complete. Call after run() before snapshotting
-     * the recorder (runReportJson() calls it); calling it again
-     * records nothing twice.
+     * Record the worker-lane events of pipelined sessions not yet
+     * adopted, so the event stream is complete. Call after run()
+     * before snapshotting the recorder (runReportJson() calls it);
+     * calling it again records nothing twice.
      */
     void quiesce();
 
@@ -146,9 +145,10 @@ class Runtime
     void registerHot(int32_t block_id);
 
     /**
-     * Snapshot a hot candidate and hand it to the pipeline workers.
-     * The block's use counter is silenced while the session is in
-     * flight and re-armed if the session fails or is discarded.
+     * Snapshot a hot candidate and hand it to the pipeline, which runs
+     * the session on a simulated worker. The block's use counter is
+     * silenced while the session is in flight and re-armed if the
+     * session fails or is discarded.
      */
     void enqueueHot(BlockInfo *cand, const SpecContext &spec);
 
@@ -236,6 +236,8 @@ class Runtime
     ipf::CodeCache cache_;
     std::unique_ptr<ipf::Machine> machine_;
     std::unique_ptr<Translator> translator_;
+    std::unique_ptr<HotPipeline> hot_pipeline_; //!< Null: sessions
+                                                //!< run inline.
     uint64_t rt_base_ = 0;
     std::string init_error_; //!< initError().
     StatGroup stats_;
@@ -265,11 +267,6 @@ class Runtime
     static constexpr size_t sentinel_visit_capacity = 128;
     BoundedRing<int32_t> visit_log_{sentinel_visit_capacity,
                                     RingPolicy::DropNewest};
-
-    // Declared last on purpose: destruction joins the worker threads
-    // before anything they reference (options_, the fault injector
-    // owned by inject_scope_) is torn down.
-    std::unique_ptr<HotPipeline> hot_pipeline_;
 };
 
 } // namespace el::core

@@ -767,10 +767,10 @@ Translator::prepareHotInput(uint32_t entry_eip, const SpecContext &spec,
     out->covered_eips.clear();
     out->smc_guards.clear();
 
-    // Freeze the per-source-block misalignment policy (stage 3): the
-    // session must not read misaligned_, which the main thread keeps
-    // mutating while workers run. Once any misalignment was seen,
-    // blocks without one of their own still detect it and exit.
+    // Freeze the per-source-block misalignment policy (stage 3) into
+    // the input: the static session reads only its input, so it cannot
+    // consult misaligned_. Once any misalignment was seen, blocks
+    // without one of their own still detect it and exit.
     for (size_t ti = 0; ti < trace.size(); ++ti) {
         const BasicBlock *bb = trace[ti];
         out->trace.push_back(*bb);
@@ -787,8 +787,8 @@ Translator::prepareHotInput(uint32_t entry_eip, const SpecContext &spec,
         // A constituent block on a writable page needs its SMC guard
         // carried into the hot trace, or a guest patch to the inlined
         // code would execute stale translations forever. The byte
-        // snapshot happens here, on the main thread, so worker sessions
-        // never race guest stores.
+        // snapshot happens here, at freeze time, so a session never
+        // reads live guest memory.
         if (mem_.check(bb->start, 1, mem::PermWrite)) {
             bool dup = false;
             for (const auto &[addr, bytes] : out->smc_guards)
@@ -987,9 +987,9 @@ Translator::commitHotArtifact(HotArtifact &art)
                         {{ProvState::Discarded, cause, art.cold_block_id}});
     };
     if (!art.from_store) {
-        // The session itself ran on a worker (or inline); stamp it at
-        // its planned completion time so the timeline is identical
-        // across translation_threads.
+        // The session itself ran on a simulated worker (or inline);
+        // stamp it at its planned completion time so the timeline is
+        // identical across translation_threads.
         double ts = art.ready_cycles > 0 ? art.ready_cycles : obs_->now();
         obs_->record({Kind::Provenance, 0, ts, 0, prov_eip},
                      {{ProvState::Session,
@@ -1095,8 +1095,8 @@ Translator::commitHotArtifact(HotArtifact &art)
     }
     // Session-side counters (sched.*, fxch.eliminated,
     // xlate.hot_trace_blocks, hot.loopback_edges) were accumulated into
-    // the artifact's private group on the worker; fold them in here, on
-    // the main thread, so the shared group is never written by workers.
+    // the artifact's private group by the session; fold them in here,
+    // at adoption, so the shared group counts only adopted sessions.
     stats.merge(art.stats);
 
     hot_map_[info->entry_eip].push_back({art.spec, info});

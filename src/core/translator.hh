@@ -59,7 +59,8 @@ class Translator
      * heating threshold). Returns null if hot translation fails or is
      * unprofitable; the cold block then remains in use. Synchronous:
      * prepare + session + commit inline (the translation_threads == 0
-     * path; the pipeline splits the same three steps across threads).
+     * path; the pipeline charges the session to a simulated worker and
+     * commits it when guest time reaches its ready cycle).
      */
     BlockInfo *translateHot(uint32_t entry_eip, const SpecContext &spec);
 
@@ -68,21 +69,21 @@ class Translator
     /**
      * Snapshot everything a hot session needs (region discovery, trace
      * selection from the current profile counters, per-block
-     * misalignment policies, the unroll decision) into @p out. Main
-     * thread only. Returns false when no viable trace exists at
-     * @p entry_eip (the caller treats this like a failed session).
+     * misalignment policies, the unroll decision) into @p out.
+     * Returns false when no viable trace exists at @p entry_eip (the
+     * caller treats this like a failed session).
      */
     bool prepareHotInput(uint32_t entry_eip, const SpecContext &spec,
                          HotSessionInput *out);
 
     /**
      * Run one hot emission + scheduling session against a frozen
-     * input, into the artifact's private staging cache. Static and
-     * re-entrant: builds its own EmitEnv, touches no translator state,
-     * and may run on any pipeline worker concurrently with translation
-     * and guest execution. @p faults is the caller's injection stream
-     * (null = no injection); workers pass a per-candidate FaultStream
-     * so injection stays deterministic across thread counts.
+     * input, into the artifact's private staging cache. Static: builds
+     * its own EmitEnv and touches no translator state, so the pipeline
+     * and perfbench's session replay can run it apart from any
+     * translator. @p faults is the caller's injection stream (null =
+     * no injection); the pipeline passes a per-session FaultStream so
+     * injection stays deterministic across worker counts.
      */
     static void runHotSession(const HotSessionInput &input,
                               const Options &options,
@@ -207,8 +208,8 @@ class Translator
 
     /**
      * Attach the run's lifecycle hook (its sinks and simulated clock;
-     * core/observer.hh). The Runtime owns @p obs. Main-thread only —
-     * the static session path never records.
+     * core/observer.hh). The Runtime owns @p obs. The static session
+     * path never records.
      */
     void setObserver(const Observer *obs) { obs_ = obs; }
 
@@ -272,12 +273,12 @@ class Translator
                                  bool allow_flush_retry);
 
     /** Translate the final control transfer of a block/trace. Pure
-     *  function of its arguments (safe on pipeline workers). */
+     *  function of its arguments. */
     static void emitBlockEnd(EmitEnv &env, const BasicBlock &bb,
                              BlockInfo *info, bool trace_mode);
 
     /** Scheduling counters produced by finishInto (merged into the
-     *  shared StatGroup on the main thread only). */
+     *  shared StatGroup by the caller). */
     struct SchedTally
     {
         uint32_t groups = 0;
@@ -289,8 +290,8 @@ class Translator
     /**
      * Finish a translation into @p cache: concatenate head+body,
      * schedule, fill BlockInfo cache placement / recovery / stubs.
-     * Static and re-entrant — hot sessions call it against their
-     * private staging cache from worker threads.
+     * Static: hot sessions call it against their private staging
+     * cache.
      */
     static bool finishInto(EmitEnv &env, BlockInfo *info,
                            ipf::CodeCache &cache, const Options &options,

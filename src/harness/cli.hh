@@ -14,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/options.hh"
 #include "guest/workloads.hh"
 #include "support/faultinject.hh"
 
@@ -24,7 +25,7 @@ namespace el::harness
  * Parse @p text as an unsigned @p T: decimal, or hex after "0x". Signs,
  * spaces, trailing characters and values that overflow @p T are
  * rejected, so "--threads=-1" is a usage error instead of four billion
- * worker threads.
+ * workers.
  */
 template <typename T>
 bool
@@ -41,6 +42,18 @@ parseNumber(const char *text, T *out)
     if (s.empty() || ec != std::errc() || end != s.data() + s.size())
         return false;
     *out = v;
+    return true;
+}
+
+/** Parse a `--threads=` worker count: a number no larger than
+ *  core::max_translation_threads. */
+inline bool
+parseThreads(const char *text, uint32_t *out)
+{
+    uint32_t n = 0;
+    if (!parseNumber(text, &n) || n > core::max_translation_threads)
+        return false;
+    *out = n;
     return true;
 }
 

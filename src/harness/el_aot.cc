@@ -55,14 +55,16 @@ usage()
         "  --list                 list known workloads and exit\n"
         "  --heat-threshold=<n>   discovery aggressiveness (default 4:\n"
         "                         nearly everything heats)\n"
-        "  --threads=<n>          discovery worker threads (default 0)\n"
+        "  --threads=<n>          simulated discovery workers\n"
+        "                         (0-%u, default 0)\n"
         "  --fault=<site>:<p>     inject faults into the DISCOVERY run\n"
         "                         (validation always runs clean; used\n"
         "                         to prove miscompiled artifacts are\n"
         "                         rejected, see CI)\n"
         "  --fault-seed=<n>       fault-injection PRNG seed\n"
         "  --log-level=<l>        err|warn|info|debug (EL_LOG env\n"
-        "                         var is the fallback)\n");
+        "                         var is the fallback)\n",
+        core::max_translation_threads);
 }
 
 } // namespace
@@ -96,7 +98,7 @@ main(int argc, char **argv)
         } else if (const char *v = value("--heat-threshold=")) {
             ok = harness::parseNumber(v, &heat_threshold);
         } else if (const char *v = value("--threads=")) {
-            ok = harness::parseNumber(v, &threads);
+            ok = harness::parseThreads(v, &threads);
         } else if (const char *v = value("--fault=")) {
             ok = harness::parseFaultSpec(v, &fault);
         } else if (const char *v = value("--fault-seed=")) {

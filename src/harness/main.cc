@@ -73,7 +73,11 @@ usage()
         "usage: el_run [options]\n"
         "  --workload=<name>      personality to run (default: gzip)\n"
         "  --list                 list known workloads and exit\n"
-        "  --threads=<n>          hot-translation worker threads\n"
+        "  --threads=<n>          simulated hot-translation workers\n"
+        "                         (0-%u; default 0 = inline sessions);\n"
+        "                         a session's cycles go to a worker and\n"
+        "                         its result is adopted once guest time\n"
+        "                         reaches the session's ready cycle\n"
         "  --heat-threshold=<n>   block-use count registering hot\n"
         "  --hot-batch=<n>        candidates batched per session\n"
         "  --cache-capacity=<n>   bound the code cache (0 = unbounded)\n"
@@ -139,7 +143,8 @@ usage()
         "  --flight-ring=<n>      flight ring capacity in events\n"
         "                         (default 1024)\n"
         "  --log-level=<l>        err|warn|info|debug (default warn;\n"
-        "                         EL_LOG env var is the fallback)\n");
+        "                         EL_LOG env var is the fallback)\n",
+        core::max_translation_threads);
 }
 
 /**
@@ -222,7 +227,7 @@ main(int argc, char **argv)
         } else if (arg == "--list") {
             list = true;
         } else if (const char *v = value("--threads=")) {
-            ok = harness::parseNumber(v, &options.translation_threads);
+            ok = harness::parseThreads(v, &options.translation_threads);
         } else if (const char *v = value("--heat-threshold=")) {
             ok = harness::parseNumber(v, &options.heat_threshold);
         } else if (const char *v = value("--hot-batch=")) {

@@ -36,9 +36,8 @@
  *    against live guest memory at adoption time, so a guest that
  *    patched its code never resurrects a stale trace.
  *
- * Threading: the store is main-thread-only, like the translator's
- * block maps. Pipeline workers never see it; recording happens at the
- * (main-thread) commit point.
+ * A hot session never sees the store: recording happens at the
+ * commit point, where the runtime adopts the session's artifact.
  */
 
 #ifndef EL_PERSIST_STORE_HH

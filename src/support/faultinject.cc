@@ -60,16 +60,16 @@ crashNow(FaultSite site)
 bool
 FaultInjector::shouldFire(FaultSite site)
 {
-    total_consults_.fetch_add(1);
+    ++total_consults_;
     uint16_t p = cfg_.prob[static_cast<std::size_t>(site)];
     if (!p)
         return false;
-    if (cfg_.max_fires && total_fires_.load() >= cfg_.max_fires)
+    if (cfg_.max_fires && total_fires_ >= cfg_.max_fires)
         return false;
     if (rng_.range(1024) >= p)
         return false;
-    fires_[static_cast<std::size_t>(site)].fetch_add(1);
-    total_fires_.fetch_add(1);
+    ++fires_[static_cast<std::size_t>(site)];
+    ++total_fires_;
     if (listener_)
         listener_(site);
     return true;
@@ -78,18 +78,10 @@ FaultInjector::shouldFire(FaultSite site)
 bool
 FaultInjector::recordStreamFire(FaultSite site)
 {
-    if (cfg_.max_fires) {
-        // Reserve one unit of budget atomically; over-reservations are
-        // rolled back so the final count never exceeds the cap.
-        uint64_t prev = total_fires_.fetch_add(1);
-        if (prev >= cfg_.max_fires) {
-            total_fires_.fetch_sub(1);
-            return false;
-        }
-    } else {
-        total_fires_.fetch_add(1);
-    }
-    fires_[static_cast<std::size_t>(site)].fetch_add(1);
+    if (cfg_.max_fires && total_fires_ >= cfg_.max_fires)
+        return false;
+    ++fires_[static_cast<std::size_t>(site)];
+    ++total_fires_;
     return true;
 }
 

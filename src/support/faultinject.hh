@@ -21,7 +21,6 @@
 #define EL_SUPPORT_FAULTINJECT_HH
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -123,14 +122,13 @@ struct FaultConfig
 /**
  * Seeded, deterministic fault injector with per-site fire accounting.
  *
- * The main translation thread consults it through shouldFire(), which
- * advances the injector's primary PRNG stream. Pipeline workers must
- * not touch that stream (its consumption order would then depend on
- * thread scheduling); they derive an independent FaultStream keyed by
- * the work item's sequence number instead, so worker-side injection is
- * reproducible regardless of worker count or scheduling. Accounting
- * (fires, consults, the max_fires budget) is atomic and shared across
- * all streams.
+ * The translator and runtime consult it through shouldFire(), which
+ * advances the injector's primary PRNG stream. A pipelined hot session
+ * does not touch that stream (its consumption order would then depend
+ * on the worker count); it derives an independent FaultStream keyed by
+ * the session's sequence number instead, so its dice rolls are the
+ * same whatever the worker count. Accounting (fires, consults, the
+ * max_fires budget) is shared by all streams.
  */
 class FaultInjector
 {
@@ -139,31 +137,16 @@ class FaultInjector
         : cfg_(cfg), rng_(cfg.seed ? cfg.seed : 1)
     {}
 
-    FaultInjector(const FaultInjector &o) { *this = o; }
-    FaultInjector &
-    operator=(const FaultInjector &o)
-    {
-        cfg_ = o.cfg_;
-        rng_ = o.rng_;
-        listener_ = o.listener_;
-        for (std::size_t i = 0; i < num_fault_sites; ++i)
-            fires_[i].store(o.fires_[i].load());
-        total_fires_.store(o.total_fires_.load());
-        total_consults_.store(o.total_consults_.load());
-        return *this;
-    }
-
-    /** Roll the dice for @p site; true means the caller must fail.
-     *  Main-thread only (advances the primary PRNG stream). */
+    /** Roll the dice for @p site on the primary stream; true means the
+     *  caller must fail. */
     bool shouldFire(FaultSite site);
 
     /**
-     * Observer invoked on every main-thread fire (shouldFire() only —
-     * worker-side FaultStream fires are not funneled through it, since
-     * the listener is not required to be thread-safe; the runtime
-     * records those when it takes the session's artifact, with the
-     * session's simulated timeline). The observability layer uses this
-     * to trace every injected fault.
+     * Observer invoked on every primary-stream fire (shouldFire()
+     * only: the runtime records a pipelined session's FaultStream
+     * fires when it takes the session's artifact, with the session's
+     * simulated timeline). The observability layer uses this to trace
+     * every injected fault.
      */
     void
     setFireListener(std::function<void(FaultSite)> listener)
@@ -174,7 +157,7 @@ class FaultInjector
     /** Deterministic uniform pick in [0, n); used for storm kinds. */
     uint64_t pick(uint64_t n) { return rng_.range(n); }
 
-    /** Seed for the derived PRNG stream @p stream_id (thread-safe). */
+    /** Seed for the derived PRNG stream @p stream_id. */
     uint64_t
     streamSeed(uint64_t stream_id) const
     {
@@ -187,41 +170,39 @@ class FaultInjector
     }
 
     /**
-     * Record one consult + (maybe) one fire from a derived stream.
-     * Returns false when the shared max_fires budget is exhausted (the
-     * caller then must NOT fail). Thread-safe.
+     * Record one fire from a derived stream. Returns false when the
+     * shared max_fires budget is exhausted (the caller then must NOT
+     * fail).
      */
     bool recordStreamFire(FaultSite site);
-    void recordStreamConsult() { total_consults_.fetch_add(1); }
+    void recordStreamConsult() { ++total_consults_; }
 
     uint64_t
     fires(FaultSite site) const
     {
-        return fires_[static_cast<std::size_t>(site)].load();
+        return fires_[static_cast<std::size_t>(site)];
     }
 
-    uint64_t totalFires() const { return total_fires_.load(); }
-    uint64_t totalConsults() const { return total_consults_.load(); }
+    uint64_t totalFires() const { return total_fires_; }
+    uint64_t totalConsults() const { return total_consults_; }
     const FaultConfig &config() const { return cfg_; }
 
   private:
     FaultConfig cfg_;
     Rng rng_;
-    std::function<void(FaultSite)> listener_; //!< Main-thread fires only.
-    std::array<std::atomic<uint64_t>, num_fault_sites> fires_{};
-    std::atomic<uint64_t> total_fires_{0};
-    std::atomic<uint64_t> total_consults_{0};
+    std::function<void(FaultSite)> listener_; //!< Primary-stream fires.
+    std::array<uint64_t, num_fault_sites> fires_{};
+    uint64_t total_fires_ = 0;
+    uint64_t total_consults_ = 0;
 };
 
 /**
  * An independent, deterministic injection stream derived from a parent
- * injector. Used by pipeline workers: the stream id is the work item's
- * sequence number, so the dice rolls for one hot-translation session
- * are a pure function of (config seed, candidate sequence), never of
- * which worker ran it or when. Fires are accounted into the parent
- * atomically and honor the shared max_fires budget (budget exhaustion
- * order across concurrent streams is the one wall-clock-dependent
- * aspect; probabilities of 0 or 1024 are exactly reproducible).
+ * injector. Used by pipelined hot sessions: the stream id is the
+ * session's sequence number, so its dice rolls are a pure function of
+ * (config seed, sequence number), never of which simulated worker ran
+ * it. Fires are accounted into the parent and honor the shared
+ * max_fires budget, which all streams spend in enqueue order.
  */
 class FaultStream
 {
@@ -232,7 +213,7 @@ class FaultStream
           rng_(parent ? parent->streamSeed(stream_id) : 0)
     {}
 
-    /** Roll this stream's dice for @p site (thread-safe). */
+    /** Roll this stream's dice for @p site. */
     bool
     shouldFire(FaultSite site)
     {

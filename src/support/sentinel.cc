@@ -19,15 +19,8 @@ healthName(Health h)
 
 Sentinel::Sentinel(Config cfg)
     : cfg_(cfg),
-      divergence_log_(cfg.divergence_log_capacity
-                          ? cfg.divergence_log_capacity
-                          : 1,
-                      RingPolicy::DropNewest)
+      divergence_log_(divergence_log_capacity, RingPolicy::DropNewest)
 {
-    if (cfg_.replay_budget == 0)
-        cfg_.replay_budget = 1;
-    if (cfg_.quarantine_cooldown == 0)
-        cfg_.quarantine_cooldown = 1;
 }
 
 bool
@@ -48,11 +41,11 @@ Sentinel::noteDivergence(uint32_t entry_eip)
     Health before = r.state;
     bool was_pinned = r.pinned;
     r.state = Health::Quarantined;
-    if (r.retries >= cfg_.retranslate_limit) {
+    if (r.retries >= retranslate_limit) {
         r.pinned = true;
         r.cooldown_left = 0;
     } else {
-        r.cooldown_left = cfg_.quarantine_cooldown;
+        r.cooldown_left = quarantine_cooldown;
     }
     notifyShift(entry_eip, before, was_pinned, r);
 }

@@ -85,21 +85,25 @@ struct DivergenceInfo
     uint64_t region_index = 0;   //!< Which region (sampling counter).
 };
 
-/** Sentinel tunables. All deterministic; no time, no randomness. */
+// The sentinel's fixed limits. All deterministic; no time, no
+// randomness.
+constexpr uint64_t replay_budget = 1u << 20; //!< Interpreter steps
+                                  //!< allowed per replay before the
+                                  //!< region is declared divergent.
+constexpr uint32_t retranslate_limit = 3; //!< Quarantine->retranslate
+                                  //!< cycles before the EIP is pinned
+                                  //!< to the interpreter.
+constexpr uint64_t quarantine_cooldown = 8; //!< Dispatches served under
+                                  //!< the interpreter per quarantine.
+constexpr size_t divergence_log_capacity = 32; //!< Retained
+                                  //!< DivergenceInfo.
+
+/** Sentinel tunables. */
 struct Config
 {
     uint32_t selfcheck_rate = 0;  //!< Shadow-check every Nth region;
                                   //!< 0 disables shadow execution
                                   //!< (the ledger still runs).
-    uint64_t replay_budget = 1u << 20; //!< Interpreter steps allowed
-                                  //!< per replay before the region is
-                                  //!< declared divergent.
-    uint32_t retranslate_limit = 3; //!< Quarantine->retranslate cycles
-                                    //!< before the EIP is pinned to
-                                    //!< the interpreter.
-    uint64_t quarantine_cooldown = 8; //!< Dispatches served under the
-                                      //!< interpreter per quarantine.
-    size_t divergence_log_capacity = 32; //!< Retained DivergenceInfo.
 };
 
 /** The sentinel. One instance per run; attach via Options::sentinel. */

@@ -21,13 +21,12 @@
  *    the tail that explains an abnormal exit survives; the run
  *    report's `flight` section exports it.
  *
- * Lanes and timestamps come from the simulation, never from wall clock
- * or host thread identity: lane 0 is the guest/runtime thread, lane 1+k
- * is hot-pipeline worker slot k, and worker-lane events carry the
- * session's *planned* simulated times. The runtime's thread is the only
- * writer: it records a worker session's events itself when it takes the
- * session's artifact, in enqueue order. A deterministic run therefore
- * records a bit-identical stream regardless of real worker scheduling.
+ * Lanes and timestamps come from the simulation, never from wall clock:
+ * lane 0 is the guest/runtime, lane 1+k is simulated hot-pipeline
+ * worker k, and worker-lane events carry the session's *planned*
+ * simulated times. The runtime records a worker session's events when
+ * it takes the session's artifact, in enqueue order. A deterministic
+ * run therefore records a bit-identical stream.
  * Recording charges zero simulated cycles, so cycle results are
  * bit-identical with either view attached or not.
  */
@@ -163,8 +162,8 @@ enum class View : uint8_t
     BlackBox, //!< Drop-oldest tail, exported in the run report.
 };
 
-/** The recorder: one instance per view per run. Not thread-safe: only
- *  the runtime's thread records or reads it. */
+/** The recorder: one instance per view per run. Only the runtime
+ *  records into it. */
 class Tracer
 {
   public:

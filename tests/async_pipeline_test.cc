@@ -1,17 +1,23 @@
 /**
  * @file
  * Tests for the asynchronous hot-translation pipeline: guest state must
- * be bit-exact across worker-thread counts and seeds, stale-generation
- * artifacts must be discarded at commit, worker-side injected session
- * aborts must honor the bounded retry policy, publication must rebase
- * staged code correctly, and moving sessions off the guest's critical
- * path must actually shrink hot-translation stall cycles.
+ * be bit-exact across worker counts and seeds, simulated workers start
+ * no OS thread, stale-generation artifacts must be discarded at commit,
+ * worker-side injected session aborts must honor the bounded retry
+ * policy, publication must rebase staged code correctly, and moving
+ * sessions off the guest's critical path must actually shrink
+ * hot-translation stall cycles.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "btlib/abi.hh"
 #include "guest/image.hh"
+#include "guest/workloads.hh"
 #include "harness/exec.hh"
 #include "ia32/assembler.hh"
 #include "ipf/code_cache.hh"
@@ -165,6 +171,39 @@ TEST(AsyncPipeline, DeterministicAdoptionIsReplayable)
               b.runtime->stats().get("hot.adopted"));
     EXPECT_EQ(a.runtime->stats().get("hot.stall_cycles"),
               b.runtime->stats().get("hot.stall_cycles"));
+}
+
+/** The process's OS thread count (Linux /proc), or -1 if unreadable. */
+int
+osThreadCount()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoi(line.substr(8));
+    return -1;
+}
+
+TEST(AsyncPipeline, WorkersStartNoOsThread)
+{
+    // Workers are simulated: a session runs on the runtime's thread at
+    // enqueue, so a runtime with four workers starts no OS thread.
+    int before = osThreadCount();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/status";
+    const guest::Workload *gzip = nullptr;
+    std::vector<guest::Workload> suite = guest::specIntSuite();
+    for (const guest::Workload &w : suite)
+        if (w.name == "gzip")
+            gzip = &w;
+    ASSERT_NE(gzip, nullptr);
+    harness::TranslatedRun tr = harness::runTranslated(
+        gzip->image, gzip->params.abi, pipelineOpts(4));
+    ASSERT_TRUE(tr.outcome.exited);
+    EXPECT_GT(tr.runtime->stats().get("hot.enqueued"), 0u);
+    // Read while the runtime is alive.
+    EXPECT_EQ(osThreadCount(), before);
 }
 
 // ----- stale-generation discard ----------------------------------------

@@ -151,6 +151,9 @@ TEST(CliExitCodes, UsageErrorIsOne)
     // Numeric flags parse strictly: no sign, no trailing junk.
     EXPECT_EQ(runCli("--workload=jit_rewriter --threads=-1"), 1);
     EXPECT_EQ(runCli("--workload=jit_rewriter --threads=abc"), 1);
+    // The worker count is capped (core::max_translation_threads).
+    EXPECT_EQ(runCli("--workload=jit_rewriter --threads=65"), 1);
+    EXPECT_EQ(runCli("--workload=jit_rewriter --threads=4294967295"), 1);
     EXPECT_EQ(runCli("--workload=jit_rewriter --heat-threshold=4x"), 1);
 }
 

@@ -10,8 +10,8 @@
  *    counts are bit-exact with the recorder on or off;
  *  - the merged flight is deterministic: two identical runs produce
  *    identical event sequences for every translation_threads setting,
- *    even when a ring overflows, because the runtime's thread records
- *    every event and worker events carry planned simulated times and
+ *    even when a ring overflows, because the runtime records every
+ *    event and worker events carry planned simulated times and
  *    planned worker slots, never wall clock;
  *  - the Chrome capture and the black box are two views of one stream:
  *    every step both record is counted the same in each;
@@ -22,7 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -228,8 +231,7 @@ TEST(FlightRecorder, MergedOrderIsDeterministicAcrossThreadCounts)
         ASSERT_NE(a.runtime->blackBox(), nullptr);
         ASSERT_NE(b.runtime->blackBox(), nullptr);
         // Identical runs must replay to identical merged flights:
-        // worker events carry planned times and planned slots, so host
-        // scheduling cannot reorder or relabel anything.
+        // worker events carry planned times and planned slots.
         EXPECT_EQ(flightFingerprint(*a.runtime->blackBox()),
                   flightFingerprint(*b.runtime->blackBox()))
             << "threads " << threads;
@@ -259,9 +261,9 @@ TEST(WorkerReplay, BoundedViewsHoldTheirCapacityAndReplay)
 {
     // gcc queues hundreds of sessions to four workers, so both small
     // rings overflow. A ring holds N events per view, whatever the
-    // number of host threads, and the runtime's thread records every
-    // event in a fixed order, so what survives the overflow is the same
-    // on every run.
+    // number of workers, and the runtime records every event in a
+    // fixed order, so what survives the overflow is the same on every
+    // run.
     const guest::Workload *gcc = nullptr;
     std::vector<guest::Workload> suite = guest::specIntSuite();
     for (const guest::Workload &w : suite)
@@ -493,6 +495,48 @@ TEST(Metrics, RuntimeGaugesFollowTheirSources)
         EXPECT_EQ(gauges->numberOr("fault_fires", -1),
                   static_cast<double>(fi->totalFires()));
     }
+}
+
+TEST(Metrics, WorkerFaultGaugeRepeatsRunToRun)
+{
+    // A pipelined session draws its injected aborts from its own stream
+    // and counts them when it runs, at enqueue, so the fault_fires
+    // gauge (and every other) follows the same series on every run.
+    const guest::Workload *gcc = nullptr;
+    std::vector<guest::Workload> suite = guest::specIntSuite();
+    for (const guest::Workload &w : suite)
+        if (w.name == "gcc")
+            gcc = &w;
+    ASSERT_NE(gcc, nullptr);
+
+    std::string stream[2];
+    for (int run = 0; run < 2; ++run) {
+        std::string path = ::testing::TempDir() +
+                           "el_worker_fault_metrics_" +
+                           std::to_string(run) + ".ndjson";
+        metrics::Registry reg;
+        ASSERT_TRUE(reg.openOutput(path));
+        reg.setPeriod(50000);
+        core::Options o = hotOpts(4);
+        o.metrics = &reg;
+        o.fault.seed = 7;
+        o.fault.site(FaultSite::HotXlateAbort, 300);
+        harness::TranslatedRun r =
+            harness::runTranslated(gcc->image, gcc->params.abi, o);
+        ASSERT_TRUE(r.outcome.exited);
+        const FaultInjector *fi = r.runtime->faultInjector();
+        ASSERT_NE(fi, nullptr);
+        EXPECT_GT(fi->fires(FaultSite::HotXlateAbort), 0u);
+        EXPECT_GT(reg.snapshots(), 1u);
+        reg.closeOutput();
+        std::ifstream in(path);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        stream[run] = ss.str();
+        std::remove(path.c_str());
+    }
+    EXPECT_FALSE(stream[0].empty());
+    EXPECT_EQ(stream[0], stream[1]);
 }
 
 // ----- the run report's account of how the run ended -------------------

@@ -73,15 +73,14 @@ TEST(SentinelLedger, DivergenceIsDecisive)
 
 TEST(SentinelQuarantine, CooldownServesThenRetranslates)
 {
-    Config cfg;
-    cfg.quarantine_cooldown = 3;
-    Sentinel s(cfg);
+    static_assert(quarantine_cooldown >= 2);
+    Sentinel s;
     s.noteDivergence(0x77);
     EXPECT_TRUE(s.interpretGate(0x77));
-    EXPECT_EQ(s.record(0x77)->cooldown_left, 3u);
+    EXPECT_EQ(s.record(0x77)->cooldown_left, quarantine_cooldown);
 
-    s.tickCooldown(0x77);
-    s.tickCooldown(0x77);
+    for (uint64_t k = 0; k + 1 < quarantine_cooldown; ++k)
+        s.tickCooldown(0x77);
     EXPECT_TRUE(s.interpretGate(0x77)); // still cooling down
     s.tickCooldown(0x77);
     // Cooldown served: retranslation allowed, gate lifted.
@@ -93,25 +92,24 @@ TEST(SentinelQuarantine, CooldownServesThenRetranslates)
 
 TEST(SentinelQuarantine, RelapsePinsAfterBoundedRetries)
 {
-    Config cfg;
-    cfg.quarantine_cooldown = 1;
-    cfg.retranslate_limit = 2;
-    Sentinel s(cfg);
+    Sentinel s;
 
-    // Two full quarantine -> retranslate -> relapse cycles...
-    for (int cycle = 0; cycle < 2; ++cycle) {
+    // retranslate_limit full quarantine -> retranslate -> relapse
+    // cycles...
+    for (uint32_t cycle = 0; cycle < retranslate_limit; ++cycle) {
         s.noteDivergence(0xabc);
         EXPECT_FALSE(s.record(0xabc)->pinned) << "cycle " << cycle;
-        s.tickCooldown(0xabc);
+        for (uint64_t k = 0; k < quarantine_cooldown; ++k)
+            s.tickCooldown(0xabc);
         EXPECT_EQ(s.record(0xabc)->state, Health::Retranslated);
     }
-    // ...and the third divergence exhausts the retry budget: pinned.
+    // ...and the next divergence exhausts the retry budget: pinned.
     s.noteDivergence(0xabc);
     EXPECT_TRUE(s.record(0xabc)->pinned);
     EXPECT_TRUE(s.interpretGate(0xabc));
     EXPECT_TRUE(s.isQuarantined(0xabc));
     // Ticks no longer lift the gate.
-    for (int k = 0; k < 10; ++k)
+    for (uint64_t k = 0; k < quarantine_cooldown + 10; ++k)
         s.tickCooldown(0xabc);
     EXPECT_TRUE(s.interpretGate(0xabc));
 }
@@ -125,19 +123,17 @@ TEST(SentinelQuarantine, TickOnUnknownOrHealthyIsNoop)
 
 TEST(SentinelLog, DivergenceLogIsBoundedKeepingEarliest)
 {
-    Config cfg;
-    cfg.divergence_log_capacity = 2;
-    Sentinel s(cfg);
-    for (uint32_t k = 0; k < 5; ++k) {
+    Sentinel s;
+    for (uint32_t k = 0; k < divergence_log_capacity + 3; ++k) {
         DivergenceInfo d;
         d.checkpoint_eip = 0x100 + k;
         d.region_index = k;
         s.logDivergence(d);
     }
-    ASSERT_EQ(s.divergences().size(), 2u);
+    ASSERT_EQ(s.divergences().size(), divergence_log_capacity);
     // Drop-newest: the first divergences explain the rest of the run.
-    EXPECT_EQ(s.divergences()[0].checkpoint_eip, 0x100u);
-    EXPECT_EQ(s.divergences()[1].checkpoint_eip, 0x101u);
+    for (uint32_t k = 0; k < divergence_log_capacity; ++k)
+        EXPECT_EQ(s.divergences()[k].checkpoint_eip, 0x100u + k);
     EXPECT_EQ(s.divergences().dropped(), 3u);
 }
 
