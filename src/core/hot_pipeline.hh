@@ -1,25 +1,28 @@
 /**
  * @file
- * The asynchronous hot-translation pipeline.
+ * The hot-translation pipeline: the one path every hot session takes.
  *
  * The paper's hot phase costs ~20x cold translation per instruction
- * (Options::hot_xlate_cost_per_insn); running it inline stalls the
- * guest for the whole session. This service moves that cost onto
- * Options::translation_threads simulated workers, so the guest waits
- * only for the snapshot and, later, the publication:
+ * (Options::hot_xlate_cost_per_insn). Options::translation_threads
+ * simulated workers can take that cost off the guest, which then waits
+ * only for the snapshot and, later, the publication. With zero workers
+ * the guest is the worker: it runs the session at once and waits for
+ * all of it.
  *
  *  - The runtime snapshots everything a session needs (the decoded
  *    trace, per-block misalignment policies, the entry SpecContext)
  *    into a self-contained HotSessionInput and enqueues it here.
- *  - enqueue() plans the session onto the least-loaded worker
- *    timeline and runs Translator::runHotSession at once, on the
- *    runtime's thread, with the session's own FaultStream, into the
- *    artifact's private staging code cache. The host does the work
- *    now; the simulation sees it finish at the planned ready cycle.
+ *  - enqueue() plans the session onto the least-loaded worker timeline
+ *    (with no workers, onto the guest's lane at the current cycle) and
+ *    runs Translator::runHotSession at once, on the runtime's thread,
+ *    with the session's own FaultStream, into the artifact's private
+ *    staging code cache. The host does the work now; the simulation
+ *    sees it finish at the planned ready cycle.
  *  - drain() hands finished artifacts back in enqueue order once guest
  *    simulated time reaches each one's ready cycle. The runtime adopts
- *    them only at block re-entry boundaries (the top of the dispatch
- *    loop) and publishes them into the shared ipf::CodeCache with a
+ *    a worker's artifact only at a block re-entry boundary (the top of
+ *    the dispatch loop), and the guest's own artifact at once. Either
+ *    way it publishes it into the shared ipf::CodeCache with a
  *    generation-checked commit, so the executing guest only ever sees
  *    fully-linked translations and results staged against a flushed
  *    generation are discarded.
@@ -27,8 +30,9 @@
  * Determinism: a session is a pure function of its frozen input, its
  * sequence number and the options, and the plan depends only on
  * enqueue order and simulated time, so whole runs (cycle counts
- * included) replay exactly. The worker count changes when artifacts
- * are adopted, never the guest's architectural results.
+ * included) replay exactly at every worker count. The worker count
+ * changes when artifacts are adopted, never the guest's architectural
+ * results.
  */
 
 #ifndef EL_CORE_HOT_PIPELINE_HH
@@ -77,11 +81,12 @@ struct HotArtifact
 {
     uint64_t seq = 0;          //!< Enqueue sequence (and fault stream id).
     uint32_t entry_eip = 0;
-    int32_t cold_block_id = -1;
+    int32_t cold_block_id = -1; //!< Source cold block; -1 = none live.
     uint64_t generation = 0;   //!< Code-cache generation at enqueue.
     double start_cycles = 0;   //!< Planned session start (simulated).
     double ready_cycles = 0;   //!< Planned completion (simulated).
-    unsigned worker_slot = 0;  //!< Simulated worker the plan chose.
+    uint32_t lane = 0;         //!< Lane the plan chose: 0 = the guest
+                               //!< (no workers), 1+k = worker k.
 
     bool ok = false;             //!< Session produced a publishable trace.
     bool injected_abort = false; //!< Failed via FaultSite::HotXlateAbort.
@@ -119,23 +124,31 @@ struct HotArtifact
 class HotPipeline
 {
   public:
-    /** Plan onto max(1, @p workers) simulated workers. Sessions read
-     *  @p options and draw injected faults from @p faults (null =
-     *  none); both must outlive the pipeline. */
+    /** Plan onto @p workers simulated workers (0: the guest runs every
+     *  session itself). Sessions read @p options and draw injected
+     *  faults from @p faults (null = none); both must outlive the
+     *  pipeline. */
     HotPipeline(unsigned workers, const Options &options,
                 FaultInjector *faults);
 
+    /** Simulated workers; 0 means the guest is the worker. */
+    unsigned workers() const
+    {
+        return static_cast<unsigned>(worker_avail_.size());
+    }
+
     /**
-     * Plan one session onto the least-loaded worker, run it on
-     * @p input and queue its artifact. @p cold_block_id and
-     * @p generation are the cold block the session replaces and the
-     * code-cache generation it was frozen against; @p now is current
-     * guest simulated time and @p session_cost the simulated cycles the
-     * session occupies a worker for. Returns the sequence number.
+     * Plan one session onto the least-loaded worker (with none, onto
+     * the guest's lane at @p now), run it on @p input and queue its
+     * artifact. @p cold_block_id and @p generation are the cold block
+     * the session replaces (-1: none) and the code-cache generation it
+     * was frozen against; @p now is current guest simulated time and
+     * @p session_cost the simulated cycles the session occupies its
+     * lane for. Returns the queued artifact, valid until drain().
      */
-    uint64_t enqueue(const HotSessionInput &input, int32_t cold_block_id,
-                     uint64_t generation, double now,
-                     double session_cost);
+    const HotArtifact &enqueue(const HotSessionInput &input,
+                               int32_t cold_block_id, uint64_t generation,
+                               double now, double session_cost);
 
     /** Remove and return the longest enqueue-order prefix of artifacts
      *  whose ready cycle guest time @p now has reached, so adoption

@@ -12,9 +12,9 @@
  * lifecycle event is one Kind, one row in the kind table and one call.
  *
  * Every sink is optional, recording charges zero simulated cycles, and
- * only the runtime's thread records: it stamps a pipelined session's
- * worker-lane events itself. Worker-lane events never carry provenance
- * steps.
+ * only the runtime records: it stamps a hot session's lane events
+ * itself, at their planned times. Session-lane events never carry
+ * provenance steps.
  */
 
 #ifndef EL_CORE_OBSERVER_HH

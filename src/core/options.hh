@@ -92,10 +92,11 @@ constexpr uint32_t interp_fallback_insns = 32; //!< Instructions
 constexpr uint64_t audit_period = 1000000;   //!< Simulated cycles between
                                              //!< in-run closure audits.
 
-// ----- asynchronous hot-translation pipeline ----------------------------
+// ----- hot-translation pipeline -----------------------------------------
 constexpr uint32_t max_translation_threads = 64; //!< Largest worker count
-                                             //!< el_run and el_aot
-                                             //!< accept (--threads).
+                                             //!< a Runtime accepts
+                                             //!< (el_run and el_aot
+                                             //!< --threads too).
 
 /** Tunables and feature toggles of the translator. */
 struct Options
@@ -123,15 +124,13 @@ struct Options
     // ----- simulated translator cost (charged to Overhead) ---------
     double hot_xlate_cost_per_insn = 1200.0; //!< ~20x cold (section 2).
 
-    // ----- asynchronous hot-translation pipeline --------------------
+    // ----- hot-translation pipeline ---------------------------------
     uint32_t translation_threads = 0; //!< Simulated hot-session
-                                      //!< workers; 0 = synchronous
-                                      //!< (inline sessions). Each
-                                      //!< session runs at enqueue and
-                                      //!< is adopted at a block re-entry
-                                      //!< boundary, in enqueue order,
-                                      //!< once guest time reaches its
-                                      //!< planned ready cycle.
+                                      //!< workers, at most
+                                      //!< max_translation_threads;
+                                      //!< 0 = the guest runs each
+                                      //!< session and stalls for it
+                                      //!< (core/hot_pipeline.hh).
 
     // ----- limits ---------------------------------------------------
     uint64_t max_run_cycles = 400ULL * 1000 * 1000;

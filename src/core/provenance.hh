@@ -13,10 +13,10 @@
  * I was executing come from, and what happened to its ancestors?" —
  * without re-running under a tracer.
  *
- * The ledger is fed only from the owning (guest) thread: worker-side
- * session outcomes are recorded at adoption time using the candidate's
- * planned simulated times, mirroring how the tracer handles worker
- * lanes, so timelines are deterministic across translation_threads.
+ * The ledger is fed only by the runtime: a hot session's outcome is
+ * recorded at adoption time using the session's planned simulated
+ * times, mirroring how the tracer handles session lanes, so timelines
+ * are deterministic across translation_threads.
  * Per-eip history is a bounded drop-oldest ring (churning blocks keep
  * their recent lifecycle, not their full history). Recording charges
  * zero simulated cycles.
@@ -39,7 +39,7 @@ enum class ProvState : uint8_t
     Decoded,      //!< Guest bytes decoded at this entry point.
     Cold,         //!< Cold translation published.
     HotQueued,    //!< Registered hot and queued for a session.
-    Session,      //!< Hot-translation session ran (worker or inline).
+    Session,      //!< Hot-translation session ran.
     Published,    //!< Hot artifact committed into the code cache.
     Discarded,    //!< Artifact rejected/killed (see cause).
     Persisted,    //!< Recorded into the on-disk artifact store.

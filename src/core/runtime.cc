@@ -87,6 +87,16 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             options_.flight_ring_capacity, trace::View::BlackBox);
         provenance_ = std::make_unique<ProvenanceLedger>();
     }
+    if (options_.translation_threads > max_translation_threads) {
+        // Each worker is a timeline the pipeline allocates, so refuse
+        // a count past the cap before anything is sized from it.
+        init_error_ = strfmt("translation_threads %u exceeds the cap of "
+                             "%u",
+                             options_.translation_threads,
+                             max_translation_threads);
+        el_warn("%s", init_error_.c_str());
+        return;
+    }
     if (!btos_.ok()) {
         init_error_ = "BTOS handshake failed: " + btos_.error();
         el_warn("%s", init_error_.c_str());
@@ -101,8 +111,8 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
     FaultInjector *fi = inject_scope_.get();
     if (fi && obs_.attached()) {
         // Primary-stream fires only, from the runtime-area allocation
-        // below on; a pipelined session's injected abort is recorded
-        // by recordSession() with the session's planned simulated
+        // below on; a hot session's injected abort is recorded by
+        // recordSession() with the session's planned simulated
         // timeline.
         fi->setFireListener([this, fi](FaultSite site) {
             obs_.recordNow(trace::Kind::FaultInject,
@@ -197,9 +207,8 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             });
     }
 
-    if (options_.translation_threads > 0 && options_.enable_hot_phase)
-        hot_pipeline_ = std::make_unique<HotPipeline>(
-            options_.translation_threads, options_, fi);
+    hot_pipeline_ = std::make_unique<HotPipeline>(
+        options_.translation_threads, options_, fi);
 
     if (metrics::Registry *m = options_.metrics) {
         // Gauges are closures over live runtime state, read only at
@@ -219,9 +228,7 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             return static_cast<double>(hot_queue_.size());
         });
         m->gauge("worker_inflight", [this] {
-            return hot_pipeline_
-                       ? static_cast<double>(hot_pipeline_->pending().size())
-                       : 0.0;
+            return static_cast<double>(hot_pipeline_->pending().size());
         });
         m->gauge("flight_dropped", [this] {
             return box_ ? static_cast<double>(box_->dropped()) : 0.0;
@@ -581,67 +588,69 @@ Runtime::registerHot(int32_t block_id)
         if (cand->invalidated ||
             cand->hot_state != HotState::Eligible)
             continue;
-        SpecContext spec = currentSpec();
-        if (hot_pipeline_) {
-            enqueueHot(cand, spec);
-            continue;
-        }
-        obs_.recordNow(trace::Kind::Provenance, {cand->entry_eip}, 0,
-                       {{ProvState::HotQueued, ProvCause::Heat, cand->id}});
-        if (!translator_->translateHot(cand->entry_eip, spec) &&
-            !cand->invalidated) {
-            // Bounded retry: a transient abort leaves the block
-            // eligible so the next threshold hit tries again; repeat
-            // offenders are pinned cold (graceful degradation, not an
-            // abort loop).
-            noteHotFailure(cand);
-        }
+        startHotSession(cand, currentSpec());
     }
     chargeTranslatorOverhead();
 }
 
 void
-Runtime::enqueueHot(BlockInfo *cand, const SpecContext &spec)
+Runtime::startHotSession(BlockInfo *cand, const SpecContext &spec)
 {
-    if (cand->hot_queued || cand->hot_inflight)
-        return; // already queued, or a session is already in flight
+    // With no workers the guest is the worker: it runs the session
+    // now, adopts it at once and stalls for all of it. With workers it
+    // stalls only for the snapshot here and the publication later.
+    const bool guest_runs = hot_pipeline_->workers() == 0;
+    if (cand->hot_inflight || (cand->hot_queued && !guest_runs))
+        return; // in flight, or its batch will start it
 
+    // The guest's own session makes room before it freezes its input.
+    // A flush here kills the candidate, but the session still selects
+    // its trace from live code and commits against the new generation.
+    if (guest_runs)
+        translator_->maybeFlushForRoom();
     uint64_t generation = cache_.generation();
     HotSessionInput input;
     if (!translator_->prepareHotInput(cand->entry_eip, spec, &input)) {
-        // No viable trace — same bounded-retry treatment as a failed
-        // synchronous session.
-        noteHotFailure(cand);
+        // No viable trace: bounded retry, as for a failed session.
+        if (!cand->invalidated)
+            noteHotFailure(cand);
         return;
     }
 
-    double session_cost = translator_->hotSessionCost(input);
-    // The guest only stalls for the snapshot + enqueue; the session's
-    // cycles go to a simulated worker. This is the stall the pipeline
-    // removes.
-    translator_->chargeHotStall(hot_enqueue_cost);
+    double snapshot_cost = 0;
+    if (!guest_runs) {
+        snapshot_cost = hot_enqueue_cost;
+        translator_->chargeHotStall(snapshot_cost);
+        // Silence the use counter while the session is in flight: it
+        // exits at the block head on every execution past the
+        // threshold, so an armed counter would stop the guest before
+        // the body runs. But the runtime still needs periodic stops —
+        // finished sessions are only adopted at dispatch boundaries,
+        // and a fully-chained loop would otherwise starve adoption
+        // until it terminates. So unlink the block's patched exits
+        // instead: every traversal then exits LinkMiss at the block
+        // END (forward progress preserved), and the LinkMiss handler
+        // refuses to re-patch while hot_inflight is set. Links re-form
+        // lazily after adoption. Re-armed on failure.
+        cand->hot_inflight = true;
+        translator_->disableHeat(cand);
+        translator_->unlinkBlockExits(cand);
+    }
 
-    // Silence the use counter while the session is in flight: it exits
-    // at the block head on every execution past the threshold, so an
-    // armed counter would stop the guest before the body runs. But the
-    // runtime still needs periodic stops — finished sessions are only
-    // adopted at dispatch boundaries, and a fully-chained loop would
-    // otherwise starve adoption until it terminates. So unlink the
-    // block's patched exits instead: every traversal then exits
-    // LinkMiss at the block END (forward progress preserved), and the
-    // LinkMiss handler refuses to re-patch while hot_inflight is set.
-    // Links re-form lazily after adoption. Re-armed on failure.
-    cand->hot_inflight = true;
-    translator_->disableHeat(cand);
-    translator_->unlinkBlockExits(cand);
-
+    // Name the source block only while it lives: the commit discards
+    // a trace whose source died after its input was frozen.
+    int32_t source = cand->invalidated ? -1 : cand->id;
     double now = machine_->totalCycles();
-    uint64_t seq = hot_pipeline_->enqueue(input, cand->id, generation,
-                                          now, session_cost);
+    const HotArtifact &art = hot_pipeline_->enqueue(
+        input, source, generation, now, translator_->hotSessionCost(input));
     stats_.add("hot.enqueued");
-    obs_.record({trace::Kind::HotEnqueue, 0, now, hot_enqueue_cost,
-                 cand->entry_eip, static_cast<int64_t>(seq), 0, cand->id},
+    obs_.record({trace::Kind::HotEnqueue, 0, now, snapshot_cost,
+                 cand->entry_eip, static_cast<int64_t>(art.seq), 0,
+                 cand->id},
                 {{ProvState::HotQueued, ProvCause::Heat, cand->id}});
+    if (guest_runs)
+        for (HotArtifact &done : hot_pipeline_->drain(art.ready_cycles))
+            adoptHot(done);
 }
 
 void
@@ -650,69 +659,78 @@ Runtime::recordSession(const HotArtifact &art)
     if (art.seq < sessions_recorded_)
         return; // quiesce() already recorded it
     sessions_recorded_ = art.seq + 1;
-    // Worker-lane events carry the *planned* simulated times from the
+    // Session events carry the *planned* simulated times from the
     // artifact, never the machine's cycle counter: the plan is what
     // keeps the guest lane's events in place across worker counts.
-    uint32_t lane = 1 + art.worker_slot;
     int64_t seq = static_cast<int64_t>(art.seq);
     if (art.injected_abort)
-        obs_.record({trace::Kind::WorkerFault, lane, art.start_cycles, 0,
-                     static_cast<int64_t>(FaultSite::HotXlateAbort), seq});
-    obs_.record({trace::Kind::WorkerSession, lane, art.start_cycles,
+        obs_.record({trace::Kind::WorkerFault, art.lane, art.start_cycles,
+                     0, static_cast<int64_t>(FaultSite::HotXlateAbort),
+                     seq});
+    obs_.record({trace::Kind::WorkerSession, art.lane, art.start_cycles,
                  art.ready_cycles - art.start_cycles, art.entry_eip, seq,
-                 art.ok ? 1 : 0, art.worker_slot});
+                 art.ok ? 1 : 0, static_cast<int64_t>(art.lane) - 1});
 }
 
 void
 Runtime::quiesce()
 {
+    // A runtime that never came up has no pipeline.
     if (hot_pipeline_)
         for (const HotArtifact &art : hot_pipeline_->pending())
             recordSession(art);
 }
 
 void
-Runtime::adoptHotResults()
+Runtime::adoptHot(HotArtifact &art)
 {
-    if (!hot_pipeline_ || hot_pipeline_->pending().empty())
-        return;
-    std::vector<HotArtifact> arts =
-        hot_pipeline_->drain(machine_->totalCycles());
-    for (HotArtifact &art : arts) {
-        recordSession(art);
-        BlockInfo *cold = translator_->blockById(art.cold_block_id);
-        if (cold)
-            cold->hot_inflight = false;
-        BlockInfo *hot = translator_->commitHotArtifact(art);
-        if (hot) {
-            stats_.add("hot.adopted");
-            // Publication (relocation + linking) is the only part the
-            // guest waits for.
-            double publish_cost = hot_publish_cost_per_insn *
-                                  (hot->insn_count + 1);
-            translator_->chargeHotStall(publish_cost);
-            int64_t seq = static_cast<int64_t>(art.seq);
-            obs_.recordNow(trace::Kind::HotPublish,
-                           {hot->entry_eip, hot->id, seq,
-                            art.worker_slot},
-                           publish_cost);
+    recordSession(art);
+    BlockInfo *cold = translator_->blockById(art.cold_block_id);
+    if (cold)
+        cold->hot_inflight = false;
+    BlockInfo *hot = translator_->commitHotArtifact(art);
+    if (hot) {
+        stats_.add("hot.adopted");
+        // The guest waits for publication (relocation + linking). With
+        // no workers it ran the whole session, and waits for all of
+        // it; the session's own span shows that stall.
+        double per_insn = art.lane ? hot_publish_cost_per_insn
+                                   : options_.hot_xlate_cost_per_insn;
+        double stall = per_insn * (hot->insn_count + 1);
+        translator_->chargeHotStall(stall);
+        int64_t seq = static_cast<int64_t>(art.seq);
+        obs_.recordNow(trace::Kind::HotPublish,
+                       {hot->entry_eip, hot->id, seq,
+                        static_cast<int64_t>(art.lane) - 1},
+                       art.lane ? stall : 0);
+        if (art.lane) {
             // How long the finished artifact waited for a block
             // re-entry boundary after its (planned) completion.
-            double stall = obs_.now() - art.ready_cycles;
+            double wait = obs_.now() - art.ready_cycles;
             obs_.recordNow(trace::Kind::AdoptionStall,
-                           {seq, static_cast<int64_t>(stall > 0 ? stall
-                                                                : 0)});
-        } else if (cold && !cold->invalidated &&
-                   cold->hot_state == HotState::Eligible) {
-            // Failed or discarded session (a stale-generation discard
-            // leaves the cold block invalidated and skips this):
-            // bounded retry, and re-arm the counter silenced at
-            // enqueue so the block can register again.
-            noteHotFailure(cold);
-            if (cold->hot_state == HotState::Eligible)
-                translator_->enableHeat(cold);
+                           {seq, static_cast<int64_t>(wait > 0 ? wait
+                                                               : 0)});
         }
+    } else if (cold && !cold->invalidated &&
+               cold->hot_state == HotState::Eligible) {
+        // Failed or discarded session (a stale-generation discard
+        // leaves the cold block invalidated and skips this): bounded
+        // retry — a transient abort leaves the block eligible, repeat
+        // offenders are pinned cold — and re-arm the counter a worker
+        // session silenced so the block can register again.
+        noteHotFailure(cold);
+        if (cold->hot_state == HotState::Eligible)
+            translator_->enableHeat(cold);
     }
+}
+
+void
+Runtime::adoptHotResults()
+{
+    if (hot_pipeline_->pending().empty())
+        return;
+    for (HotArtifact &art : hot_pipeline_->drain(machine_->totalCycles()))
+        adoptHot(art);
     chargeTranslatorOverhead();
 }
 
@@ -1200,14 +1218,7 @@ Runtime::run(ia32::State &state)
                     translator_->dispatchCold(target, spec, false);
                 if (cold && cold->kind == BlockKind::Cold &&
                     cold->hot_state == HotState::Eligible) {
-                    if (hot_pipeline_) {
-                        enqueueHot(cold, spec);
-                    } else if (translator_->translateHot(target,
-                                                         spec)) {
-                        stats_.add("hot.chained");
-                    } else if (!cold->invalidated) {
-                        noteHotFailure(cold);
-                    }
+                    startHotSession(cold, spec);
                     chargeTranslatorOverhead();
                 }
             }

@@ -108,10 +108,10 @@ class Runtime
     }
 
     /**
-     * Record the worker-lane events of pipelined sessions not yet
-     * adopted, so the event stream is complete. Call after run()
-     * before snapshotting the recorder (runReportJson() calls it);
-     * calling it again records nothing twice.
+     * Record the lane events of worker sessions not yet adopted, so
+     * the event stream is complete. Call after run() before
+     * snapshotting the recorder (runReportJson() calls it); calling it
+     * again records nothing twice.
      */
     void quiesce();
 
@@ -141,26 +141,31 @@ class Runtime
 
     uint64_t grAt(const Loc &loc, unsigned guest_reg) const;
 
-    /** Handle the RegisterHot protocol; may run or enqueue a session. */
+    /** Handle the RegisterHot protocol; may start a batch of sessions. */
     void registerHot(int32_t block_id);
 
     /**
-     * Snapshot a hot candidate and hand it to the pipeline, which runs
-     * the session on a simulated worker. The block's use counter is
+     * The one entry point of a hot session: snapshot candidate @p cand
+     * and hand it to the pipeline. With workers, its use counter is
      * silenced while the session is in flight and re-armed if the
-     * session fails or is discarded.
+     * session fails or is discarded. With none, the guest runs the
+     * session and adopts its artifact at once.
      */
-    void enqueueHot(BlockInfo *cand, const SpecContext &spec);
+    void startHotSession(BlockInfo *cand, const SpecContext &spec);
 
     /**
      * Adoption point (top of the dispatch loop, i.e. a block re-entry
-     * boundary): publish finished pipeline sessions into the shared
-     * code cache. No-op when the pipeline is off or idle.
+     * boundary): publish finished worker sessions into the shared code
+     * cache. No-op when the pipeline is idle.
      */
     void adoptHotResults();
 
-    /** Record a pipelined session's worker-lane events, once per
-     *  session, when its artifact is adopted or quiesce() sees it. */
+    /** Publish one finished session (generation-checked commit), charge
+     *  the guest's stall, or apply the bounded-retry policy. */
+    void adoptHot(HotArtifact &art);
+
+    /** Record a session's lane events, once per session, when its
+     *  artifact is adopted or quiesce() sees it. */
     void recordSession(const HotArtifact &art);
 
     /** Charge accumulated translator cycles to Overhead and fold the
@@ -236,8 +241,7 @@ class Runtime
     ipf::CodeCache cache_;
     std::unique_ptr<ipf::Machine> machine_;
     std::unique_ptr<Translator> translator_;
-    std::unique_ptr<HotPipeline> hot_pipeline_; //!< Null: sessions
-                                                //!< run inline.
+    std::unique_ptr<HotPipeline> hot_pipeline_; //!< Every hot session.
     uint64_t rt_base_ = 0;
     std::string init_error_; //!< initError().
     StatGroup stats_;
@@ -250,8 +254,8 @@ class Runtime
     Observer obs_; //!< The lifecycle hook over all three sinks.
     uint64_t dispatch_lookups_ = 0; //!< dispatchEntry() calls (the
                                     //!< dispatch_lookups metrics gauge).
-    uint64_t sessions_recorded_ = 0; //!< Pipelined sessions whose
-                                     //!< events are recorded.
+    uint64_t sessions_recorded_ = 0; //!< Sessions whose events are
+                                     //!< recorded.
     double fault_overhead_cycles_ = 0;
     double next_audit_ = 0;         //!< Next in-run closure audit, in
                                     //!< simulated cycles.

@@ -163,7 +163,7 @@ Translator::disableHeat(BlockInfo *block)
             in.exit_reason == ExitReason::RegisterHot) {
             // Keep the RegisterHot reason on the Nop: the machine only
             // honors exit_reason on Exit ops, and enableHeat() uses it
-            // to find the silenced counter when a pipelined session
+            // to find the silenced counter when a worker's session
             // fails and the block must become registrable again.
             in.op = IpfOp::Nop;
         }
@@ -975,22 +975,19 @@ BlockInfo *
 Translator::commitHotArtifact(HotArtifact &art)
 {
     // Entry EIP for black-box bookkeeping: the proto knows it once a
-    // session ran; an artifact aborted before its session only carries
-    // the cold block id.
-    uint32_t prov_eip = art.proto.entry_eip;
-    if (prov_eip == 0)
-        if (BlockInfo *cold = blockById(art.cold_block_id))
-            prov_eip = cold->entry_eip;
+    // session ran; an artifact aborted before its session carries only
+    // the pipeline's copy.
+    uint32_t prov_eip =
+        art.proto.entry_eip ? art.proto.entry_eip : art.entry_eip;
     auto discard = [&](ProvCause cause) {
         obs_->recordNow(Kind::HotDiscard,
                         {prov_eip, static_cast<int64_t>(cause)}, 0,
                         {{ProvState::Discarded, cause, art.cold_block_id}});
     };
     if (!art.from_store) {
-        // The session itself ran on a simulated worker (or inline);
-        // stamp it at its planned completion time so the timeline is
-        // identical across translation_threads.
-        double ts = art.ready_cycles > 0 ? art.ready_cycles : obs_->now();
+        // A worker's session is stamped at its planned completion; a
+        // session the guest ran itself, now, when the guest ran it.
+        double ts = art.lane ? art.ready_cycles : obs_->now();
         obs_->record({Kind::Provenance, 0, ts, 0, prov_eip},
                      {{ProvState::Session,
                        art.ok ? ProvCause::SessionOk
@@ -1218,7 +1215,7 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
         persist_adopted_[rec] = info->id;
         store->stats.add("persist.hits");
         store->stats.add("persist.loaded_blocks");
-        // Adoption stalls the guest like a pipelined publish would; it
+        // Adoption stalls the guest like a worker's publish would; it
         // is hot-translation latency the store removed, minus the
         // session itself.
         chargeHotStall(hot_publish_cost_per_insn *
@@ -1237,55 +1234,6 @@ bool
 Translator::persistCovers(uint32_t eip) const
 {
     return options.persist && options.persist->hasRecordsAt(eip);
-}
-
-BlockInfo *
-Translator::translateHot(uint32_t entry_eip, const SpecContext &spec)
-{
-    if (faultInjected(FaultSite::HotXlateAbort)) {
-        // Injected optimization-session abort; the caller's bounded
-        // retry policy decides whether the block stays eligible.
-        stats.add("hot.aborts_injected");
-        return nullptr;
-    }
-    maybeFlushForRoom();
-
-    HotSessionInput input;
-    if (!prepareHotInput(entry_eip, spec, &input))
-        return nullptr;
-
-    HotArtifact art;
-    art.generation = cache_.generation();
-    runHotSession(input, options, /*faults=*/nullptr, &art);
-    obs_->recordNow(Kind::HotSession,
-                    {entry_eip, static_cast<int64_t>(art.seq),
-                     art.ok ? 1 : 0});
-
-    BlockInfo *info = commitHotArtifact(art);
-    if (info && faultInjected(FaultSite::Miscompile)) {
-        FaultInjector *fi = activeFaultInjector();
-        if (corruptTranslation(cache_, info->cache_entry, info->cache_end,
-                               [fi](uint64_t n) { return fi->pick(n); }))
-            stats.add("xlate.miscompiles_injected");
-    }
-    if (info) {
-        // Synchronous sessions stall the guest for the whole
-        // optimization: the full cost is both overhead and hot stall.
-        double cost =
-            options.hot_xlate_cost_per_insn * (info->insn_count + 1);
-        pending_cycles_ += cost;
-        pending_hot_stall_ += cost;
-        // Inline session: snapshot/emit/commit all happen on the guest
-        // lane, back to back at now. The commit is not stamped at
-        // now+cost: the stall cycles are only charged to the machine
-        // after this service returns, so a future timestamp could
-        // precede the next event on lane 0 and break per-lane
-        // monotonicity.
-        obs_->recordNow(Kind::InlineSnapshot, {entry_eip, info->id});
-        obs_->recordNow(Kind::InlineEmit, {entry_eip, info->id}, cost);
-        obs_->recordNow(Kind::InlineCommit, {entry_eip, info->id});
-    }
-    return info;
 }
 
 } // namespace el::core

@@ -54,17 +54,8 @@ class Translator
     BlockInfo *translateCold(uint32_t eip, const SpecContext &spec,
                              MisalignStage stage);
 
-    /**
-     * Build a hot trace rooted at @p entry_eip (the block that hit the
-     * heating threshold). Returns null if hot translation fails or is
-     * unprofitable; the cold block then remains in use. Synchronous:
-     * prepare + session + commit inline (the translation_threads == 0
-     * path; the pipeline charges the session to a simulated worker and
-     * commits it when guest time reaches its ready cycle).
-     */
-    BlockInfo *translateHot(uint32_t entry_eip, const SpecContext &spec);
-
-    // ----- asynchronous hot-session pipeline entry points ------------
+    // ----- hot-session entry points (the runtime drives them through
+    // ----- HotPipeline: prepare, run, commit) -------------------------
 
     /**
      * Snapshot everything a hot session needs (region discovery, trace
@@ -159,6 +150,11 @@ class Translator
      */
     void flushCodeCache();
 
+    /** Flush ahead of a translation if the cache is near its cap. A
+     *  session the guest runs itself (no workers) makes room before
+     *  its input is frozen. */
+    void maybeFlushForRoom();
+
     /**
      * Consume the injected-abort flag: true when the most recent
      * translation failure was a fault-injection abort (the runtime then
@@ -182,12 +178,12 @@ class Translator
     }
 
     /** Stop a cold block's use counter from re-registering (covered by
-     *  a hot trace, an in-flight pipeline session, or a permanently
+     *  a hot trace, a session in flight on a worker, or a permanently
      *  failed hot translation). The Exit becomes a Nop but keeps its
      *  RegisterHot reason so enableHeat() can re-arm it. */
     void disableHeat(BlockInfo *block);
 
-    /** Re-arm a use counter silenced by disableHeat() (a pipelined hot
+    /** Re-arm a use counter silenced by disableHeat() (a worker's hot
      *  session failed or was discarded; the block may retry). */
     void enableHeat(BlockInfo *block);
 
@@ -225,8 +221,8 @@ class Translator
 
     /**
      * The subset of pending overhead during which the guest was stalled
-     * waiting on hot translation specifically (the quantity the async
-     * pipeline shrinks). Runtime drains it into "hot.stall_cycles".
+     * waiting on hot translation specifically (the quantity pipeline
+     * workers shrink). Runtime drains it into "hot.stall_cycles".
      */
     double
     takePendingHotStallCycles()
@@ -237,7 +233,8 @@ class Translator
     }
 
     /** Record guest stall cycles attributed to hot translation and
-     *  charge them as translator overhead (async enqueue/publish). */
+     *  charge them as translator overhead (a session's snapshot,
+     *  publication, or the whole session with no workers). */
     void
     chargeHotStall(double cycles)
     {
@@ -263,9 +260,6 @@ class Translator
      * block simply never registers hot).
      */
     int64_t allocProfile(uint32_t bytes);
-
-    /** Flush ahead of a translation if the cache is near its cap. */
-    void maybeFlushForRoom();
 
     /** Cold translation body; @p allow_flush_retry bounds recursion. */
     BlockInfo *translateColdImpl(uint32_t eip, const SpecContext &spec,

@@ -86,7 +86,8 @@ parseFaultSite(const std::string &name, FaultSite *out)
     return false;
 }
 
-/** Apply a `--fault=<site>:<p>` spec (p in parts per 1024) to @p cfg. */
+/** Apply a `--fault=<site>:<p>` spec (p in parts per 1024, at most
+ *  1024) to @p cfg. */
 inline bool
 parseFaultSpec(const char *spec, FaultConfig *cfg)
 {
@@ -94,7 +95,7 @@ parseFaultSpec(const char *spec, FaultConfig *cfg)
     FaultSite site;
     uint16_t prob = 0;
     if (!colon || !parseFaultSite(std::string(spec, colon), &site) ||
-        !parseNumber(colon + 1, &prob))
+        !parseNumber(colon + 1, &prob) || prob > 1024)
         return false;
     cfg->site(site, prob);
     return true;

@@ -56,7 +56,8 @@ usage()
         "  --heat-threshold=<n>   discovery aggressiveness (default 4:\n"
         "                         nearly everything heats)\n"
         "  --threads=<n>          simulated discovery workers\n"
-        "                         (0-%u, default 0)\n"
+        "                         (0-%u, default 0 = the discovery\n"
+        "                         run's guest runs each hot session)\n"
         "  --fault=<site>:<p>     inject faults into the DISCOVERY run\n"
         "                         (validation always runs clean; used\n"
         "                         to prove miscompiled artifacts are\n"

@@ -74,10 +74,12 @@ usage()
         "  --workload=<name>      personality to run (default: gzip)\n"
         "  --list                 list known workloads and exit\n"
         "  --threads=<n>          simulated hot-translation workers\n"
-        "                         (0-%u; default 0 = inline sessions);\n"
-        "                         a session's cycles go to a worker and\n"
-        "                         its result is adopted once guest time\n"
-        "                         reaches the session's ready cycle\n"
+        "                         (0-%u, default 0); a session's cycles\n"
+        "                         go to a worker and its result is\n"
+        "                         adopted once guest time reaches the\n"
+        "                         session's ready cycle; with 0 the\n"
+        "                         guest runs each session and stalls\n"
+        "                         for all of it\n"
         "  --heat-threshold=<n>   block-use count registering hot\n"
         "  --hot-batch=<n>        candidates batched per session\n"
         "  --cache-capacity=<n>   bound the code cache (0 = unbounded)\n"

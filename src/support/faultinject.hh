@@ -123,12 +123,13 @@ struct FaultConfig
  * Seeded, deterministic fault injector with per-site fire accounting.
  *
  * The translator and runtime consult it through shouldFire(), which
- * advances the injector's primary PRNG stream. A pipelined hot session
- * does not touch that stream (its consumption order would then depend
- * on the worker count); it derives an independent FaultStream keyed by
- * the session's sequence number instead, so its dice rolls are the
- * same whatever the worker count. Accounting (fires, consults, the
- * max_fires budget) is shared by all streams.
+ * advances the injector's primary PRNG stream. A hot session never
+ * touches that stream (its consumption order would then depend on the
+ * worker count); at every worker count, zero included, it derives an
+ * independent FaultStream keyed by the session's sequence number
+ * instead, so its dice rolls are the same whatever the worker count.
+ * Accounting (fires, consults, the max_fires budget) is shared by all
+ * streams.
  */
 class FaultInjector
 {
@@ -143,10 +144,10 @@ class FaultInjector
 
     /**
      * Observer invoked on every primary-stream fire (shouldFire()
-     * only: the runtime records a pipelined session's FaultStream
-     * fires when it takes the session's artifact, with the session's
-     * simulated timeline). The observability layer uses this to trace
-     * every injected fault.
+     * only: the runtime records a hot session's FaultStream fires when
+     * it takes the session's artifact, with the session's simulated
+     * timeline). The observability layer uses this to trace every
+     * injected fault.
      */
     void
     setFireListener(std::function<void(FaultSite)> listener)
@@ -198,11 +199,11 @@ class FaultInjector
 
 /**
  * An independent, deterministic injection stream derived from a parent
- * injector. Used by pipelined hot sessions: the stream id is the
- * session's sequence number, so its dice rolls are a pure function of
- * (config seed, sequence number), never of which simulated worker ran
- * it. Fires are accounted into the parent and honor the shared
- * max_fires budget, which all streams spend in enqueue order.
+ * injector. Used by every hot session: the stream id is the session's
+ * sequence number, so its dice rolls are a pure function of (config
+ * seed, sequence number), never of which lane ran it. Fires are
+ * accounted into the parent and honor the shared max_fires budget,
+ * which all streams spend in enqueue order.
  */
 class FaultStream
 {

@@ -38,7 +38,6 @@ constexpr Row rows[] = {
     {Kind::HotEnqueue,
      {"hot_enqueue", "hot_snapshot", Cat::Hot, 'X', false,
       {{"eip", 0}, {"block", 3}, {"seq", 1}}}},
-    {Kind::HotSession, boxOnly("hot_session")},
     {Kind::WorkerSession,
      {"hot_session", "hot_emit", Cat::Hot, 'X', true,
       {{"eip", 0}, {"seq", 1}, {"worker", 3}, {"ok", 2}}}},
@@ -67,14 +66,6 @@ constexpr Row rows[] = {
     {Kind::HeatRegister,
      {nullptr, "heat_register", Cat::Hot, 'i', false,
       {{"block", 1}, {"eip", 0}, {"registrations", 2}}}},
-    {Kind::InlineSnapshot,
-     {nullptr, "hot_snapshot", Cat::Hot, 'X', false,
-      {{"eip", 0}, {"block", 1}}}},
-    {Kind::InlineEmit,
-     {nullptr, "hot_emit", Cat::Hot, 'X', false, {{"eip", 0}, {"block", 1}}}},
-    {Kind::InlineCommit,
-     {nullptr, "hot_commit", Cat::Hot, 'X', false,
-      {{"eip", 0}, {"block", 1}}}},
     {Kind::HotPublish,
      {nullptr, "hot_commit", Cat::Hot, 'X', false,
       {{"eip", 0}, {"block", 1}, {"seq", 2}, {"worker", 3}}}},
@@ -147,7 +138,7 @@ Tracer::record(const Event &e)
     if (!(view_ == View::Chrome ? info.chrome : info.box))
         return;
     Event kept = e;
-    if (view_ == View::BlackBox && info.box_at_end)
+    if (view_ == View::BlackBox && info.box_at_end && e.lane != 0)
         kept.ts += kept.dur; // exact: cycle values are integer doubles
     events_.push(kept);
 }

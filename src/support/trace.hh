@@ -23,10 +23,11 @@
  *
  * Lanes and timestamps come from the simulation, never from wall clock:
  * lane 0 is the guest/runtime, lane 1+k is simulated hot-pipeline
- * worker k, and worker-lane events carry the session's *planned*
- * simulated times. The runtime records a worker session's events when
- * it takes the session's artifact, in enqueue order. A deterministic
- * run therefore records a bit-identical stream.
+ * worker k, and a hot session's events carry its *planned* simulated
+ * times on the lane the plan chose (lane 0 when there are no workers
+ * and the guest runs the session itself). The runtime records a
+ * session's events when it takes the session's artifact, in enqueue
+ * order. A deterministic run therefore records a bit-identical stream.
  * Recording charges zero simulated cycles, so cycle results are
  * bit-identical with either view attached or not.
  */
@@ -58,9 +59,9 @@ const char *catName(Cat cat);
 /**
  * What happened. A kind is the *shape* of one recording site, not an
  * exported name: two sites that share a name but export different
- * words (the inline and the pipelined hot session, the guest-lane and
- * the worker-lane fault injection) are separate kinds. Payloads are
- * words a/b/c/d; a guest entry point always goes in a.
+ * words (a fault fired by the runtime and a hot session's injected
+ * abort) are separate kinds. Payloads are words a/b/c/d; a guest entry
+ * point always goes in a.
  *
  * The black-box kinds come first, in their historical order: the black
  * box breaks timestamp ties by kind.
@@ -71,9 +72,9 @@ enum class Kind : uint8_t
     ColdXlate,     //!< Cold block translated (a=eip, b=block, c=insns).
     HotEnqueue,    //!< Candidate queued to the pipeline (a=eip, b=seq,
                    //!< d=block).
-    HotSession,    //!< Inline session ran (a=eip, b=seq, c=ok).
-    WorkerSession, //!< Worker session ran over its planned ts..ts+dur
-                   //!< (a=eip, b=seq, c=ok, d=worker slot).
+    WorkerSession, //!< Hot session ran over its planned ts..ts+dur on
+                   //!< its lane (a=eip, b=seq, c=ok, d=worker slot,
+                   //!< -1 = the guest).
     HotCommit,     //!< Hot artifact published (a=eip, b=block, c=insns).
     HotDiscard,    //!< Hot artifact rejected at commit (a=eip, b=cause).
     SmcInvalidate, //!< Self-modifying write killed blocks (a=addr,
@@ -87,19 +88,17 @@ enum class Kind : uint8_t
                    //!< b=boundary eip).
     FaultInject,   //!< Injected fault fired on the guest lane (a=site,
                    //!< b=fire #).
-    WorkerFault,   //!< Injected session abort on a worker (a=site,
+    WorkerFault,   //!< Injected abort on a session's lane (a=site,
                    //!< b=seq).
     GuestFault,    //!< Guest fault delivered (a=eip, b=fault kind).
 
     // Chrome-only kinds.
     HeatRegister,   //!< Use counter fired (a=eip, b=block,
                     //!< c=registrations).
-    InlineSnapshot, //!< The inline session's three phases, back to
-    InlineEmit,     //!< back on lane 0 (a=eip, b=hot block).
-    InlineCommit,
-    HotPublish,     //!< Pipelined artifact published (a=eip, b=block,
-                    //!< c=seq, d=worker slot).
-    AdoptionStall,  //!< Artifact waited for a boundary (a=seq, b=cycles).
+    HotPublish,     //!< Session artifact published (a=eip, b=block,
+                    //!< c=seq, d=worker slot, -1 = the guest).
+    AdoptionStall,  //!< A worker's artifact waited for a boundary
+                    //!< (a=seq, b=cycles).
     ExitUnlink,     //!< Block exits unlinked (a=eip, b=block).
     ExitRelink,     //!< Exit patched to its target (a=target eip,
                     //!< b=from block).
@@ -129,7 +128,9 @@ struct KindInfo
     const char *chrome = nullptr; //!< Chrome name; null = not traced.
     Cat cat = Cat::Runtime;
     char ph = 'i';                //!< 'X' complete span, 'i' instant.
-    bool box_at_end = false;      //!< Black box stamps at ts + dur.
+    bool box_at_end = false;      //!< Black box stamps a worker-lane
+                                  //!< event at ts + dur, when the
+                                  //!< guest learns of it.
     Arg args[max_args];           //!< Chrome args, in export order.
 };
 
@@ -139,8 +140,8 @@ const KindInfo &kindInfo(Kind kind);
 struct Event
 {
     Kind kind = Kind::Dispatch;
-    uint32_t lane = 0; //!< 0 = guest thread, 1+k = worker slot k.
-    double ts = 0;     //!< Simulated cycles (planned time on workers).
+    uint32_t lane = 0; //!< 0 = the guest, 1+k = worker slot k.
+    double ts = 0;     //!< Simulated cycles (planned for sessions).
     double dur = 0;    //!< Span length in simulated cycles.
     int64_t a = 0;
     int64_t b = 0;
@@ -180,7 +181,7 @@ class Tracer
     Tracer &operator=(const Tracer &) = delete;
 
     /** Record @p e if this view exports its kind (the black box
-     *  re-stamps box_at_end kinds first). */
+     *  re-stamps box_at_end kinds on worker lanes first). */
     void record(const Event &e);
 
     /**

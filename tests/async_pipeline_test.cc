@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the asynchronous hot-translation pipeline: guest state must
- * be bit-exact across worker counts and seeds, simulated workers start
- * no OS thread, stale-generation artifacts must be discarded at commit,
- * worker-side injected session aborts must honor the bounded retry
- * policy, publication must rebase staged code correctly, and moving
+ * Tests for the hot-translation pipeline: guest state must be
+ * bit-exact across worker counts and seeds, simulated workers start no
+ * OS thread, a worker count above the cap is an init error,
+ * stale-generation artifacts must be discarded at commit, injected
+ * session aborts must honor the bounded retry policy at every worker
+ * count, publication must rebase staged code correctly, and moving
  * sessions off the guest's critical path must actually shrink
  * hot-translation stall cycles.
  */
@@ -268,37 +269,77 @@ TEST(AsyncPipeline, FreshGenerationArtifactCommits)
 
 TEST(AsyncPipeline, InjectedWorkerAbortsPinAfterRetryLimit)
 {
-    // Every hot session aborts (probability 1024/1024 on the worker's
-    // per-candidate stream): blocks must be retried hot_retry_limit
+    // Every hot session aborts (probability 1024/1024 on its own
+    // per-session stream): blocks must be retried hot_retry_limit
     // times and then pinned cold, with the guest bit-exact throughout.
     // A long-running loop + cheap sessions so every abort is adopted
-    // (and retried) well within the run.
+    // (and retried) well within the run. With no workers the guest
+    // runs each session itself and draws from the same streams.
     guest::Image img = randomHotProgram(3, 20000);
     harness::Outcome ref =
         harness::runInterpreter(img, btlib::OsAbi::Linux);
 
-    core::Options o = pipelineOpts(2);
-    o.hot_xlate_cost_per_insn = 100.0;
-    o.fault.seed = 7;
-    o.fault.site(FaultSite::HotXlateAbort, 1024);
+    for (unsigned threads : {2u, 0u}) {
+        core::Options o = pipelineOpts(threads);
+        o.hot_xlate_cost_per_insn = 100.0;
+        o.fault.seed = 7;
+        o.fault.site(FaultSite::HotXlateAbort, 1024);
 
-    harness::TranslatedRun tr =
-        harness::runTranslated(img, btlib::OsAbi::Linux, o);
-    ASSERT_TRUE(tr.outcome.exited);
-    EXPECT_EQ(ref.exit_code, tr.outcome.exit_code);
+        harness::TranslatedRun tr =
+            harness::runTranslated(img, btlib::OsAbi::Linux, o);
+        ASSERT_TRUE(tr.outcome.exited) << threads << " workers";
+        EXPECT_EQ(ref.exit_code, tr.outcome.exit_code)
+            << threads << " workers";
+        std::string why;
+        EXPECT_TRUE(
+            ref.final_state.equalsArch(tr.outcome.final_state, &why))
+            << threads << " workers: " << why;
+
+        const StatGroup &ts = tr.runtime->translator().stats;
+        const StatGroup &rs = tr.runtime->stats();
+        EXPECT_GT(ts.get("hot.aborts_injected"), 0u)
+            << threads << " workers";
+        // Nothing ever committed.
+        EXPECT_EQ(ts.get("xlate.hot_blocks"), 0u) << threads << " workers";
+        EXPECT_GE(rs.get("recover.hot_pinned"), 1u)
+            << threads << " workers";
+        // Pinning respects the bounded retry budget: each pinned block
+        // failed exactly hot_retry_limit times.
+        EXPECT_GE(rs.get("recover.hot_abort"),
+                  rs.get("recover.hot_pinned") * core::hot_retry_limit)
+            << threads << " workers";
+    }
+}
+
+// ----- the worker-count cap --------------------------------------------
+
+TEST(AsyncPipeline, WorkerCountAboveCapIsAnInitError)
+{
+    // The library enforces the cap, not only the CLIs: a count above
+    // it is refused before any worker timeline is sized from it.
+    guest::Image img = randomHotProgram(1);
+    harness::Outcome ref =
+        harness::runInterpreter(img, btlib::OsAbi::Linux);
+
+    harness::TranslatedRun over = harness::runTranslated(
+        img, btlib::OsAbi::Linux,
+        pipelineOpts(core::max_translation_threads + 1));
+    EXPECT_FALSE(over.runtime->initOk());
+    EXPECT_TRUE(over.outcome.internal_error);
+    EXPECT_NE(over.outcome.internal_reason.find(std::to_string(
+                  core::max_translation_threads)),
+              std::string::npos)
+        << over.outcome.internal_reason;
+
+    harness::TranslatedRun at_cap = harness::runTranslated(
+        img, btlib::OsAbi::Linux,
+        pipelineOpts(core::max_translation_threads));
+    ASSERT_TRUE(at_cap.outcome.exited) << at_cap.outcome.internal_reason;
+    EXPECT_EQ(ref.exit_code, at_cap.outcome.exit_code);
     std::string why;
-    EXPECT_TRUE(ref.final_state.equalsArch(tr.outcome.final_state, &why))
+    EXPECT_TRUE(ref.final_state.equalsArch(at_cap.outcome.final_state,
+                                           &why))
         << why;
-
-    const StatGroup &ts = tr.runtime->translator().stats;
-    const StatGroup &rs = tr.runtime->stats();
-    EXPECT_GT(ts.get("hot.aborts_injected"), 0u);
-    EXPECT_EQ(ts.get("xlate.hot_blocks"), 0u); // nothing ever committed
-    EXPECT_GE(rs.get("recover.hot_pinned"), 1u);
-    // Pinning respects the bounded retry budget: each pinned block
-    // failed exactly hot_retry_limit times.
-    EXPECT_GE(rs.get("recover.hot_abort"),
-              rs.get("recover.hot_pinned") * core::hot_retry_limit);
 }
 
 // ----- stall-cycle reduction -------------------------------------------

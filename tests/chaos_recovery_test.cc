@@ -8,10 +8,13 @@
  *
  * The directed tests pin each recovery path individually via the
  * recover.* stats counters; the parameterized sweep then runs many
- * seeds of everything-at-once chaos.
+ * seeds of everything-at-once chaos, and ChaosSweep.SweepHasTeeth
+ * checks that every armed site fires somewhere in it.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "btlib/abi.hh"
 #include "guest/image.hh"
@@ -356,6 +359,28 @@ TEST(PreciseState, MidBlockFaultFromHotCodeMatchesOracle)
 
 // ----- the everything-at-once chaos sweep ---------------------------
 
+/** The sweep's everything-at-once injection config for @p seed. */
+core::Options
+chaosOpts(uint64_t seed)
+{
+    core::Options o;
+    o.heat_threshold = 8;
+    o.hot_batch = 1;
+    o.code_cache_capacity = 1536;
+    o.cache_headroom = 768;
+    o.fault.seed = 0x9e3779b97f4a7c15ull ^ seed;
+    o.fault.site(FaultSite::BtosAlloc, 200)
+        .site(FaultSite::ColdXlateAbort, 96)
+        .site(FaultSite::HotXlateAbort, 300)
+        .site(FaultSite::CacheExhaust, 32)
+        .site(FaultSite::GuestFaultStorm, 128);
+    o.fault.max_fires = 64;
+    return o;
+}
+
+constexpr uint64_t chaos_first_seed = 1;
+constexpr uint64_t chaos_end_seed = 25;
+
 class ChaosRecovery : public ::testing::TestWithParam<uint64_t>
 {
 };
@@ -369,19 +394,7 @@ TEST_P(ChaosRecovery, SurvivesInjectionBitExact)
     // and the oracle always runs clean.
     harness::Outcome ref = harness::runInterpreter(img, OsAbi::Linux);
 
-    core::Options o;
-    o.heat_threshold = 8;
-    o.hot_batch = 1;
-    o.code_cache_capacity = 1536;
-    o.cache_headroom = 768;
-    o.fault.seed = 0x9e3779b97f4a7c15ull ^ seed;
-    o.fault.site(FaultSite::BtosAlloc, 200)
-        .site(FaultSite::ColdXlateAbort, 96)
-        .site(FaultSite::HotXlateAbort, 300)
-        .site(FaultSite::CacheExhaust, 32)
-        .site(FaultSite::GuestFaultStorm, 128);
-    o.fault.max_fires = 64;
-
+    core::Options o = chaosOpts(seed);
     harness::TranslatedRun tr =
         harness::runTranslated(img, OsAbi::Linux, o);
     expectMatchesReference(ref, tr.outcome, seed);
@@ -396,16 +409,40 @@ TEST_P(ChaosRecovery, SurvivesInjectionBitExact)
               1u)
         << "seed " << seed;
 
-    // Injection actually happened (the config is hot enough that every
-    // seed fires something), and the injector saw traffic.
+    // The injector saw traffic. Whether this one seed's dice fire is
+    // chance; SweepHasTeeth checks that the sweep as a whole does.
     const FaultInjector *fi = tr.runtime->faultInjector();
     ASSERT_NE(fi, nullptr);
     EXPECT_GT(fi->totalConsults(), 0u) << "seed " << seed;
-    EXPECT_GT(fi->totalFires(), 0u) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosRecovery,
-                         ::testing::Range<uint64_t>(1, 25));
+                         ::testing::Range<uint64_t>(chaos_first_seed,
+                                                    chaos_end_seed));
+
+TEST(ChaosSweep, SweepHasTeeth)
+{
+    // Guard against the sweep silently degenerating: across its seeds,
+    // every armed site must fire at least once, or the recovery path
+    // behind it goes unexercised.
+    std::array<uint64_t, num_fault_sites> fires{};
+    for (uint64_t seed = chaos_first_seed; seed < chaos_end_seed; ++seed) {
+        harness::TranslatedRun tr = harness::runTranslated(
+            chaosProgram(seed), OsAbi::Linux, chaosOpts(seed));
+        const FaultInjector *fi = tr.runtime->faultInjector();
+        ASSERT_NE(fi, nullptr);
+        for (size_t s = 0; s < num_fault_sites; ++s)
+            fires[s] += fi->fires(static_cast<FaultSite>(s));
+    }
+    core::Options armed = chaosOpts(chaos_first_seed);
+    for (size_t s = 0; s < num_fault_sites; ++s) {
+        if (armed.fault.prob[s]) {
+            EXPECT_GT(fires[s], 0u)
+                << faultSiteName(static_cast<FaultSite>(s))
+                << " never fired across the sweep";
+        }
+    }
+}
 
 } // namespace
 } // namespace el

@@ -155,6 +155,10 @@ TEST(CliExitCodes, UsageErrorIsOne)
     EXPECT_EQ(runCli("--workload=jit_rewriter --threads=65"), 1);
     EXPECT_EQ(runCli("--workload=jit_rewriter --threads=4294967295"), 1);
     EXPECT_EQ(runCli("--workload=jit_rewriter --heat-threshold=4x"), 1);
+    // A fault probability is parts per 1024: more than 1024 is out of
+    // range, not "always".
+    EXPECT_EQ(runCli("--workload=jit_rewriter --fault=hot_xlate_abort:1025"),
+              1);
 }
 
 TEST(CliExitCodes, IoErrorIsTwo)

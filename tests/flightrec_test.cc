@@ -133,13 +133,16 @@ TEST(FlightRecorder, SnapshotMergesSortedByTime)
     box.record({Kind::HotCommit, 0, 30.0, 0, 4});
     box.record({Kind::Dispatch, 0, 10.0, 0, 1});
     box.record({Kind::ColdXlate, 0, 20.0, 0, 2});
-    // A worker session planned over 5..25 is stamped at its ready time.
+    // A worker session planned over 5..25 is stamped at its ready time;
+    // a session the guest ran itself over 35..55, at its start.
     box.record({Kind::WorkerSession, 1, 5.0, 20.0, 3});
+    box.record({Kind::WorkerSession, 0, 35.0, 20.0, 5});
     std::vector<trace::Event> ev = box.snapshot();
-    ASSERT_EQ(ev.size(), 4u);
-    for (int i = 0; i < 4; ++i)
+    ASSERT_EQ(ev.size(), 5u);
+    for (int i = 0; i < 5; ++i)
         EXPECT_EQ(ev[i].a, i + 1);
     EXPECT_EQ(ev[2].ts, 25.0);
+    EXPECT_EQ(ev[4].ts, 35.0);
 }
 
 TEST(FlightRecorder, KindNamesAreStable)
@@ -151,9 +154,8 @@ TEST(FlightRecorder, KindNamesAreStable)
     EXPECT_STREQ(box(Kind::HotCommit), "hot_commit");
     EXPECT_STREQ(box(Kind::FaultInject), "fault_inject");
     EXPECT_STREQ(box(Kind::SentinelShift), "sentinel_shift");
-    // Guest-lane and worker-lane shapes of one step share their name.
+    // A runtime fire and a session's injected abort share their name.
     EXPECT_STREQ(box(Kind::WorkerFault), "fault_inject");
-    EXPECT_STREQ(box(Kind::HotSession), "hot_session");
     EXPECT_STREQ(box(Kind::WorkerSession), "hot_session");
 }
 

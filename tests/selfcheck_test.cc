@@ -76,13 +76,16 @@ ledgerHasAdverseRow(const sentinel::Sentinel &s)
 // neutral (e.g. a patched byte in dead data flow) produce no divergence
 // and need none.
 //
-// One caveat the region protocol implies: a corruption that turns a
-// bounded loop into an effectively unbounded one never reaches a
-// dispatch boundary, so there is no region end to arbitrate and both
-// translated runs exhaust the cycle budget. Those seeds (none with the
-// pinned workload below, but injection patterns shift when translation
-// changes) are reported as internal errors, not silent wrong answers,
-// and are excluded from the bit-identical clause.
+// A corruption can turn a bounded loop into an effectively unbounded
+// one. The unguarded run must then report it loudly, as the exhausted
+// cycle budget, never as a silent wrong answer, and it counts as
+// consequential: the guarded run must still catch it. One caveat the
+// region protocol implies: if the loop never reaches a dispatch
+// boundary there is no region end to arbitrate, and the guarded run
+// exhausts the budget too. Such a seed (none with the pinned workload
+// below, but injection patterns shift when translation changes) is
+// skipped: it is reported as an internal error, not a silent wrong
+// answer, and has nothing for the bit-identical clause to check.
 
 class MiscompileSweep : public ::testing::TestWithParam<uint64_t>
 {
@@ -102,10 +105,9 @@ TEST_P(MiscompileSweep, SelfcheckDetectsAndRepairs)
     harness::TranslatedRun unguarded =
         harness::runTranslated(w.image, w.params.abi, opts);
     if (unguarded.outcome.internal_error) {
-        // Corruption produced a non-terminating region (see note above):
-        // loudly reported, nothing silent to arbitrate.
-        GTEST_SKIP() << "seed " << seed << " corrupts into cycle limit: "
-                     << unguarded.outcome.internal_reason;
+        EXPECT_EQ(unguarded.outcome.internal_reason,
+                  "simulation cycle budget exhausted")
+            << "seed " << seed;
     }
     const bool consequential = !sameGuestOutcome(ref, unguarded.outcome);
 
@@ -116,6 +118,12 @@ TEST_P(MiscompileSweep, SelfcheckDetectsAndRepairs)
     guarded_opts.sentinel = &sent;
     harness::TranslatedRun guarded =
         harness::runTranslated(w.image, w.params.abi, guarded_opts);
+    if (unguarded.outcome.internal_error && guarded.outcome.internal_error) {
+        // A non-terminating region (see note above): loudly reported,
+        // nothing silent to arbitrate.
+        GTEST_SKIP() << "seed " << seed << " corrupts into cycle limit: "
+                     << guarded.outcome.internal_reason;
+    }
 
     // The guarded run must complete with the oracle's exact answer —
     // whether or not this seed's corruption was consequential.
