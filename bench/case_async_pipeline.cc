@@ -26,7 +26,6 @@ struct Run
 {
     double cycles = 0;
     uint64_t stall = 0;
-    uint64_t adopted = 0;
     uint64_t hot_blocks = 0;
 };
 
@@ -42,7 +41,6 @@ runWith(const guest::Workload &w, uint32_t threads, bench::Report &rep)
     Run r;
     r.cycles = tr.outcome.cycles;
     r.stall = tr.runtime->stats().get("hot.stall_cycles");
-    r.adopted = tr.runtime->stats().get("hot.adopted");
     r.hot_blocks =
         tr.runtime->translator().stats.get("xlate.hot_blocks");
     rep.row(w.name + strfmt("/t%u", threads))
@@ -50,7 +48,6 @@ runWith(const guest::Workload &w, uint32_t threads, bench::Report &rep)
         .metric("cycles", r.cycles)
         .metric("stall_cycles", static_cast<double>(r.stall))
         .metric("hot_blocks", static_cast<double>(r.hot_blocks))
-        .metric("adopted", static_cast<double>(r.adopted))
         .attribution(*tr.runtime);
     return r;
 }
@@ -61,13 +58,12 @@ sweep(const guest::Workload &w, bench::Report &rep)
     std::printf("\n[%s]\n", w.name.c_str());
     Run sync = runWith(w, 0, rep);
     Table t({"threads", "hot stall cyc", "stall vs sync", "speedup",
-             "hot blocks", "adopted"});
+             "hot blocks"});
     t.addRow({"0 (sync)",
               strfmt("%llu", static_cast<unsigned long long>(sync.stall)),
               "1.00x", "1.00x",
               strfmt("%llu",
-                     static_cast<unsigned long long>(sync.hot_blocks)),
-              "-"});
+                     static_cast<unsigned long long>(sync.hot_blocks))});
     for (uint32_t threads : {1u, 2u, 4u}) {
         Run r = runWith(w, threads, rep);
         if (threads == 4 && sync.stall)
@@ -84,9 +80,7 @@ sweep(const guest::Workload &w, bench::Report &rep)
                                     : 0.0),
                   strfmt("%.3fx", sync.cycles / r.cycles),
                   strfmt("%llu",
-                         static_cast<unsigned long long>(r.hot_blocks)),
-                  strfmt("%llu",
-                         static_cast<unsigned long long>(r.adopted))});
+                         static_cast<unsigned long long>(r.hot_blocks))});
     }
     std::printf("%s\n", t.render().c_str());
 }

@@ -243,8 +243,8 @@ auditSchemas(Runtime &rt, const AuditContext &ctx, audit::Result &r)
         } else {
             r.check(mdoc.strOr("kind", "") == "el-metrics",
                     "schema.metrics", "snapshot kind != el-metrics");
-            r.check(mdoc.numberOr("version", 0) == 2, "schema.metrics",
-                    "snapshot version != 2");
+            r.check(mdoc.numberOr("version", 0) == 3, "schema.metrics",
+                    "snapshot version != 3");
             r.check(mdoc.find("counters") != nullptr, "schema.metrics",
                     "snapshot has no counters object");
         }

@@ -9,10 +9,12 @@
 #define EL_CORE_BLOCKINFO_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/layout.hh"
 #include "ia32/regs.hh"
+#include "ipf/code_cache.hh"
 
 namespace el::core
 {
@@ -180,6 +182,26 @@ struct BlockInfo
                                //!< running on a worker; its exits stay
                                //!< unlinked so every traversal yields
                                //!< an adoption boundary.
+};
+
+/**
+ * One hot trace as a session emits it and the artifact store keeps it:
+ * everything the translator's commit path needs to publish the trace
+ * into a code cache. The proto block and its stub indices are
+ * staging-relative; the id and cache placement are assigned at commit.
+ */
+struct HotTrace
+{
+    uint32_t entry_eip = 0;
+    SpecContext spec;            //!< Entry conditions.
+    BlockInfo proto;             //!< Staging-relative metadata.
+    ipf::CodeCache staging;      //!< Emitted code at indices [0, n).
+    /** Entry EIPs of interior trace blocks (covered at commit). */
+    std::vector<uint32_t> covered_eips;
+    /** (guest address, expected bytes) per constituent block on a
+     *  writable page: baked into the trace's SMC guards, and re-checked
+     *  against live memory before a stored trace is adopted. */
+    std::vector<std::pair<uint32_t, uint64_t>> smc_guards;
 };
 
 } // namespace el::core

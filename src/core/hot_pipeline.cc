@@ -20,7 +20,6 @@ HotPipeline::enqueue(const HotSessionInput &input, int32_t cold_block_id,
 {
     HotArtifact &art = pending_.emplace_back();
     art.seq = next_seq_++;
-    art.entry_eip = input.entry_eip;
     art.cold_block_id = cold_block_id;
     art.generation = generation;
     art.start_cycles = now;

@@ -76,11 +76,11 @@ struct HotSessionInput
     std::vector<std::pair<uint32_t, uint64_t>> smc_guards;
 };
 
-/** The result of one hot session, staged for publication. */
-struct HotArtifact
+/** The result of one hot session, staged for publication: the trace
+ *  the session emitted plus how and when it was planned. */
+struct HotArtifact : HotTrace
 {
     uint64_t seq = 0;          //!< Enqueue sequence (and fault stream id).
-    uint32_t entry_eip = 0;
     int32_t cold_block_id = -1; //!< Source cold block; -1 = none live.
     uint64_t generation = 0;   //!< Code-cache generation at enqueue.
     double start_cycles = 0;   //!< Planned session start (simulated).
@@ -90,23 +90,8 @@ struct HotArtifact
 
     bool ok = false;             //!< Session produced a publishable trace.
     bool injected_abort = false; //!< Failed via FaultSite::HotXlateAbort.
-
-    SpecContext spec;            //!< Entry conditions (from the input).
-    std::vector<uint32_t> covered_eips; //!< Interior trace entries.
-    /** SMC guard windows carried from the input: the persistence layer
-     *  stores them with the artifact so a warm run can re-validate a
-     *  loaded trace against live guest memory before adopting it. */
-    std::vector<std::pair<uint32_t, uint64_t>> smc_guards;
     bool from_store = false;     //!< Adopted from a persistent store
                                  //!< (skip re-recording + hot counters).
-
-    /**
-     * Proto block metadata: everything except the final id and cache
-     * placement (assigned at commit). ExitStub cache indices and
-     * recovery maps are staging-relative / staging-independent.
-     */
-    BlockInfo proto;
-    ipf::CodeCache staging;      //!< Emitted code at indices [0, n).
 
     /**
      * Per-session statistics, filled by the session and merged into the

@@ -8,6 +8,7 @@
 
 #include "core/audit.hh"
 #include "core/checkpoint.hh"
+#include "core/report.hh"
 #include "ia32/decoder.hh"
 #include "ia32/flags.hh"
 #include "ia32/interp.hh"
@@ -211,9 +212,9 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
         options_.translation_threads, options_, fi);
 
     if (metrics::Registry *m = options_.metrics) {
-        // Gauges are closures over live runtime state, read only at
-        // emit time; counter groups are exported wholesale under a
-        // subsystem prefix. Registration costs nothing per dispatch.
+        // Gauges and counters are closures over live runtime state,
+        // read only at emit time. Registration costs nothing per
+        // dispatch.
         m->gauge("cycles", [this] { return machine_->totalCycles(); });
         m->gauge("dispatch_lookups", [this] {
             return static_cast<double>(dispatch_lookups_);
@@ -241,10 +242,9 @@ Runtime::Runtime(mem::Memory &memory, const btlib::BtOsVtable &vtable,
             m->gauge("fault_fires", [fi] {
                 return static_cast<double>(fi->totalFires());
             });
-        m->counters("translator", &translator_->stats);
-        m->counters("runtime", &stats_);
-        if (options_.persist)
-            m->counters("persist", &options_.persist->stats);
+        // The report's one counter namespace, so the stream and the
+        // report name every counter alike.
+        m->counters([this] { return mergedStats(*this); });
     }
 }
 
@@ -365,7 +365,7 @@ Runtime::chargeTranslatorOverhead()
 }
 
 int64_t
-Runtime::dispatchEntry(uint32_t eip, bool force_cold, bool fresh_cold)
+Runtime::dispatchEntry(uint32_t eip, bool fresh_cold)
 {
     if (sentinel_ && sentinel_->interpretGate(eip)) {
         // Quarantined EIP: refuse to translate or hand out an entry —
@@ -377,8 +377,8 @@ Runtime::dispatchEntry(uint32_t eip, bool force_cold, bool fresh_cold)
     obs_.recordNow(trace::Kind::Dispatch,
                    {eip, static_cast<int64_t>(dispatch_lookups_)});
     SpecContext spec = currentSpec();
-    BlockInfo *block = force_cold
-        ? translator_->dispatchCold(eip, spec, fresh_cold)
+    BlockInfo *block = fresh_cold
+        ? translator_->dispatchCold(eip, spec, true)
         : translator_->dispatch(eip, spec);
     chargeTranslatorOverhead();
     if (!block)
@@ -576,7 +576,6 @@ Runtime::registerHot(int32_t block_id)
     if (!session)
         return;
 
-    stats_.add("hot.sessions");
     // Evaluate all candidates at once (section 2's batching).
     std::deque<int32_t> batch;
     batch.swap(hot_queue_);
@@ -643,7 +642,7 @@ Runtime::startHotSession(BlockInfo *cand, const SpecContext &spec)
     double now = machine_->totalCycles();
     const HotArtifact &art = hot_pipeline_->enqueue(
         input, source, generation, now, translator_->hotSessionCost(input));
-    stats_.add("hot.enqueued");
+    stats_.add("hot.sessions");
     obs_.record({trace::Kind::HotEnqueue, 0, now, snapshot_cost,
                  cand->entry_eip, static_cast<int64_t>(art.seq), 0,
                  cand->id},
@@ -690,7 +689,6 @@ Runtime::adoptHot(HotArtifact &art)
         cold->hot_inflight = false;
     BlockInfo *hot = translator_->commitHotArtifact(art);
     if (hot) {
-        stats_.add("hot.adopted");
         // The guest waits for publication (relocation + linking). With
         // no workers it ran the whole session, and waits for all of
         // it; the session's own span shows that stall.
@@ -1043,7 +1041,6 @@ Runtime::run(ia32::State &state)
 
     loadContext(state);
     uint32_t next_eip = state.eip;
-    bool force_cold_once = false;
     bool fresh_cold_once = false;
     if (profiler_)
         profiler_->resync(next_eip);
@@ -1066,7 +1063,6 @@ Runtime::run(ia32::State &state)
             if (!finishRegionCheck(RegionEnd::Boundary, mstate, 0,
                                    nullptr)) {
                 next_eip = ck_eip_;
-                force_cold_once = false;
                 fresh_cold_once = false;
             }
         }
@@ -1076,7 +1072,6 @@ Runtime::run(ia32::State &state)
             // interpreter oracle and count down its quarantine.
             stats_.add("sentinel.gated_dispatches");
             sentinel_->tickCooldown(next_eip);
-            force_cold_once = false;
             fresh_cold_once = false;
             if (!interpretFallback(&state, &result, &next_eip))
                 return result;
@@ -1116,9 +1111,7 @@ Runtime::run(ia32::State &state)
         if (options_.checkpointer)
             options_.checkpointer->maybeCheckpoint(*this, next_eip);
 
-        int64_t entry = dispatchEntry(next_eip, force_cold_once,
-                                      fresh_cold_once);
-        force_cold_once = false;
+        int64_t entry = dispatchEntry(next_eip, fresh_cold_once);
         fresh_cold_once = false;
         if (entry < 0) {
             if (translator_->takeInjectedAbort()) {
@@ -1222,7 +1215,7 @@ Runtime::run(ia32::State &state)
                     chargeTranslatorOverhead();
                 }
             }
-            int64_t tentry = dispatchEntry(target, false);
+            int64_t tentry = dispatchEntry(target);
             // While a hot session for the exiting block is in flight
             // its exits stay unlinked — every traversal must keep
             // stopping here so the finished artifact can be adopted.
@@ -1241,7 +1234,7 @@ Runtime::run(ia32::State &state)
           case ExitReason::IndirectMiss: {
             uint32_t target = static_cast<uint32_t>(stop.payload);
             stats_.add("exits.indirect_miss");
-            int64_t tentry = dispatchEntry(target, false);
+            int64_t tentry = dispatchEntry(target);
             if (tentry >= 0) {
                 // Install the fast-lookup entry.
                 uint64_t h = bits(target, 2, 10);
@@ -1350,7 +1343,6 @@ Runtime::run(ia32::State &state)
             // Speculation failed or a block was invalidated: re-execute
             // the region cold, precisely.
             next_eip = static_cast<uint32_t>(stop.payload);
-            force_cold_once = true;
             fresh_cold_once = true;
             break;
           }

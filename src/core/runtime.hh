@@ -125,9 +125,10 @@ class Runtime
     /** Entry-condition snapshot from the runtime status bytes. */
     SpecContext currentSpec() const;
 
-    /** Find/translate the block for @p eip; returns its cache entry. */
-    int64_t dispatchEntry(uint32_t eip, bool force_cold,
-                          bool fresh_cold = false);
+    /** Find/translate the block for @p eip; returns its cache entry.
+     *  @p fresh_cold translates a fresh cold variant (Resync
+     *  re-execution). */
+    int64_t dispatchEntry(uint32_t eip, bool fresh_cold = false);
 
     /** Recover from a speculation guard failure. */
     void recoverGuard(BlockInfo *block, int64_t payload_kind);

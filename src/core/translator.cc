@@ -57,12 +57,28 @@ Translator::allocProfile(uint32_t bytes)
 }
 
 void
+Translator::retire(BlockInfo *block, Kind kind, ProvState state,
+                   ProvCause cause)
+{
+    block->invalidated = true;
+    // Stale links into the block now exit to the runtime, which
+    // re-executes the entry cold.
+    if (block->cache_entry >= 0)
+        cache_.invalidateEntry(block->cache_entry, ExitReason::Resync,
+                               block->entry_eip);
+    obs_->recordNow(kind, {block->entry_eip, block->id}, 0,
+                    {{state, cause, block->id}});
+}
+
+void
 Translator::flushCodeCache()
 {
-    for (auto &bp : blocks_) {
+    // Retired before the flush, so each ledger step carries the dying
+    // generation.
+    for (auto &bp : blocks_)
         if (!bp->invalidated)
-            bp->invalidated = true;
-    }
+            retire(bp.get(), Kind::Provenance, ProvState::Discarded,
+                   ProvCause::CacheFlush);
     cold_map_.clear();
     hot_map_.clear();
     cache_.flushAll();
@@ -121,16 +137,7 @@ Translator::dispatch(uint32_t eip, const SpecContext &spec)
         if (BlockInfo *adopted = adoptPersisted(eip, spec))
             return adopted;
     }
-    auto cit = cold_map_.find(eip);
-    if (cit != cold_map_.end()) {
-        for (Variant &v : cit->second)
-            if (specMatches(*v.block, spec))
-                return v.block;
-    }
-    MisalignStage stage = misaligned_.count(eip)
-                              ? MisalignStage::Detailed
-                              : MisalignStage::Light;
-    return translateCold(eip, spec, stage);
+    return dispatchCold(eip, spec, false);
 }
 
 BlockInfo *
@@ -217,13 +224,9 @@ Translator::discardHotBlock(BlockInfo *block)
 {
     if (!block || block->invalidated)
         return;
-    block->invalidated = true;
-    cache_.invalidateEntry(block->cache_entry, ExitReason::Resync,
-                           block->entry_eip);
     stats.add("hot.discarded_for_misalignment");
-    obs_->recordNow(Kind::Provenance, {block->entry_eip}, 0,
-                    {{ProvState::Discarded, ProvCause::Misalign,
-                      block->id}});
+    retire(block, Kind::Provenance, ProvState::Discarded,
+           ProvCause::Misalign);
 }
 
 void
@@ -231,10 +234,6 @@ Translator::quarantineBlock(BlockInfo *block)
 {
     if (!block || block->invalidated)
         return;
-    block->invalidated = true;
-    if (block->cache_entry >= 0)
-        cache_.invalidateEntry(block->cache_entry, ExitReason::Resync,
-                               block->entry_eip);
     stats.add("sentinel.blocks_quarantined");
     // Convicted code must never ship: purge every store record at this
     // entry so the next save cannot resurrect it in another process.
@@ -244,9 +243,8 @@ Translator::quarantineBlock(BlockInfo *block)
                         {{ProvState::Discarded, ProvCause::QuarantinePurge,
                           block->id}});
     }
-    obs_->recordNow(Kind::Quarantine, {block->entry_eip, block->id}, 0,
-                    {{ProvState::Quarantined,
-                      ProvCause::SentinelDivergence, block->id}});
+    retire(block, Kind::Quarantine, ProvState::Quarantined,
+           ProvCause::SentinelDivergence);
 }
 
 bool
@@ -289,12 +287,8 @@ Translator::invalidateRange(uint32_t addr, uint32_t len)
             hit = ip >= addr && ip < addr + len;
         }
         if (hit) {
-            b.invalidated = true;
-            cache_.invalidateEntry(b.cache_entry, ExitReason::Resync,
-                                   b.entry_eip);
-            obs_->recordNow(Kind::Provenance, {b.entry_eip}, 0,
-                            {{ProvState::Discarded, ProvCause::SmcWrite,
-                              b.id}});
+            retire(&b, Kind::Provenance, ProvState::Discarded,
+                   ProvCause::SmcWrite);
             ++dropped;
         }
     }
@@ -306,17 +300,13 @@ BlockInfo *
 Translator::regenerateForMisalignment(uint32_t eip,
                                       const SpecContext &spec)
 {
-    recordMisalignment(eip);
-    // Invalidate existing variants at this EIP; regenerate at stage 2.
+    // Retire the live variants at this EIP; regenerate at stage 2.
     auto cit = cold_map_.find(eip);
     if (cit != cold_map_.end()) {
-        for (Variant &v : cit->second) {
-            if (!v.block->invalidated) {
-                v.block->invalidated = true;
-                cache_.invalidateEntry(v.block->cache_entry,
-                                       ExitReason::Resync, eip);
-            }
-        }
+        for (Variant &v : cit->second)
+            if (!v.block->invalidated)
+                retire(v.block, Kind::Provenance, ProvState::Discarded,
+                       ProvCause::Misalign);
         cold_map_.erase(cit);
     }
     stats.add("misalign.block_regenerations");
@@ -538,10 +528,12 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
     info->misalign_stage = stage;
     info->insn_count = static_cast<uint32_t>(bb->insns.size());
 
-    EmitEnv env(options, Phase::Cold, info->id, spec);
-
-    if (bb->insns.empty()) {
-        // Nothing decodable at the entry itself: a precise guest fault.
+    // Nothing decodable at the entry itself: the block is one precise
+    // guest-fault exit, admitted like any other but never counted or
+    // charged as a translation.
+    const bool fetch_fault = bb->insns.empty();
+    if (fetch_fault) {
+        EmitEnv env(options, Phase::Cold, info->id, spec);
         ia32::FaultKind kind = bb->fetch_fault
                                    ? ia32::FaultKind::PageFault
                                    : ia32::FaultKind::InvalidOpcode;
@@ -550,37 +542,26 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
                         static_cast<int64_t>(kind));
         if (!finishBlock(env, info, false))
             return nullptr;
-        if (cache_.overCapacity() && allow_flush_retry) {
-            stats.add("recover.cache_overflow_retry");
-            flushCodeCache();
-            return translateColdImpl(eip, spec, stage, false);
-        }
-        obs_->recordNow(Kind::Provenance, {eip}, 0,
-                        {{ProvState::Decoded, ProvCause::None, info->id},
-                         {ProvState::Cold, ProvCause::None, info->id}});
-        cold_map_[eip].push_back({spec, info});
-        blocks_.push_back(std::move(info_holder));
-        return info;
     }
 
-    if (options.enable_misalign_avoidance &&
+    if (!fetch_fault && options.enable_misalign_avoidance &&
         stage == MisalignStage::Detailed) {
         info->misalign_ctr_off = allocProfile(
             (static_cast<uint32_t>(bb->insns.size()) * 2 + 8) * 4);
     }
 
-    if (!bb->insns.empty() && bb->insns.back().op == Op::Jcc)
+    if (!fetch_fault && bb->insns.back().op == Op::Jcc)
         info->edge_ctr_off = allocProfile(4);
 
     // Generate the block; on renaming-pool exhaustion (possible for
     // pathological very long blocks), retry with a shorter prefix —
     // the remainder becomes a fall-through successor block.
     size_t limit = bb->insns.size();
-    bool built = false;
+    bool built = fetch_fault;
     uint32_t fxch_emitted = 0;
     while (!built) {
         EmitEnv attempt(options, Phase::Cold, info->id, spec);
-        attempt.setMisalignCtrOff(env.options.enable_misalign_avoidance &&
+        attempt.setMisalignCtrOff(options.enable_misalign_avoidance &&
                                           info->misalign_ctr_off >= 0
                                       ? info->misalign_ctr_off
                                       : 0);
@@ -668,14 +649,17 @@ Translator::translateColdImpl(uint32_t eip, const SpecContext &spec,
         return translateColdImpl(eip, spec, stage, false);
     }
 
-    stats.add("xlate.cold_blocks");
-    stats.add("xlate.cold_insns", info->insn_count);
-    stats.add("fxch.emitted", fxch_emitted);
-    double xlate_cost =
-        cold_xlate_cost_per_insn * (info->insn_count + 1);
-    pending_cycles_ += xlate_cost;
-    obs_->recordNow(Kind::ColdXlate, {eip, info->id, info->insn_count},
-                    xlate_cost,
+    Kind event = Kind::Provenance; // ledger only
+    double xlate_cost = 0;
+    if (!fetch_fault) {
+        stats.add("xlate.cold_blocks");
+        stats.add("xlate.cold_insns", info->insn_count);
+        stats.add("fxch.emitted", fxch_emitted);
+        xlate_cost = cold_xlate_cost_per_insn * (info->insn_count + 1);
+        pending_cycles_ += xlate_cost;
+        event = Kind::ColdXlate;
+    }
+    obs_->recordNow(event, {eip, info->id, info->insn_count}, xlate_cost,
                     {{ProvState::Decoded, ProvCause::None, info->id},
                      {ProvState::Cold, ProvCause::None, info->id}});
 
@@ -809,6 +793,7 @@ Translator::runHotSession(const HotSessionInput &in,
                           HotArtifact *out)
 {
     out->ok = false;
+    out->entry_eip = in.entry_eip;
     out->spec = in.spec;
     out->covered_eips = in.covered_eips;
     out->smc_guards = in.smc_guards;
@@ -974,21 +959,16 @@ Translator::runHotSession(const HotSessionInput &in,
 BlockInfo *
 Translator::commitHotArtifact(HotArtifact &art)
 {
-    // Entry EIP for black-box bookkeeping: the proto knows it once a
-    // session ran; an artifact aborted before its session carries only
-    // the pipeline's copy.
-    uint32_t prov_eip =
-        art.proto.entry_eip ? art.proto.entry_eip : art.entry_eip;
     auto discard = [&](ProvCause cause) {
         obs_->recordNow(Kind::HotDiscard,
-                        {prov_eip, static_cast<int64_t>(cause)}, 0,
+                        {art.entry_eip, static_cast<int64_t>(cause)}, 0,
                         {{ProvState::Discarded, cause, art.cold_block_id}});
     };
     if (!art.from_store) {
         // A worker's session is stamped at its planned completion; a
         // session the guest ran itself, now, when the guest ran it.
         double ts = art.lane ? art.ready_cycles : obs_->now();
-        obs_->record({Kind::Provenance, 0, ts, 0, prov_eip},
+        obs_->record({Kind::Provenance, 0, ts, 0, art.entry_eip},
                      {{ProvState::Session,
                        art.ok ? ProvCause::SessionOk
                               : ProvCause::SessionAbort,
@@ -1007,8 +987,7 @@ Translator::commitHotArtifact(HotArtifact &art)
         return nullptr;
     }
 
-    if (options.sentinel &&
-        options.sentinel->isQuarantined(art.proto.entry_eip)) {
+    if (options.sentinel && options.sentinel->isQuarantined(art.entry_eip)) {
         // The sentinel convicted this EIP while the session was in
         // flight (or its quarantine has not been served yet): refuse
         // publication; the interpret gate decides when a retranslation
@@ -1030,25 +1009,15 @@ Translator::commitHotArtifact(HotArtifact &art)
         return nullptr;
     }
 
-    // Capture the store record while the proto and staging cache are
-    // still artifact-relative (publish rebases the shared copy, and the
-    // proto is moved into the block table below). It is committed to
-    // the store only after publication fully succeeds.
+    // Capture the store record while the trace is still as the session
+    // left it (the proto is moved into the block table below). It is
+    // committed to the store only after publication fully succeeds.
     persist::ArtifactStore *store = options.persist;
     bool record_it =
         store != nullptr && !art.from_store && !store->sealed();
-    persist::HotRecord rec;
-    if (record_it) {
-        rec.entry_eip = art.proto.entry_eip;
-        rec.spec = art.spec;
-        rec.proto = art.proto;
-        rec.covered_eips = art.covered_eips;
-        rec.smc_guards = art.smc_guards;
-        rec.code.reserve(art.staging.size());
-        for (int64_t i = 0;
-             i < static_cast<int64_t>(art.staging.size()); ++i)
-            rec.code.push_back(art.staging.at(i));
-    }
+    HotTrace rec;
+    if (record_it)
+        rec = art;
 
     int32_t new_id = static_cast<int32_t>(blocks_.size());
     int64_t base = cache_.publish(art.staging, art.generation, new_id);
@@ -1161,7 +1130,7 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
     maybeFlushForRoom();
 
     BlockInfo *match = nullptr;
-    for (const persist::HotRecord *rec : store->recordsAt(eip)) {
+    for (const HotTrace *rec : store->recordsAt(eip)) {
         // One adoption per record per run. A live previous block means
         // the dispatch spec just doesn't match it (re-publishing would
         // duplicate); an *invalidated* one means SMC convicted the
@@ -1195,19 +1164,15 @@ Translator::adoptPersisted(uint32_t eip, const SpecContext &spec)
             continue;
         }
 
-        // Rebuild a HotArtifact and push it through the normal commit
-        // path: generation check, sentinel gate, cold-entry
-        // redirection, coverage — identical to a live session's.
+        // Wrap the stored trace in an artifact and push it through the
+        // normal commit path: generation check, sentinel gate,
+        // cold-entry redirection, coverage — identical to a live
+        // session's.
         HotArtifact art;
+        static_cast<HotTrace &>(art) = *rec;
         art.generation = cache_.generation();
         art.from_store = true;
         art.ok = true;
-        art.spec = rec->spec;
-        art.proto = rec->proto;
-        art.covered_eips = rec->covered_eips;
-        art.smc_guards = rec->smc_guards;
-        for (const ipf::Instr &i : rec->code)
-            art.staging.emit(i);
 
         BlockInfo *info = commitHotArtifact(art);
         if (!info)

@@ -41,12 +41,15 @@ class Translator
 
     /**
      * Find or create a translation entry for @p eip matching @p spec.
-     * Prefers a hot version when one exists. Returns null on
-     * untranslatable code (undecodable first instruction).
+     * Prefers a hot version, then a stored one, then dispatchCold().
+     * Returns null on untranslatable code (undecodable first
+     * instruction).
      */
     BlockInfo *dispatch(uint32_t eip, const SpecContext &spec);
 
-    /** Cold-only dispatch used for Resync re-execution. */
+    /** Cold-only dispatch: a matching live cold variant, else a new
+     *  cold translation. @p fresh_variant skips the lookup (Resync
+     *  re-execution). */
     BlockInfo *dispatchCold(uint32_t eip, const SpecContext &spec,
                             bool fresh_variant);
 
@@ -121,7 +124,9 @@ class Translator
                (static_cast<double>(input.trace_insns) * input.copies + 1);
     }
 
-    /** Move a block to the detailed misalignment stage (cold stage 2). */
+    /** Move a block to the detailed misalignment stage (cold stage 2):
+     *  retire its live variants and translate it again. The caller has
+     *  recorded the misalignment (recordMisalignment). */
     BlockInfo *regenerateForMisalignment(uint32_t eip,
                                          const SpecContext &spec);
 
@@ -143,10 +148,11 @@ class Translator
     void invalidateRange(uint32_t addr, uint32_t len);
 
     /**
-     * Flush-and-retranslate GC: drop the whole code cache (bumping its
-     * generation), invalidate every block, clear the indirect-lookup
-     * table and reclaim the profile-counter area. Execution rebuilds
-     * lazily from cold translations. Counted as recover.cache_flush.
+     * Flush-and-retranslate GC: retire every live block, drop the
+     * whole code cache (bumping its generation), clear the
+     * indirect-lookup table and reclaim the profile-counter area.
+     * Execution rebuilds lazily from cold translations. Counted as
+     * recover.cache_flush.
      */
     void flushCodeCache();
 
@@ -253,6 +259,16 @@ class Translator
 
     /** Does @p spec satisfy the entry conditions of @p block? */
     static bool specMatches(const BlockInfo &block, const SpecContext &spec);
+
+    /**
+     * The one way a translation dies (SMC write, misalignment, sentinel
+     * conviction, cache flush): mark @p block invalidated, turn its
+     * entry into a Resync exit, and record @p kind (a = entry eip,
+     * b = block id) with the ledger step {@p state, @p cause}. Callers
+     * keep their own counters and pass only live blocks.
+     */
+    void retire(BlockInfo *block, trace::Kind kind, ProvState state,
+                ProvCause cause);
 
     /**
      * Allocate @p bytes in the profile area; returns the offset, or -1

@@ -126,7 +126,7 @@ getInstr(Reader &r, ipf::Instr &i, uint32_t code_count,
 }
 
 void
-encodeRecord(Writer &w, const HotRecord &rec)
+encodeRecord(Writer &w, const core::HotTrace &rec)
 {
     const core::BlockInfo &p = rec.proto;
 
@@ -187,13 +187,13 @@ encodeRecord(Writer &w, const HotRecord &rec)
         w.u64(bytes);
     }
 
-    w.u32(static_cast<uint32_t>(rec.code.size()));
-    for (const ipf::Instr &i : rec.code)
-        putInstr(w, i);
+    w.u32(static_cast<uint32_t>(rec.staging.nextIndex()));
+    for (int64_t k = 0; k < rec.staging.nextIndex(); ++k)
+        putInstr(w, rec.staging.at(k));
 }
 
 bool
-decodeRecord(const uint8_t *data, size_t n, HotRecord &rec)
+decodeRecord(const uint8_t *data, size_t n, core::HotTrace &rec)
 {
     Reader r(data, n);
     core::BlockInfo &p = rec.proto;
@@ -274,10 +274,12 @@ decodeRecord(const uint8_t *data, size_t n, HotRecord &rec)
     uint32_t code_count = r.u32();
     if (!r.ok || code_count > max_code)
         return false;
-    rec.code.resize(code_count);
-    for (ipf::Instr &i : rec.code)
+    for (uint32_t k = 0; k < code_count; ++k) {
+        ipf::Instr i;
         if (!getInstr(r, i, code_count, recovery_count))
             return false;
+        rec.staging.emit(i);
+    }
 
     if (!r.ok || r.off != n)
         return false;
@@ -349,7 +351,7 @@ fingerprintOf(const guest::Image &image, const core::Options &o)
 }
 
 bool
-ArtifactStore::insert(HotRecord &&rec)
+ArtifactStore::insert(core::HotTrace &&rec)
 {
     auto &vec = records_[rec.entry_eip];
     for (auto &existing : vec) {
@@ -358,12 +360,12 @@ ArtifactStore::insert(HotRecord &&rec)
             return true;
         }
     }
-    vec.push_back(std::make_unique<HotRecord>(std::move(rec)));
+    vec.push_back(std::make_unique<core::HotTrace>(std::move(rec)));
     return false;
 }
 
 void
-ArtifactStore::record(HotRecord rec)
+ArtifactStore::record(core::HotTrace rec)
 {
     if (sealed_) {
         stats.add("persist.record_after_seal");
@@ -396,10 +398,10 @@ ArtifactStore::dropAt(uint32_t eip)
     records_.erase(it);
 }
 
-std::vector<const HotRecord *>
+std::vector<const core::HotTrace *>
 ArtifactStore::recordsAt(uint32_t eip) const
 {
-    std::vector<const HotRecord *> out;
+    std::vector<const core::HotTrace *> out;
     auto it = records_.find(eip);
     if (it == records_.end())
         return out;
@@ -467,7 +469,7 @@ ArtifactStore::loadFile(const std::string &path)
     uint64_t loaded = 0, applied = 0, replayed = 0;
     for (const Frame &f : scan.frames) {
         if (f.kind == FrameKind::Add) {
-            HotRecord rec;
+            core::HotTrace rec;
             if (!decodeRecord(f.payload, f.size, rec)) {
                 stats.add("persist.rejected_invalid");
                 continue;

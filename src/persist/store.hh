@@ -48,11 +48,9 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/blockinfo.hh"
-#include "ipf/insn.hh"
 #include "persist/durable.hh"
 #include "support/stats.hh"
 
@@ -80,25 +78,8 @@ namespace el::persist
 Fingerprint fingerprintOf(const guest::Image &image,
                           const core::Options &options);
 
-/**
- * One persisted hot artifact: everything the translator's commit path
- * needs to republish the trace into a fresh runtime. The proto
- * BlockInfo and the stub indices are staging-relative, exactly as a
- * worker session hands them over.
- */
-struct HotRecord
-{
-    uint32_t entry_eip = 0;
-    core::SpecContext spec;         //!< Entry conditions.
-    core::BlockInfo proto;          //!< Staging-relative metadata.
-    std::vector<ipf::Instr> code;   //!< Staged instructions [0, n).
-    std::vector<uint32_t> covered_eips;
-    /** (guest address, expected bytes) per constituent block on a
-     *  writable page; re-checked against live memory at adoption. */
-    std::vector<std::pair<uint32_t, uint64_t>> smc_guards;
-};
-
-/** The in-memory store: records keyed by entry EIP, plus file I/O. */
+/** The in-memory store: hot traces (core::HotTrace, exactly as a
+ *  session emitted them) keyed by entry EIP, plus file I/O. */
 class ArtifactStore
 {
   public:
@@ -132,7 +113,7 @@ class ArtifactStore
      * sealed store (an `el_aot`-sealed store is validated content;
      * runs must not dilute it).
      */
-    void record(HotRecord rec);
+    void record(core::HotTrace rec);
 
     /**
      * Drop every record at @p eip. Called when the sentinel
@@ -152,7 +133,7 @@ class ArtifactStore
     }
 
     /** All live records at @p eip (pointers valid until mutation). */
-    std::vector<const HotRecord *> recordsAt(uint32_t eip) const;
+    std::vector<const core::HotTrace *> recordsAt(uint32_t eip) const;
 
     /** Count a probe that found nothing usable (once per distinct
      *  EIP, so the counter reads as "blocks we could not warm-start"
@@ -242,14 +223,15 @@ class ArtifactStore
 
   private:
     /** Insert-or-replace by (entry_eip, spec); true when replaced. */
-    bool insert(HotRecord &&rec);
+    bool insert(core::HotTrace &&rec);
 
     /** Frame one mutation into the pending log buffer. */
     void logFrame(FrameKind kind, const std::vector<uint8_t> &payload);
 
     Fingerprint fp_;
     bool sealed_ = false;
-    std::map<uint32_t, std::vector<std::unique_ptr<HotRecord>>> records_;
+    std::map<uint32_t, std::vector<std::unique_ptr<core::HotTrace>>>
+        records_;
     std::set<uint32_t> missed_; //!< Distinct-EIP miss dedup.
 
     int log_fd_ = -1;          //!< POSIX fd; -1 = closed.

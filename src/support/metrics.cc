@@ -42,7 +42,7 @@ Registry::snapshotJson(double cycle) const
     json::Writer w;
     w.beginObject();
     w.kv("kind", "el-metrics");
-    w.kv("version", 2);
+    w.kv("version", 3);
     if (have_producer_)
         buildinfo::writeStamp(w, producer_);
     w.kv("cycle", cycle);
@@ -53,11 +53,10 @@ Registry::snapshotJson(double cycle) const
     w.endObject();
     w.key("counters");
     w.beginObject();
-    for (const CounterGroup &cg : counter_groups_) {
-        if (!cg.group)
-            continue;
-        for (const auto &[name, value] : cg.group->all())
-            w.kv((cg.prefix + "." + name).c_str(), value);
+    if (counters_) {
+        StatGroup counters = counters_();
+        for (const auto &[name, value] : counters.all())
+            w.kv(name, value);
     }
     w.endObject();
     w.endObject();

@@ -1,18 +1,19 @@
 /**
  * @file
- * Telemetry snapshotter: a registry of named gauges and counter groups,
- * periodically exported as newline-delimited JSON.
+ * Telemetry snapshotter: a registry of named gauges and one counters
+ * source, periodically exported as newline-delimited JSON.
  *
- * The runtime's health is already counted — in per-subsystem
- * `StatGroup`s, in the profiler, in the persist store — but only as
- * an end-of-run report. The `Registry` unifies those sources behind
- * names and emits one self-contained JSON object per sampling period
- * of the *simulated* clock ("el-metrics" v2, one object per line). It
- * is the run's only periodic sampler; `el_prof --csv` renders a stream
- * as a table.
+ * The runtime's health is already counted — in the run report's one
+ * counter namespace (core::mergedStats) and in point-in-time values
+ * such as cache occupancy — but only as an end-of-run report. The
+ * `Registry` samples those sources and emits one self-contained JSON
+ * object per sampling period of the *simulated* clock ("el-metrics"
+ * v3, one object per line), naming each counter as the report does.
+ * It is the run's only periodic sampler; `el_prof --csv` renders a
+ * stream as a table.
  *
- * Sources are registered as non-owned pointers/closures and read lazily
- * at emit time, so registration costs nothing on the execution path.
+ * Sources are registered as closures and read lazily at emit time, so
+ * registration costs nothing on the execution path.
  * Emission is driven from the dispatch loop (`maybeEmit`) off simulated
  * cycles and charges zero simulated cycles itself: cycle results are
  * bit-identical with snapshotting on or off.
@@ -50,11 +51,12 @@ class Registry
         gauges_.push_back({name, std::move(read)});
     }
 
-    /** Register a counter group; exported as "<prefix>.<counter>". */
+    /** Set the counters source, read at each emit and exported by
+     *  name as is (the runtime binds core::mergedStats). */
     void
-    counters(const std::string &prefix, const StatGroup *group)
+    counters(std::function<StatGroup()> read)
     {
-        counter_groups_.push_back({prefix, group});
+        counters_ = std::move(read);
     }
 
     /** Simulated cycles between snapshots (0 disables maybeEmit). */
@@ -91,7 +93,7 @@ class Registry
     /** Emit one snapshot line unconditionally (if output is open). */
     void emit(double cycle);
 
-    /** One "el-metrics" v2 object (no trailing newline). */
+    /** One "el-metrics" v3 object (no trailing newline). */
     std::string snapshotJson(double cycle) const;
 
     /** Snapshot lines emitted so far. */
@@ -103,13 +105,8 @@ class Registry
         std::string name;
         std::function<double()> read;
     };
-    struct CounterGroup
-    {
-        std::string prefix;
-        const StatGroup *group;
-    };
     std::vector<Gauge> gauges_;
-    std::vector<CounterGroup> counter_groups_;
+    std::function<StatGroup()> counters_;
     buildinfo::ProducerStamp producer_;
     bool have_producer_ = false;
     uint64_t period_ = 0;

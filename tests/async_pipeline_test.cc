@@ -168,8 +168,8 @@ TEST(AsyncPipeline, DeterministicAdoptionIsReplayable)
     ASSERT_TRUE(b.outcome.exited);
     EXPECT_EQ(a.outcome.exit_code, b.outcome.exit_code);
     EXPECT_DOUBLE_EQ(a.outcome.cycles, b.outcome.cycles);
-    EXPECT_EQ(a.runtime->stats().get("hot.adopted"),
-              b.runtime->stats().get("hot.adopted"));
+    EXPECT_EQ(a.runtime->translator().stats.get("xlate.hot_blocks"),
+              b.runtime->translator().stats.get("xlate.hot_blocks"));
     EXPECT_EQ(a.runtime->stats().get("hot.stall_cycles"),
               b.runtime->stats().get("hot.stall_cycles"));
 }
@@ -202,7 +202,7 @@ TEST(AsyncPipeline, WorkersStartNoOsThread)
     harness::TranslatedRun tr = harness::runTranslated(
         gzip->image, gzip->params.abi, pipelineOpts(4));
     ASSERT_TRUE(tr.outcome.exited);
-    EXPECT_GT(tr.runtime->stats().get("hot.enqueued"), 0u);
+    EXPECT_GT(tr.runtime->stats().get("hot.sessions"), 0u);
     // Read while the runtime is alive.
     EXPECT_EQ(osThreadCount(), before);
 }

@@ -88,6 +88,16 @@ hotOpts(unsigned threads, bool flight = true)
     return o;
 }
 
+/** The named workload of @p suite (null when absent). */
+const guest::Workload *
+findWorkload(const std::vector<guest::Workload> &suite, const char *name)
+{
+    for (const guest::Workload &w : suite)
+        if (w.name == name)
+            return &w;
+    return nullptr;
+}
+
 // ----- recorder unit behavior -------------------------------------------
 
 using trace::Kind;
@@ -266,11 +276,8 @@ TEST(WorkerReplay, BoundedViewsHoldTheirCapacityAndReplay)
     // number of workers, and the runtime records every event in a
     // fixed order, so what survives the overflow is the same on every
     // run.
-    const guest::Workload *gcc = nullptr;
     std::vector<guest::Workload> suite = guest::specIntSuite();
-    for (const guest::Workload &w : suite)
-        if (w.name == "gcc")
-            gcc = &w;
+    const guest::Workload *gcc = findWorkload(suite, "gcc");
     ASSERT_NE(gcc, nullptr);
 
     constexpr size_t box_events = 16, chrome_events = 64;
@@ -284,7 +291,7 @@ TEST(WorkerReplay, BoundedViewsHoldTheirCapacityAndReplay)
         harness::TranslatedRun r =
             harness::runTranslated(gcc->image, gcc->params.abi, o);
         ASSERT_TRUE(r.outcome.exited);
-        EXPECT_GT(r.runtime->stats().get("hot.enqueued"), 100u);
+        EXPECT_GT(r.runtime->stats().get("hot.sessions"), 100u);
         const trace::Tracer *box = r.runtime->blackBox();
         ASSERT_NE(box, nullptr);
         EXPECT_EQ(box->snapshot().size(), box_events) << "run " << run;
@@ -417,6 +424,97 @@ TEST(ProvenanceLedger, HotBlockLifecycleIsRecorded)
     EXPECT_TRUE(published) << "hot commit never reached the ledger";
 }
 
+TEST(ProvenanceLedger, EveryRetirementLeavesALedgerStep)
+{
+    // Every dead translation goes through one retirement, which records
+    // the caller's ledger step: a cache flush leaves discarded /
+    // cache_flush for each block it kills, stamped with the dying
+    // generation, and a stage-1 -> 2 misalignment regeneration leaves
+    // discarded / misalign for the cold variants it retires.
+    std::vector<guest::Workload> suite = guest::adversarialSuite();
+    const guest::Workload *storm = findWorkload(suite, "sigstorm");
+    const guest::Workload *jit = findWorkload(suite, "jit_rewriter");
+    ASSERT_NE(storm, nullptr);
+    ASSERT_NE(jit, nullptr);
+
+    core::Options o = hotOpts(0);
+    o.code_cache_capacity = 3000;
+    harness::TranslatedRun flushed =
+        harness::runTranslated(storm->image, storm->params.abi, o);
+    ASSERT_TRUE(flushed.outcome.exited);
+    ASSERT_GT(core::mergedStats(*flushed.runtime).get("recover.cache_flush"),
+              0u);
+    const core::ProvenanceLedger *led = flushed.runtime->provenance();
+    ASSERT_NE(led, nullptr);
+    uint64_t final_gen = flushed.runtime->codeCache().generation();
+    size_t flush_steps = 0;
+    for (const auto &[eip, ring] : led->all()) {
+        for (const core::ProvEvent &e : ring) {
+            if (e.state != core::ProvState::Discarded ||
+                e.cause != core::ProvCause::CacheFlush)
+                continue;
+            ++flush_steps;
+            EXPECT_LT(e.generation, final_gen)
+                << "a flush step must carry the generation it killed";
+            const core::BlockInfo *b =
+                flushed.runtime->translator().blockById(e.block_id);
+            ASSERT_NE(b, nullptr);
+            EXPECT_TRUE(b->invalidated);
+        }
+    }
+    EXPECT_GT(flush_steps, 0u) << "a flush retired blocks without a trace";
+
+    harness::TranslatedRun misaligned =
+        harness::runTranslated(jit->image, jit->params.abi);
+    ASSERT_TRUE(misaligned.outcome.exited);
+    led = misaligned.runtime->provenance();
+    ASSERT_NE(led, nullptr);
+    bool cold_misalign = false;
+    for (const auto &[eip, ring] : led->all()) {
+        for (const core::ProvEvent &e : ring) {
+            if (e.state != core::ProvState::Discarded ||
+                e.cause != core::ProvCause::Misalign)
+                continue;
+            const core::BlockInfo *b =
+                misaligned.runtime->translator().blockById(e.block_id);
+            ASSERT_NE(b, nullptr);
+            EXPECT_TRUE(b->invalidated);
+            cold_misalign |= b->kind == core::BlockKind::Cold;
+        }
+    }
+    EXPECT_TRUE(cold_misalign)
+        << "a misalignment regeneration retired its cold block silently";
+}
+
+TEST(RunReport, CountersCountEachEventOnce)
+{
+    // hot.sessions counts sessions, the batched and the chained alike:
+    // on a default gcc run every session commits, so it equals the
+    // committed traces. misalign.events counts each misalignment exit
+    // once, the stage-1 regeneration included.
+    std::vector<guest::Workload> spec = guest::specIntSuite();
+    const guest::Workload *gcc = findWorkload(spec, "gcc");
+    ASSERT_NE(gcc, nullptr);
+    harness::TranslatedRun g =
+        harness::runTranslated(gcc->image, gcc->params.abi);
+    ASSERT_TRUE(g.outcome.exited);
+    StatGroup gs = core::mergedStats(*g.runtime);
+    EXPECT_GT(gs.get("xlate.hot_blocks"), 100u);
+    EXPECT_EQ(gs.get("hot.sessions"), gs.get("xlate.hot_blocks"));
+    EXPECT_EQ(gs.get("hot.enqueued"), 0u);
+    EXPECT_EQ(gs.get("hot.adopted"), 0u);
+
+    std::vector<guest::Workload> adv = guest::adversarialSuite();
+    const guest::Workload *jit = findWorkload(adv, "jit_rewriter");
+    ASSERT_NE(jit, nullptr);
+    harness::TranslatedRun j =
+        harness::runTranslated(jit->image, jit->params.abi);
+    ASSERT_TRUE(j.outcome.exited);
+    StatGroup js = core::mergedStats(*j.runtime);
+    EXPECT_GT(js.get("exits.misaligned"), 0u);
+    EXPECT_EQ(js.get("misalign.events"), js.get("exits.misaligned"));
+}
+
 // ----- telemetry snapshots ----------------------------------------------
 
 TEST(Metrics, SnapshotJsonIsWellFormed)
@@ -425,8 +523,8 @@ TEST(Metrics, SnapshotJsonIsWellFormed)
     double g = 42.0;
     reg.gauge("answer", [&] { return g; });
     StatGroup sg;
-    sg.add("lookups", 7);
-    reg.counters("demo", &sg);
+    sg.add("xlate.lookups", 7);
+    reg.counters([&] { return sg; });
 
     json::Value root;
     std::string error;
@@ -434,14 +532,17 @@ TEST(Metrics, SnapshotJsonIsWellFormed)
                                     &error))
         << error;
     EXPECT_EQ(root.strOr("kind", ""), "el-metrics");
-    EXPECT_EQ(root.numberOr("version", 0), 2);
+    EXPECT_EQ(root.numberOr("version", 0), 3);
     EXPECT_EQ(root.numberOr("cycle", 0), 123);
     const json::Value *gauges = root.find("gauges");
     ASSERT_NE(gauges, nullptr);
     EXPECT_EQ(gauges->numberOr("answer", 0), 42.0);
     const json::Value *counters = root.find("counters");
     ASSERT_NE(counters, nullptr);
-    EXPECT_EQ(counters->numberOr("demo.lookups", 0), 7);
+    // Counters keep their own names: the source is the report's one
+    // namespace, so no prefix is added.
+    EXPECT_EQ(counters->numberOr("xlate.lookups", 0), 7);
+    EXPECT_EQ(counters->obj.size(), 1u);
 }
 
 TEST(Metrics, MaybeEmitHonorsThePeriod)
@@ -504,11 +605,8 @@ TEST(Metrics, WorkerFaultGaugeRepeatsRunToRun)
     // A pipelined session draws its injected aborts from its own stream
     // and counts them when it runs, at enqueue, so the fault_fires
     // gauge (and every other) follows the same series on every run.
-    const guest::Workload *gcc = nullptr;
     std::vector<guest::Workload> suite = guest::specIntSuite();
-    for (const guest::Workload &w : suite)
-        if (w.name == "gcc")
-            gcc = &w;
+    const guest::Workload *gcc = findWorkload(suite, "gcc");
     ASSERT_NE(gcc, nullptr);
 
     std::string stream[2];

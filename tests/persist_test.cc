@@ -688,11 +688,11 @@ TEST(PersistJournal, TruncationSweepRecoversEveryIntactPrefix)
     ASSERT_FALSE(eips.empty());
     eips.resize(std::min<size_t>(eips.size(), 2));
     for (uint32_t eip : eips) {
-        std::vector<persist::HotRecord> copies;
-        for (const persist::HotRecord *rec : writer.recordsAt(eip))
+        std::vector<core::HotTrace> copies;
+        for (const core::HotTrace *rec : writer.recordsAt(eip))
             copies.push_back(*rec);
         writer.dropAt(eip);
-        for (persist::HotRecord &rec : copies)
+        for (core::HotTrace &rec : copies)
             writer.record(std::move(rec));
     }
     writer.closeLog();
